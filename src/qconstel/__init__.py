@@ -7,7 +7,6 @@ information, simulates photon-counting estimation, and synthesizes the
 optimal measurement as a beamsplitter/phaseshifter netlist.
 """
 
-from ._kernels import backend_name
 from .constellation import (
     Constellation,
     DiscretePSF,
@@ -96,7 +95,6 @@ __all__ = [
     "SymmetrySpec",
     "analytic_qfi",
     "apply_group_element",
-    "backend_name",
     "character_basis",
     "characters",
     "classical_fi",

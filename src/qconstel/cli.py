@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import sys
@@ -119,10 +120,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         for section, values in _read_config_file(args.config).items():
             cfg[section].update(values)
-    for dest, (section, key) in FLAG_MAP.items():
-        val = getattr(args, dest, None)
-        if val is not None:
-            cfg[section][key] = val
+    for section, keys in SECTIONS.items():
+        for key in keys:
+            val = getattr(args, key, None)
+            if val is not None:
+                cfg[section][key] = val
     if cfg["model"]["kind"] not in ("pair", "rect", "ring"):
         raise ConfigError(f"unknown model kind {cfg['model']['kind']!r}")
     if cfg["output"]["format"] not in ("csv", "json", "text"):
@@ -413,36 +415,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-FLAG_MAP = {
-    "kind": ("model", "kind"),
-    "p": ("model", "p"),
-    "px": ("model", "px"),
-    "py": ("model", "py"),
-    "n": ("model", "n"),
-    "theta": ("model", "theta"),
-    "psf_angle": ("model", "psf_angle"),
-    "phase": ("model", "phase"),
-    "psf_phase": ("model", "psf_phase"),
-    "r": ("model", "r"),
-    "x0": ("model", "x0"),
-    "y0": ("model", "y0"),
-    "basis": ("measurement", "basis"),
-    "netlist": ("measurement", "netlist"),
-    "parameter": ("sweep", "parameter"),
-    "start": ("sweep", "start"),
-    "stop": ("sweep", "stop"),
-    "count": ("sweep", "count"),
-    "quantity": ("sweep", "quantity"),
-    "photons": ("study", "photons"),
-    "trials": ("study", "trials"),
-    "seed": ("study", "seed"),
-    "bounds": ("study", "bounds"),
-    "grid": ("study", "grid"),
-    "out": ("output", "path"),
-    "format": ("output", "format"),
-}
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-c", "--config", help="INI config file")
     sub.add_argument("--kind", choices=["pair", "rect", "ring"])
@@ -457,11 +429,17 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--r", type=float, help="pair/ring radius")
     sub.add_argument("--x0", type=float, help="rectangle half-side x")
     sub.add_argument("--y0", type=float, help="rectangle half-side y")
-    sub.add_argument("--out", help="output file path")
+    sub.add_argument("--out", dest="path", help="output file path")
     sub.add_argument("--format", choices=["csv", "json", "text"])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing does not change it; rebuilding it for every in-process ``main``
+    call left some 600 objects of cyclic garbage behind per call.
+    """
     parser = argparse.ArgumentParser(
         prog="qconstel",
         description="Quantum-limited estimation for symmetric point-source constellations.",

@@ -14,6 +14,47 @@ class SymmetryError(ValueError):
 
 
 @dataclass(frozen=True)
+class AbelianGroup:
+    """Finite abelian group as a product of cyclic factors.
+
+    Elements are indexed 0..|G|-1 in mixed-radix order over the factors
+    (first factor most significant, index 0 the identity).
+    """
+
+    factors: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.factors or any(f < 2 for f in self.factors):
+            raise ValueError(f"every cyclic factor must be >= 2, got {self.factors}")
+        object.__setattr__(self, "factors", tuple(int(f) for f in self.factors))
+
+    @property
+    def order(self) -> int:
+        out = 1
+        for f in self.factors:
+            out *= f
+        return out
+
+    def element_tuple(self, g: int) -> tuple[int, ...]:
+        if not 0 <= g < self.order:
+            raise ValueError(f"element index {g} out of range for |G|={self.order}")
+        digits = []
+        for f in reversed(self.factors):
+            digits.append(g % f)
+            g //= f
+        return tuple(reversed(digits))
+
+    def element_index(self, digits) -> int:
+        out = 0
+        for f, d in zip(self.factors, digits):
+            out = out * f + int(d) % f
+        return out
+
+    def inverse(self, g: int) -> int:
+        return self.element_index([-d for d in self.element_tuple(g)])
+
+
+@dataclass(frozen=True)
 class SymmetrySpec:
     """Planar symmetry group declaration.
 
@@ -58,11 +99,13 @@ class SymmetrySpec:
         return (2, 2)
 
     @property
+    def group(self) -> AbelianGroup:
+        """The abstract group, a product of the cyclic factors."""
+        return AbelianGroup(self.factors)
+
+    @property
     def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
+        return self.group.order
 
 
 def _as_points(pts) -> np.ndarray:
@@ -178,32 +221,16 @@ def matching_psf(
     return DiscretePSF(p * np.stack([np.cos(ang), np.sin(ang)], axis=1))
 
 
-def element_tuple(spec: SymmetrySpec, g: int) -> tuple[int, ...]:
-    """Mixed-radix digits of element index g (first factor most significant)."""
-    order = spec.order
-    if not 0 <= g < order:
-        raise ValueError(f"group element index {g} out of range for |G|={order}")
-    digits = []
-    for f in reversed(spec.factors):
-        digits.append(g % f)
-        g //= f
-    return tuple(reversed(digits))
-
-
 def compose_elements(spec: SymmetrySpec, g: int, h: int) -> int:
     """Index of the product element g * h (componentwise modular addition)."""
-    gd = element_tuple(spec, g)
-    hd = element_tuple(spec, h)
-    out = 0
-    for f, a, b in zip(spec.factors, gd, hd):
-        out = out * f + (a + b) % f
-    return out
+    group = spec.group
+    return group.element_index(np.add(group.element_tuple(g), group.element_tuple(h)))
 
 
 def apply_group_element(spec: SymmetrySpec, g: int, pts) -> np.ndarray:
     """Apply the planar orthogonal action of element g to every point."""
     arr = _as_points(pts)
-    digits = element_tuple(spec, g)
+    digits = spec.group.element_tuple(g)
     if spec.kind == "cyclic":
         a = 2.0 * np.pi * digits[0] / spec.n
         rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])

@@ -12,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .constellation import (
+    AbelianGroup,
     DiscretePSF,
     SymmetrySpec,
     apply_group_element,
@@ -23,7 +24,7 @@ from .constellation import (
 )
 from .linalg import eig_hermitian, hermiticity_defect, unitarity_defect
 from .states import density_matrix, source_state
-from .symmetry import AbelianGroup, SymmetricEigenbasis, qft_matrix, symmetric_eigenbasis
+from .symmetry import SymmetricEigenbasis, qft_matrix, symmetric_eigenbasis
 
 SUPPORT_TOL = 1e-10
 PROB_FLOOR = 1e-12
@@ -48,10 +49,14 @@ class ModelFamily:
     bounds: tuple[tuple[float, float], ...]
     builder: Callable[[np.ndarray], np.ndarray]
     psf: DiscretePSF | None = None
-    group: AbelianGroup | None = None
     qft_basis: np.ndarray | None = None
     symmetry: SymmetrySpec | None = None
     orbit_base: Callable[[np.ndarray], np.ndarray] | None = None
+
+    @property
+    def group(self) -> AbelianGroup | None:
+        """Symmetry group of ``symmetry``; None for a model without one."""
+        return None if self.symmetry is None else self.symmetry.group
 
     @property
     def n_params(self) -> int:
@@ -84,15 +89,13 @@ def pair_model(p: float, theta: float = 0.0, psf_angle: float = 0.0) -> ModelFam
     """
     template = make_pair(1.0, theta)
     psf = matching_psf(template, p, phase=psf_angle)
-    group = AbelianGroup.from_spec(template.symmetry)
     return ModelFamily(
         names=("r",),
         dim=2,
         bounds=((0.0, np.inf),),
         builder=lambda v: density_matrix(make_pair(v[0], theta), psf),
         psf=psf,
-        group=group,
-        qft_basis=qft_matrix(group).conj().T,
+        qft_basis=qft_matrix(template.symmetry.group).conj().T,
         symmetry=template.symmetry,
         orbit_base=lambda v: np.array([v[0] * np.cos(theta), v[0] * np.sin(theta)]),
     )
@@ -105,15 +108,13 @@ def rectangle_model(p_x: float, p_y: float) -> ModelFamily:
     """
     template = make_rectangle(1.0, 1.0)
     psf = matching_psf(template, p_x, p_y=p_y)
-    group = AbelianGroup.from_spec(template.symmetry)
     return ModelFamily(
         names=("x0", "y0"),
         dim=4,
         bounds=((0.0, np.inf), (0.0, np.inf)),
         builder=lambda v: density_matrix(make_rectangle(v[0], v[1]), psf),
         psf=psf,
-        group=group,
-        qft_basis=qft_matrix(group).conj().T,
+        qft_basis=qft_matrix(template.symmetry.group).conj().T,
         symmetry=template.symmetry,
         orbit_base=lambda v: np.array([v[0], v[1]]),
     )
@@ -126,15 +127,13 @@ def ring_model(n: int, p: float, phase: float = 0.0, psf_phase: float = 0.0) -> 
     """
     template = make_ring(n, 1.0, phase)
     psf = matching_psf(template, p, phase=psf_phase)
-    group = AbelianGroup.from_spec(template.symmetry)
     return ModelFamily(
         names=("r",),
         dim=n,
         bounds=((0.0, np.inf),),
         builder=lambda v: density_matrix(make_ring(n, v[0], phase), psf),
         psf=psf,
-        group=group,
-        qft_basis=qft_matrix(group).conj().T,
+        qft_basis=qft_matrix(template.symmetry.group).conj().T,
         symmetry=template.symmetry,
         orbit_base=lambda v: np.array([v[0] * np.cos(phase), v[0] * np.sin(phase)]),
     )
@@ -256,7 +255,7 @@ def orbit_states(model: ModelFamily, values, base_element: int = 0) -> np.ndarra
     parameter domain, so degenerate boundary points like zero separation
     are allowed.
     """
-    if model.group is None or model.psf is None or model.symmetry is None:
+    if model.psf is None or model.symmetry is None:
         raise ValueError("model carries no symmetry metadata")
     vals = model.check_values(values, closed=True)
     spec = model.symmetry

@@ -1,18 +1,20 @@
-"""Dense complex linear algebra for small (N <= ~64) Hermitian problems."""
+"""Dense complex linear algebra for small (N <= ~64) Hermitian problems.
+
+Eigendecomposition delegates to LAPACK (``numpy.linalg.eigh``) behind
+input validation and a residual check, so a failure is always loud.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import LinAlgError, eigh
 
-from ._kernels import jacobi_cycle
-
-HERMITIAN_ATOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFFDIAG_FACTOR = 1e-14
+HERMITIAN_RTOL = 1e-12
+RESIDUAL_FACTOR = 64.0
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver failed to reach its off-diagonal threshold."""
+    """Eigensolver failed or returned eigenpairs that do not satisfy H V = V W."""
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -27,10 +29,10 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix (LAPACK, residual-checked).
 
     Args:
-        h: square complex matrix, Hermitian within 1e-12 (checked).
+        h: square complex matrix, Hermitian within 1e-12 * ||H||_F (checked).
 
     Returns:
         ``(w, v)`` with eigenvalues ``w`` ascending and unitary ``v`` whose
@@ -38,30 +40,34 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises:
         ValueError: non-square, non-finite, or non-Hermitian input.
-        ConvergenceError: off-diagonal norm still above threshold after
-            the sweep cap (never returns silent garbage).
+        ConvergenceError: LAPACK failed, or the residual ||H V - V W||_F
+            exceeds 64 n eps ||H||_F (never returns silent garbage).
     """
     a = np.array(h, dtype=np.complex128, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(np.float64))):
         raise ValueError("matrix has non-finite entries")
+    scale = float(np.linalg.norm(a))
     defect = hermiticity_defect(a)
-    if defect > HERMITIAN_ATOL:
-        raise ValueError(f"matrix is not Hermitian: max |A - A^H| = {defect:.3e}")
+    if defect > HERMITIAN_RTOL * scale:
+        raise ValueError(
+            f"matrix is not Hermitian: max |A - A^H| = {defect:.3e} "
+            f"(||A||_F = {scale:.3e})"
+        )
 
     n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    thresh = JACOBI_OFFDIAG_FACTOR * float(np.linalg.norm(a))
-    sweeps = jacobi_cycle(a, v, JACOBI_MAX_SWEEPS, thresh)
-    if sweeps < 0:
+    try:
+        w, v = eigh(a)
+    except LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed (n={n}): {exc}") from None
+    residual = float(np.linalg.norm(a @ v - v * w))
+    limit = RESIDUAL_FACTOR * n * np.finfo(float).eps * scale
+    if not residual <= limit:
         raise ConvergenceError(
-            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-            f"(n={n}, threshold={thresh:.3e})"
+            f"eigensolver residual ||HV - VW|| = {residual:.3e} exceeds {limit:.3e} (n={n})"
         )
-    w = np.real(np.diag(a))
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return w, v
 
 
 def _max_abs_diff(u: np.ndarray, v: np.ndarray, phi: float) -> float:

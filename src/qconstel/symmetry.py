@@ -2,7 +2,8 @@
 
 Group elements and character labels are indexed 0..|G|-1 in mixed-radix
 order over the cyclic factors (first factor most significant, index 0 the
-identity / trivial character).
+identity / trivial character); ``AbelianGroup`` lives in ``constellation``
+next to the symmetry declarations and is re-exported here.
 """
 
 from __future__ import annotations
@@ -11,51 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import SymmetrySpec
+from .constellation import AbelianGroup
 
 ZERO_WEIGHT_TOL = 1e-12
 COVARIANCE_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Finite abelian group as a product of cyclic factors."""
-
-    factors: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.factors or any(f < 2 for f in self.factors):
-            raise ValueError(f"every cyclic factor must be >= 2, got {self.factors}")
-        object.__setattr__(self, "factors", tuple(int(f) for f in self.factors))
-
-    @classmethod
-    def from_spec(cls, spec: SymmetrySpec) -> "AbelianGroup":
-        return cls(spec.factors)
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
-
-    def element_tuple(self, g: int) -> tuple[int, ...]:
-        if not 0 <= g < self.order:
-            raise ValueError(f"element index {g} out of range for |G|={self.order}")
-        digits = []
-        for f in reversed(self.factors):
-            digits.append(g % f)
-            g //= f
-        return tuple(reversed(digits))
-
-    def element_index(self, digits) -> int:
-        out = 0
-        for f, d in zip(self.factors, digits):
-            out = out * f + int(d) % f
-        return out
-
-    def inverse(self, g: int) -> int:
-        return self.element_index([-d for d in self.element_tuple(g)])
 
 
 def characters(group: AbelianGroup) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Acceptance suite: one check per shipped guarantee, one PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see every line; each
-test also embeds its line in the assertion message.  Timered sections
-exclude the one-time kernel JIT warmup performed by the session fixture.
+test also embeds its line in the assertion message.  Timed sections
+exclude the first-call costs paid by the module warm-up fixture.
 """
 
 import time
@@ -33,7 +33,6 @@ def report(num: int, ok: bool, detail: str) -> str:
 
 @pytest.fixture(scope="module", autouse=True)
 def warmup():
-    # first calls trigger numba compilation; keep that out of timed sections
     qfim(pair_model(1.0), [0.3])
     reck_decompose(np.eye(3, dtype=complex))
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qconstel import _kernels
 from qconstel.linalg import (
     ConvergenceError,
     eig_hermitian,
@@ -98,28 +99,85 @@ def test_degenerate_cluster_still_reconstructs():
     assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - h)) <= 1e-10
 
 
-def test_backends_agree():
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(5)
-    h = random_hermitian(9, rng)
-    thresh = 1e-14 * np.linalg.norm(h)
-    a1, v1 = h.astype(np.complex128).copy(), np.eye(9, dtype=np.complex128)
-    a2, v2 = h.astype(np.complex128).copy(), np.eye(9, dtype=np.complex128)
-    s1 = _kernels.jacobi_cycle_numba(a1, v1, 100, thresh)
-    s2 = _kernels.jacobi_cycle_numpy(a2, v2, 100, thresh)
-    assert s1 >= 0 and s2 >= 0
-    assert np.max(np.abs(np.diag(a1) - np.diag(a2))) <= 1e-12
-    assert np.max(np.abs(v1 - v2)) <= 1e-12
-
-
 def test_convergence_failure_is_loud(monkeypatch):
     import qconstel.linalg as la
 
-    monkeypatch.setattr(la, "JACOBI_MAX_SWEEPS", 0)
-    rng = np.random.default_rng(0)
+    h = random_hermitian(4, np.random.default_rng(0))
+
+    def lapack_failure(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(la, "eigh", lapack_failure)
     with pytest.raises(ConvergenceError):
-        la.eig_hermitian(random_hermitian(4, rng))
+        la.eig_hermitian(h)
+
+    # right eigenvalues, wrong eigenvectors: caught by the residual check
+    monkeypatch.setattr(la, "eigh", lambda a: (np.linalg.eigvalsh(a), np.eye(4, dtype=complex)))
+    with pytest.raises(ConvergenceError):
+        la.eig_hermitian(h)
+
+
+def test_large_scale_rounding_is_not_a_hermiticity_defect():
+    # U diag U^H at |H| ~ 7e5 carries a rounding asymmetry of ~3e-11
+    d = np.linspace(0.0, 5e5, 6)
+    u = haar_unitary(6, np.random.default_rng(0))
+    h = u @ np.diag(d) @ u.conj().T
+    assert hermiticity_defect(h) > 1e-12
+    w, v = eig_hermitian(h)
+    assert np.max(np.abs(w - d)) <= 1e-10 * np.linalg.norm(h)
+    assert unitarity_defect(v) <= 1e-12
+
+
+EPS = np.finfo(float).eps
+
+
+def scaled_hermitian(n, log_norm, kind, seed):
+    """Hermitian test matrix with Frobenius norm 10**log_norm.
+
+    ``wigner`` is exactly Hermitian; ``spectral`` and ``degenerate`` are
+    U diag U^H products rounded in floating point (the latter with
+    eigenvalues repeated from {1, 2, 3}).
+    """
+    rng = np.random.default_rng(seed)
+    target = 10.0**log_norm
+    if kind == "wigner":
+        h = random_hermitian(n, rng)
+        return h * (target / np.linalg.norm(h))
+    d = rng.standard_normal(n) if kind == "spectral" else rng.integers(1, 4, n).astype(float)
+    d *= target / np.linalg.norm(d)
+    u = haar_unitary(n, rng)
+    return (u * d) @ u.conj().T
+
+
+hermitian_cases = st.tuples(
+    st.integers(1, 64),
+    st.floats(-8.0, 8.0),
+    st.sampled_from(["wigner", "spectral", "degenerate"]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(hermitian_cases)
+def test_eigensolver_contract_sweep(case):
+    h = scaled_hermitian(*case)
+    n = h.shape[0]
+    scale = np.linalg.norm(h)
+    w, v = eig_hermitian(h)
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.linalg.norm(h @ v - v * w) <= 16 * n * EPS * scale
+    assert unitarity_defect(v) <= 16 * n * EPS
+    assert abs(w.sum() - np.real(np.trace(h))) <= 16 * n * EPS * scale
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(hermitian_cases)
+def test_relative_hermiticity_defect_rejected_at_every_scale(case):
+    h = scaled_hermitian(*case).astype(np.complex128)
+    n = h.shape[0]
+    h[0, n - 1] += 1e-6j * np.linalg.norm(h)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eig_hermitian(h)
 
 
 def test_unitary_distance_same_and_phase():
