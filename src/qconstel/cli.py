@@ -5,6 +5,13 @@ Settings come from an INI config file (section.key) overridden by flags;
 machine-readable CSV/JSON outputs are byte-reproducible and carry a hash
 of the resolved scientific config.
 
+``SETTINGS`` is the one place a setting is declared (section, key, type,
+default, choices, help); flags, INI types, defaults and choice checks derive
+from it.  The flag of key ``k`` is ``--k`` with ``_`` spelled ``-``, except
+``output.path``, which is ``--out``.  Every subcommand reads the ``model`` and
+``output`` sections, ``simulate`` also ``measurement`` and ``study``, and
+``sweep`` also ``sweep``; each takes flags for the sections it reads.
+
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 self-check
 violation (``--check``).
 """
@@ -17,6 +24,7 @@ import functools
 import hashlib
 import json
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,41 +61,53 @@ class CheckFailure(RuntimeError):
     """A --check threshold was violated."""
 
 
-MODEL_KEYS = {
-    "kind": str,
-    "p": float,
-    "px": float,
-    "py": float,
-    "n": int,
-    "theta": float,
-    "psf_angle": float,
-    "phase": float,
-    "psf_phase": float,
-    "r": float,
-    "x0": float,
-    "y0": float,
-}
-MEASUREMENT_KEYS = {"basis": str, "netlist": str}
-SWEEP_KEYS = {"parameter": str, "start": float, "stop": float, "count": int, "quantity": str}
-STUDY_KEYS = {"photons": str, "trials": int, "seed": int, "bounds": str, "grid": int}
-OUTPUT_KEYS = {"path": str, "format": str}
+class Setting(NamedTuple):
+    """Type (INI and flag), default, allowed values (None: any) and ``--help`` text."""
 
-SECTIONS = {
-    "model": MODEL_KEYS,
-    "measurement": MEASUREMENT_KEYS,
-    "sweep": SWEEP_KEYS,
-    "study": STUDY_KEYS,
-    "output": OUTPUT_KEYS,
-}
+    type: type
+    default: object
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
 
-DEFAULTS = {
-    "model": {"kind": "pair", "p": 1.0, "px": 1.0, "py": 1.0, "n": 4, "theta": 0.0,
-              "psf_angle": 0.0, "phase": 0.0, "psf_phase": 0.0, "r": 0.3,
-              "x0": 0.4, "y0": 0.4},
-    "measurement": {"basis": "eigenbasis", "netlist": ""},
-    "sweep": {"parameter": "", "start": 0.1, "stop": 1.2, "count": 25, "quantity": "qfi"},
-    "study": {"photons": "10000", "trials": 200, "seed": 7, "bounds": "", "grid": 256},
-    "output": {"path": "", "format": "csv"},
+
+SETTINGS = {
+    "model": {
+        "kind": Setting(str, "pair", ("pair", "rect", "ring")),
+        "p": Setting(float, 1.0, help="psf momentum magnitude (pair/ring)"),
+        "px": Setting(float, 1.0, help="psf x momentum (rect)"),
+        "py": Setting(float, 1.0, help="psf y momentum (rect)"),
+        "n": Setting(int, 4, help="number of ring sources/modes"),
+        "theta": Setting(float, 0.0, help="pair source angle"),
+        "psf_angle": Setting(float, 0.0, help="pair psf angle"),
+        "phase": Setting(float, 0.0, help="ring constellation phase"),
+        "psf_phase": Setting(float, 0.0, help="ring psf absolute angle; the default 0.0 "
+                             "aligns the psf with phase-0 sources"),
+        "r": Setting(float, 0.3, help="pair/ring radius"),
+        "x0": Setting(float, 0.4, help="rectangle half-side x"),
+        "y0": Setting(float, 0.4, help="rectangle half-side y"),
+    },
+    "measurement": {
+        "basis": Setting(str, "eigenbasis", ("eigenbasis", "direct", "netlist")),
+        "netlist": Setting(str, "", help="netlist file for basis=netlist"),
+    },
+    "sweep": {
+        "parameter": Setting(str, "", help="swept parameter name"),
+        "start": Setting(float, 0.1),
+        "stop": Setting(float, 1.2),
+        "count": Setting(int, 25),
+        "quantity": Setting(str, "qfi", ("qfi", "eigenvalues")),
+    },
+    "study": {
+        "photons": Setting(str, "10000", help="comma-separated photon counts"),
+        "trials": Setting(int, 200),
+        "seed": Setting(int, 7),
+        "bounds": Setting(str, "", help="estimator search interval 'lo,hi'"),
+        "grid": Setting(int, 256, help="MLE scan grid points"),
+    },
+    "output": {
+        "path": Setting(str, "", help="output file path"),
+        "format": Setting(str, "csv", ("csv", "json", "text")),
+    },
 }
 
 
@@ -98,37 +118,39 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     out: dict = {}
     for section in parser.sections():
-        if section not in SECTIONS:
+        if section not in SETTINGS:
             raise ConfigError(f"unknown config section [{section}]")
-        keys = SECTIONS[section]
+        keys = SETTINGS[section]
         out[section] = {}
         for key, raw in parser.items(section):
             if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            type_ = keys[key].type
             try:
-                out[section][key] = keys[key](raw)
+                out[section][key] = type_(raw)
             except ValueError:
                 raise ConfigError(
-                    f"bad value for {section}.{key}: {raw!r} (expected {keys[key].__name__})"
+                    f"bad value for {section}.{key}: {raw!r} (expected {type_.__name__})"
                 ) from None
     return out
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults <- config file <- command-line flags."""
-    cfg = {s: dict(v) for s, v in DEFAULTS.items()}
+    """Defaults <- config file <- command-line flags, with choices checked."""
+    cfg = {s: {k: v.default for k, v in keys.items()} for s, keys in SETTINGS.items()}
     if getattr(args, "config", None):
         for section, values in _read_config_file(args.config).items():
             cfg[section].update(values)
-    for section, keys in SECTIONS.items():
-        for key in keys:
+    for section, keys in SETTINGS.items():
+        for key, setting in keys.items():
             val = getattr(args, key, None)
             if val is not None:
                 cfg[section][key] = val
-    if cfg["model"]["kind"] not in ("pair", "rect", "ring"):
-        raise ConfigError(f"unknown model kind {cfg['model']['kind']!r}")
-    if cfg["output"]["format"] not in ("csv", "json", "text"):
-        raise ConfigError(f"unknown output format {cfg['output']['format']!r}")
+            if setting.choices and cfg[section][key] not in setting.choices:
+                raise ConfigError(
+                    f"{section}.{key} must be one of {', '.join(setting.choices)}, "
+                    f"got {cfg[section][key]!r}"
+                )
     return cfg
 
 
@@ -185,17 +207,15 @@ def measurement_basis(cfg: dict, model: ModelFamily) -> np.ndarray:
         return model.qft_basis
     if choice == "direct":
         return np.eye(model.dim)
-    if choice == "netlist":
-        path = cfg["measurement"]["netlist"]
-        if not path:
-            raise ConfigError("measurement.basis=netlist needs measurement.netlist=<file>")
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                net = from_text(fh.read(), n_modes=model.dim)
-        except OSError as exc:
-            raise ConfigError(f"cannot read netlist file {path}: {exc}") from None
-        return netlist_unitary(net).conj().T
-    raise ConfigError(f"unknown measurement basis {choice!r}")
+    path = cfg["measurement"]["netlist"]  # choice == "netlist"
+    if not path:
+        raise ConfigError("measurement.basis=netlist needs measurement.netlist=<file>")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            net = from_text(fh.read(), n_modes=model.dim)
+    except OSError as exc:
+        raise ConfigError(f"cannot read netlist file {path}: {exc}") from None
+    return netlist_unitary(net).conj().T
 
 
 def _fmt(x) -> str:
@@ -236,9 +256,7 @@ def _emit(cfg: dict, hash_: str, header: list[str], rows: list[tuple], payload: 
         write_csv(path, hash_, header, rows)
 
 
-def cmd_qfi(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    h = config_hash(cfg)
+def cmd_qfi(args: argparse.Namespace, cfg: dict, h: str) -> int:
     model, values, ana = build_model(cfg)
     _require_interior(model, values)
     numeric = qfim(model, values)
@@ -259,9 +277,7 @@ def cmd_qfi(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eigen(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    h = config_hash(cfg)
+def cmd_eigen(args: argparse.Namespace, cfg: dict, h: str) -> int:
     model, values, _ = build_model(cfg)
     basis = character_basis(model, values)
     # orbit-state mixture: equals the model density matrix and also covers
@@ -297,14 +313,10 @@ def _study_bounds(cfg: dict, model: ModelFamily) -> tuple[float, float]:
     delta = 1e-3
     if m["kind"] == "pair":
         return delta, np.pi / (2.0 * m["p"]) - delta
-    if m["kind"] == "ring":
-        return delta, np.pi / m["p"] - delta
-    raise ConfigError("studies need an explicit study.bounds for this model kind")
+    return delta, np.pi / m["p"] - delta  # ring: simulate rejects rect before this
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    h = config_hash(cfg)
+def cmd_simulate(args: argparse.Namespace, cfg: dict, h: str) -> int:
     model, values, _ = build_model(cfg)
     if model.n_params != 1:
         raise ConfigError("simulate estimates a single scalar parameter; use pair or ring")
@@ -335,9 +347,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    h = config_hash(cfg)
+def cmd_decompose(args: argparse.Namespace, cfg: dict, h: str) -> int:
     if args.unitary:
         try:
             target = load_unitary(args.unitary)
@@ -350,9 +360,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         residual = unitary_distance(netlist_unitary(net), target)
     else:
         kind = cfg["model"]["kind"]
-        preset = {"pair": "pair", "rect": "rect", "ring": "ring"}[kind]
-        n = cfg["model"]["n"] if preset == "ring" else None
-        net = preset_circuit(preset, n)
+        net = preset_circuit(kind, cfg["model"]["n"] if kind == "ring" else None)
         group = build_model(cfg)[0].group
         residual, _perm = relabeling_distance(netlist_unitary(net), qft_matrix(group))
     text = to_text(net)
@@ -370,9 +378,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    h = config_hash(cfg)
+def cmd_sweep(args: argparse.Namespace, cfg: dict, h: str) -> int:
     model, values, ana = build_model(cfg)
     s = cfg["sweep"]
     param = s["parameter"] or model.names[0]
@@ -381,10 +387,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     idx = model.names.index(param)
     if s["count"] < 1:
         raise ConfigError("sweep.count must be >= 1")
+    if args.check is not None and s["quantity"] != "qfi":
+        raise ConfigError("--check applies to quantity=qfi sweeps")
     grid = np.linspace(s["start"], s["stop"], s["count"])
-    quantity = s["quantity"]
     rows = []
-    if quantity == "qfi":
+    if s["quantity"] == "qfi":
         header = [param, "qfi_numeric", "qfi_analytic", "abs_diff"]
         for x in grid:
             point = values.copy()
@@ -394,46 +401,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             an = float(np.asarray(ana)[idx, idx])
             rows.append((float(x), num, an, abs(num - an)))
         maxdiff = max(r[3] for r in rows)
-    elif quantity == "eigenvalues":
+    else:
         header = [param] + [f"lambda_{k}" for k in range(model.dim)]
         for x in grid:
             point = values.copy()
             point[idx] = x
             rows.append((float(x), *(float(w) for w in character_basis(model, point).weights)))
-        maxdiff = None
-    else:
-        raise ConfigError(f"unknown sweep quantity {quantity!r}")
     print_table(h, header, rows)
     _emit(cfg, h, header, rows, {"header": header, "rows": [list(r) for r in rows]})
-    if args.check is not None:
-        if maxdiff is None:
-            raise ConfigError("--check applies to quantity=qfi sweeps")
-        if maxdiff > args.check:
-            raise CheckFailure(
-                f"max sweep deviation {maxdiff:.3e} exceeds --check {args.check:.3e}"
-            )
+    if args.check is not None and maxdiff > args.check:
+        raise CheckFailure(f"max sweep deviation {maxdiff:.3e} exceeds --check {args.check:.3e}")
     return 0
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-c", "--config", help="INI config file")
-    sub.add_argument("--kind", choices=["pair", "rect", "ring"])
-    sub.add_argument("--p", type=float, help="psf momentum magnitude (pair/ring)")
-    sub.add_argument("--px", type=float, help="psf x momentum (rect)")
-    sub.add_argument("--py", type=float, help="psf y momentum (rect)")
-    sub.add_argument("--n", type=int, help="number of ring sources/modes")
-    sub.add_argument("--theta", type=float, help="pair source angle")
-    sub.add_argument("--psf-angle", dest="psf_angle", type=float, help="pair psf angle")
-    sub.add_argument("--phase", type=float, help="ring constellation phase")
-    sub.add_argument(
-        "--psf-phase", dest="psf_phase", type=float,
-        help="ring psf absolute angle; the default 0.0 aligns the psf with phase-0 sources",
-    )
-    sub.add_argument("--r", type=float, help="pair/ring radius")
-    sub.add_argument("--x0", type=float, help="rectangle half-side x")
-    sub.add_argument("--y0", type=float, help="rectangle half-side y")
-    sub.add_argument("--out", dest="path", help="output file path")
-    sub.add_argument("--format", choices=["csv", "json", "text"])
 
 
 @functools.cache
@@ -448,51 +426,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-limited estimation for symmetric point-source constellations.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_qfi = subs.add_parser("qfi", help="numeric QFIM vs the closed form")
-    _add_common(p_qfi)
-    p_qfi.add_argument("--check", type=float, metavar="TOL",
-                       help="exit 4 if |numeric - analytic| exceeds TOL")
-    p_qfi.set_defaults(func=cmd_qfi)
-
-    p_eig = subs.add_parser("eigen", help="eigenvalues vs character-basis weights")
-    _add_common(p_eig)
-    p_eig.set_defaults(func=cmd_eigen)
-
-    p_sim = subs.add_parser("simulate", help="Monte Carlo Cramer-Rao study")
-    _add_common(p_sim)
-    p_sim.add_argument("--basis", choices=["eigenbasis", "direct", "netlist"])
-    p_sim.add_argument("--netlist", help="netlist file for basis=netlist")
-    p_sim.add_argument("--photons", help="comma-separated photon counts")
-    p_sim.add_argument("--trials", type=int)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--bounds", help="estimator search interval 'lo,hi'")
-    p_sim.add_argument("--grid", type=int, help="MLE scan grid points")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_dec = subs.add_parser("decompose", help="beamsplitter netlist synthesis")
-    _add_common(p_dec)
-    p_dec.add_argument("--unitary", help="JSON file with a matrix of [re, im] pairs")
-    p_dec.set_defaults(func=cmd_decompose)
-
-    p_swp = subs.add_parser("sweep", help="tabulate QFI or eigenvalues over a grid")
-    _add_common(p_swp)
-    p_swp.add_argument("--parameter", help="swept parameter name")
-    p_swp.add_argument("--start", type=float)
-    p_swp.add_argument("--stop", type=float)
-    p_swp.add_argument("--count", type=int)
-    p_swp.add_argument("--quantity", choices=["qfi", "eigenvalues"])
-    p_swp.add_argument("--check", type=float, metavar="TOL",
-                       help="exit 4 if any |numeric - analytic| exceeds TOL")
-    p_swp.set_defaults(func=cmd_sweep)
+    commands = (  # name, function, help, sections beyond model and output
+        ("qfi", cmd_qfi, "numeric QFIM vs the closed form", ()),
+        ("eigen", cmd_eigen, "eigenvalues vs character-basis weights", ()),
+        ("simulate", cmd_simulate, "Monte Carlo Cramer-Rao study", ("measurement", "study")),
+        ("decompose", cmd_decompose, "beamsplitter netlist synthesis", ()),
+        ("sweep", cmd_sweep, "tabulate QFI or eigenvalues over a grid", ("sweep",)),
+    )
+    sub = {}
+    for name, func, help_, sections in commands:
+        p = sub[name] = subs.add_parser(name, help=help_)
+        p.add_argument("-c", "--config", help="INI config file")
+        for section in ("model", "output", *sections):
+            for key, s in SETTINGS[section].items():
+                flag = "--out" if key == "path" else "--" + key.replace("_", "-")
+                p.add_argument(flag, dest=key, type=s.type, choices=s.choices, help=s.help)
+        p.set_defaults(func=func)
+    sub["qfi"].add_argument("--check", type=float, metavar="TOL",
+                            help="exit 4 if |numeric - analytic| exceeds TOL")
+    sub["decompose"].add_argument("--unitary", help="JSON file with a matrix of [re, im] pairs")
+    sub["sweep"].add_argument("--check", type=float, metavar="TOL",
+                              help="exit 4 if any |numeric - analytic| exceeds TOL")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = resolve_config(args)
+        return args.func(args, cfg, config_hash(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

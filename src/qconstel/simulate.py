@@ -84,6 +84,8 @@ def mle_1d(
     lo, hi = bounds
     if not lo < hi:
         raise ValueError(f"invalid bounds ({lo}, {hi})")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     grid = np.linspace(lo, hi, grid_points)
     if grid_probs is None:
         grid_probs = np.stack([prob_fn(x) for x in grid])
@@ -136,6 +138,10 @@ class StudyConfig:
             raise ValueError("studies estimate a single scalar parameter")
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.grid_points < 2:
+            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
         if any(m < 1 for m in self.photon_counts):
             raise ValueError("photon counts must be >= 1")
         if not self.bounds[0] < self.truth < self.bounds[1]:

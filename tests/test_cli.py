@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qconstel.circuit import from_text, netlist_unitary, to_text, preset_circuit
-from qconstel.cli import config_hash, main, resolve_config
+from qconstel.cli import SETTINGS, build_parser, config_hash, main, resolve_config
 from qconstel.linalg import unitary_distance
 
 
@@ -177,15 +177,7 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     code, out, _ = run(capsys, ["qfi", "-c", str(cfg)])
     assert code == 0
 
-    class Args:
-        pass
-
-    ns = Args()
-    ns.config = str(cfg)
-    for k in ("kind", "p", "px", "py", "n", "theta", "psf_angle", "phase", "psf_phase",
-              "r", "x0", "y0", "basis", "netlist", "parameter", "start", "stop", "count",
-              "quantity", "photons", "trials", "seed", "bounds", "grid", "out", "format"):
-        setattr(ns, k, None)
+    ns = build_parser().parse_args(["qfi", "-c", str(cfg)])
     base = resolve_config(ns)
     assert base["model"]["kind"] == "ring" and base["model"]["r"] == 0.5
     ns.r = 0.7
@@ -220,3 +212,50 @@ def test_config_errors(tmp_path, capsys):
     assert run(capsys, ["sweep", "--kind", "pair", "--parameter", "zz"])[0] == 2
     assert run(capsys, ["simulate", "--kind", "pair", "--bounds", "oops"])[0] == 2
     assert run(capsys, ["simulate", "--kind", "pair", "--basis", "netlist"])[0] == 2
+    for bad_study in (["--seed", "-1"], ["--grid", "0"], ["--grid", "1"], ["--grid", "-3"]):
+        code, _, err = run(capsys, ["simulate", "--kind", "pair", *bad_study])
+        assert code == 2 and "config error" in err
+    # --check on an eigenvalue sweep is refused before any output is written
+    out = tmp_path / "eigs.csv"
+    code, stdout, _ = run(capsys, ["sweep", "--quantity", "eigenvalues", "--check", "1e-3",
+                                   "--out", str(out)])
+    assert code == 2 and stdout == "" and not out.exists()
+
+
+def _other_value(setting):
+    """A value of the setting's type that differs from its default."""
+    if setting.choices:
+        return next(c for c in setting.choices if c != setting.default)
+    if setting.type is str:
+        return setting.default + "x"
+    return setting.default + setting.type(1.5)
+
+
+@pytest.mark.parametrize("command", ["qfi", "eigen", "simulate", "decompose", "sweep"])
+def test_settings_table_drives_ini_and_flags(tmp_path, capsys, command):
+    ns = build_parser().parse_args([command])
+    defaults, accepted = resolve_config(ns), vars(ns)
+    flagged = 0
+    for section, keys in SETTINGS.items():
+        for key, setting in keys.items():
+            if key not in accepted:
+                continue
+            flagged += 1
+            value = _other_value(setting)
+            ini = tmp_path / f"{key}.ini"
+            ini.write_text(f"[{section}]\n{key} = {value}\n")
+            flag = "--out" if key == "path" else "--" + key.replace("_", "-")
+            by_ini = resolve_config(build_parser().parse_args([command, "-c", str(ini)]))
+            by_flag = resolve_config(build_parser().parse_args([command, flag, str(value)]))
+            assert by_ini == by_flag, (section, key)
+            assert by_ini[section][key] == value != defaults[section][key]
+            assert config_hash(by_ini) == config_hash(by_flag)
+    assert flagged >= len(SETTINGS["model"]) + len(SETTINGS["output"])
+    # every choice key, in every section, is checked when it comes from an INI file
+    for section, keys in SETTINGS.items():
+        for key, setting in keys.items():
+            if setting.choices:
+                ini = tmp_path / "bad-choice.ini"
+                ini.write_text(f"[{section}]\n{key} = bogus\n")
+                code, _, err = run(capsys, [command, "-c", str(ini)])
+                assert code == 2 and f"{section}.{key}" in err, (section, key)

@@ -62,8 +62,12 @@ def test_mle_self_consistency_at_population_counts():
     p = 1.0
     r_true = np.arccos(0.8) / p  # q = (0.64, 0.36)
     fn = pair_prob_fn(p)
-    est = mle_1d(np.array([64, 36]), fn, (1e-3, np.pi / 2 - 1e-3))
-    assert abs(est - r_true) <= 1e-6
+    for grid_points in (256, 2):
+        est = mle_1d(np.array([64, 36]), fn, (1e-3, np.pi / 2 - 1e-3), grid_points=grid_points)
+        assert abs(est - r_true) <= 1e-6
+    for grid_points in (1, 0, -3):
+        with pytest.raises(ValueError, match="grid_points"):
+            mle_1d(np.array([64, 36]), fn, (1e-3, np.pi / 2 - 1e-3), grid_points=grid_points)
 
 
 def test_mle_single_photon_argmax():
@@ -183,6 +187,13 @@ def test_study_config_validation():
     with pytest.raises(ValueError):
         StudyConfig(model=ring_model(4, 1.0), truth=0.3, photon_counts=(10,), trials=0, seed=0,
                     bounds=(0.0, 1.0), basis=np.eye(4))
+    with pytest.raises(ValueError, match="seed"):
+        StudyConfig(model=model, truth=0.3, photon_counts=(10,), trials=5, seed=-1,
+                    bounds=(0.0, 1.0), basis=model.qft_basis)
+    for grid_points in (1, 0, -3):
+        with pytest.raises(ValueError, match="grid_points"):
+            StudyConfig(model=model, truth=0.3, photon_counts=(10,), trials=5, seed=0,
+                        bounds=(0.0, 1.0), basis=model.qft_basis, grid_points=grid_points)
 
 
 def test_report_serialization_shapes():
