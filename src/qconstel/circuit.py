@@ -100,11 +100,11 @@ def netlist_unitary(net: InterferometerNetlist) -> np.ndarray:
     return u
 
 
-def reck_decompose(u: np.ndarray, prune_tol: float = PRUNE_TOL) -> InterferometerNetlist:
+def reck_decompose(u: np.ndarray) -> InterferometerNetlist:
     """Triangular beamsplitter mesh (plus output phases) realizing ``u``.
 
     Emits at most n(n-1)/2 beamsplitters; rotations with mixing angle
-    below ``prune_tol`` are pruned.  Raises ValueError with the residual
+    below ``PRUNE_TOL`` are pruned.  Raises ValueError with the residual
     when the input is not unitary within 1e-10.
     """
     u = np.array(u, dtype=np.complex128)
@@ -121,7 +121,7 @@ def reck_decompose(u: np.ndarray, prune_tol: float = PRUNE_TOL) -> Interferomete
         for j in range(i):
             a = work[i, j]
             b = work[i, i]
-            if abs(a) <= prune_tol:
+            if abs(a) <= PRUNE_TOL:
                 continue
             mixing = np.arctan2(abs(a), abs(b))
             phase = 0.0 if abs(b) == 0.0 else float(np.angle(b) - np.angle(a) - np.pi)
@@ -130,7 +130,7 @@ def reck_decompose(u: np.ndarray, prune_tol: float = PRUNE_TOL) -> Interferomete
             work = work @ element_unitary(bs, n)
             elements.append(bs)
     phases = tuple(
-        0.0 if abs(a) <= prune_tol else float(a) for a in np.angle(np.diag(work))
+        0.0 if abs(a) <= PRUNE_TOL else float(a) for a in np.angle(np.diag(work))
     )
     return InterferometerNetlist(n_modes=n, elements=tuple(elements), output_phases=phases)
 
@@ -197,9 +197,9 @@ def to_text(net: InterferometerNetlist) -> str:
 def from_text(text: str, n_modes: int | None = None) -> InterferometerNetlist:
     """Parse the text netlist format; mode count is inferred unless given.
 
-    Trailing PS records are folded into the output phase layer only when a
-    mode count is known; otherwise they stay ordinary elements (the total
-    unitary is identical either way).
+    Every record, trailing PS records included, becomes an element and the
+    output phase layer stays empty; the total unitary is the same as that of
+    the serialized netlist.
     """
     elements = []
     top = 0

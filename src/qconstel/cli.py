@@ -359,10 +359,9 @@ def cmd_decompose(args: argparse.Namespace, cfg: dict, h: str) -> int:
             raise ConvergenceError(str(exc))
         residual = unitary_distance(netlist_unitary(net), target)
     else:
-        kind = cfg["model"]["kind"]
-        net = preset_circuit(kind, cfg["model"]["n"] if kind == "ring" else None)
-        group = build_model(cfg)[0].group
-        residual, _perm = relabeling_distance(netlist_unitary(net), qft_matrix(group))
+        model = build_model(cfg)[0]
+        net = preset_circuit(cfg["model"]["kind"], model.dim)
+        residual, _perm = relabeling_distance(netlist_unitary(net), qft_matrix(model.group))
     text = to_text(net)
     print(f"# config {h}")
     sys.stdout.write(text)

@@ -199,8 +199,8 @@ def matching_psf(
     sign-flip group order, with p_y defaulting to p; ``phase`` does not
     apply and must stay 0.
     """
-    if p <= 0:
-        raise ValueError(f"psf momentum magnitude must be positive, got {p}")
+    if not (np.isfinite(p) and p > 0):
+        raise ValueError(f"psf momentum magnitude must be positive and finite, got {p}")
     if c.symmetry is None:
         raise ValueError("constellation has no declared symmetry")
     kind = c.symmetry.kind
@@ -213,8 +213,8 @@ def matching_psf(
         if phase != 0.0:
             raise ValueError("the rectangle psf is axis-aligned; phase must be 0")
         py = p if p_y is None else p_y
-        if py <= 0:
-            raise ValueError(f"p_y must be positive, got {py}")
+        if not (np.isfinite(py) and py > 0):
+            raise ValueError(f"p_y must be positive and finite, got {py}")
         return DiscretePSF(np.array([[p, py], [p, -py], [-p, py], [-p, -py]]))
     n = c.symmetry.n
     ang = phase + 2.0 * np.pi * np.arange(n) / n
@@ -241,12 +241,12 @@ def apply_group_element(spec: SymmetrySpec, g: int, pts) -> np.ndarray:
     return arr * signs
 
 
-def validate_symmetry(spec: SymmetrySpec, pts, atol: float = SYMMETRY_MATCH_ATOL) -> np.ndarray:
+def validate_symmetry(spec: SymmetrySpec, pts) -> np.ndarray:
     """Permutation table of the group action on a point list.
 
     Returns an integer array ``perm`` of shape (|G|, m) with
     ``apply_group_element(spec, g, pts)[i] == pts[perm[g, i]]`` within
-    ``atol`` per coordinate.  Raises SymmetryError naming the offending
+    ``SYMMETRY_MATCH_ATOL`` per coordinate.  Raises SymmetryError naming the offending
     group element and point if the action fails to permute the set.
     """
     arr = _as_points(pts)
@@ -256,7 +256,7 @@ def validate_symmetry(spec: SymmetrySpec, pts, atol: float = SYMMETRY_MATCH_ATOL
         moved = apply_group_element(spec, g, arr)
         taken = np.zeros(m, dtype=bool)
         for i in range(m):
-            hit = np.nonzero(np.all(np.abs(arr - moved[i]) <= atol, axis=1))[0]
+            hit = np.nonzero(np.all(np.abs(arr - moved[i]) <= SYMMETRY_MATCH_ATOL, axis=1))[0]
             hit = [j for j in hit if not taken[j]]
             if not hit:
                 raise SymmetryError(

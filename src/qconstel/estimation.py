@@ -7,12 +7,14 @@ independent of the closed-form routes so each can check the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .constellation import (
     AbelianGroup,
+    Constellation,
     DiscretePSF,
     SymmetrySpec,
     apply_group_element,
@@ -39,9 +41,9 @@ class ModelFamily:
     ``bounds`` are open intervals; parameter vectors must lie strictly
     inside (boundary points are reachable only through the orbit-state
     routines, which accept the closure).  For the symmetric factories,
-    ``qft_basis`` holds the parameter-independent eigenbasis (columns) of
-    every model state, and ``orbit_base`` maps a parameter vector to the
-    source point whose group orbit is the constellation.
+    ``orbit_base`` maps a parameter vector to the source point whose group
+    orbit is the constellation, and ``group`` and ``qft_basis`` derive from
+    ``symmetry``.
     """
 
     names: tuple[str, ...]
@@ -49,7 +51,6 @@ class ModelFamily:
     bounds: tuple[tuple[float, float], ...]
     builder: Callable[[np.ndarray], np.ndarray]
     psf: DiscretePSF | None = None
-    qft_basis: np.ndarray | None = None
     symmetry: SymmetrySpec | None = None
     orbit_base: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -57,6 +58,11 @@ class ModelFamily:
     def group(self) -> AbelianGroup | None:
         """Symmetry group of ``symmetry``; None for a model without one."""
         return None if self.symmetry is None else self.symmetry.group
+
+    @cached_property
+    def qft_basis(self) -> np.ndarray | None:
+        """Parameter-independent eigenbasis (columns) of every model state."""
+        return None if self.symmetry is None else qft_matrix(self.group).conj().T
 
     @property
     def n_params(self) -> int:
@@ -82,6 +88,24 @@ class ModelFamily:
         return self.builder(self.check_values(values))
 
 
+def _symmetric_model(
+    names: tuple[str, ...], template: Constellation, psf: DiscretePSF, make: Callable
+) -> ModelFamily:
+    """Family of the unit ``template`` scaled coordinate-wise by parameters in (0, inf).
+
+    ``make(v)`` builds the constellation at v, so its first point is v times the template's.
+    """
+    return ModelFamily(
+        names=names,
+        dim=len(psf),
+        bounds=((0.0, np.inf),) * len(names),
+        builder=lambda v: density_matrix(make(v), psf),
+        psf=psf,
+        symmetry=template.symmetry,
+        orbit_base=lambda v: v * template.points[0],
+    )
+
+
 def pair_model(p: float, theta: float = 0.0, psf_angle: float = 0.0) -> ModelFamily:
     """Two inversion-symmetric sources at angle theta; psf momenta +-p at psf_angle.
 
@@ -89,16 +113,7 @@ def pair_model(p: float, theta: float = 0.0, psf_angle: float = 0.0) -> ModelFam
     """
     template = make_pair(1.0, theta)
     psf = matching_psf(template, p, phase=psf_angle)
-    return ModelFamily(
-        names=("r",),
-        dim=2,
-        bounds=((0.0, np.inf),),
-        builder=lambda v: density_matrix(make_pair(v[0], theta), psf),
-        psf=psf,
-        qft_basis=qft_matrix(template.symmetry.group).conj().T,
-        symmetry=template.symmetry,
-        orbit_base=lambda v: np.array([v[0] * np.cos(theta), v[0] * np.sin(theta)]),
-    )
+    return _symmetric_model(("r",), template, psf, lambda v: make_pair(v[0], theta))
 
 
 def rectangle_model(p_x: float, p_y: float) -> ModelFamily:
@@ -108,16 +123,7 @@ def rectangle_model(p_x: float, p_y: float) -> ModelFamily:
     """
     template = make_rectangle(1.0, 1.0)
     psf = matching_psf(template, p_x, p_y=p_y)
-    return ModelFamily(
-        names=("x0", "y0"),
-        dim=4,
-        bounds=((0.0, np.inf), (0.0, np.inf)),
-        builder=lambda v: density_matrix(make_rectangle(v[0], v[1]), psf),
-        psf=psf,
-        qft_basis=qft_matrix(template.symmetry.group).conj().T,
-        symmetry=template.symmetry,
-        orbit_base=lambda v: np.array([v[0], v[1]]),
-    )
+    return _symmetric_model(("x0", "y0"), template, psf, lambda v: make_rectangle(v[0], v[1]))
 
 
 def _default_ring_orientation(n: int) -> float:
@@ -145,20 +151,18 @@ def ring_model(
         psf_phase = phase + _default_ring_orientation(n)
     template = make_ring(n, 1.0, phase)
     psf = matching_psf(template, p, phase=psf_phase)
-    return ModelFamily(
-        names=("r",),
-        dim=n,
-        bounds=((0.0, np.inf),),
-        builder=lambda v: density_matrix(make_ring(n, v[0], phase), psf),
-        psf=psf,
-        qft_basis=qft_matrix(template.symmetry.group).conj().T,
-        symmetry=template.symmetry,
-        orbit_base=lambda v: np.array([v[0] * np.cos(phase), v[0] * np.sin(phase)]),
-    )
+    return _symmetric_model(("r",), template, psf, lambda v: make_ring(n, v[0], phase))
 
 
 def _step(value: float, h: float | None) -> float:
     return h if h is not None else 1e-6 * max(1.0, abs(value))
+
+
+def _central_difference(f, vals: np.ndarray, mu: int, step: float) -> np.ndarray:
+    """(f(vals + step e_mu) - f(vals - step e_mu)) / (2 step)."""
+    shift = np.zeros_like(vals)
+    shift[mu] = step
+    return (f(vals + shift) - f(vals - shift)) / (2.0 * step)
 
 
 def drho(model: ModelFamily, values, mu: int, h: float | None = None) -> np.ndarray:
@@ -173,18 +177,14 @@ def drho(model: ModelFamily, values, mu: int, h: float | None = None) -> np.ndar
             f"parameter {model.names[mu]}={vals[mu]} too close to the domain "
             f"boundary for step {step}"
         )
-    plus = vals.copy()
-    plus[mu] += step
-    minus = vals.copy()
-    minus[mu] -= step
-    return (model.builder(plus) - model.builder(minus)) / (2.0 * step)
+    return _central_difference(model.builder, vals, mu, step)
 
 
-def sld(rho: np.ndarray, drho_mu: np.ndarray, support_tol: float = SUPPORT_TOL) -> np.ndarray:
+def sld(rho: np.ndarray, drho_mu: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative solving drho = (L rho + rho L) / 2.
 
     Spectral construction restricted to eigenvalue pairs with
-    lambda_m + lambda_n > support_tol; rank deficiency is handled by
+    lambda_m + lambda_n > SUPPORT_TOL; rank deficiency is handled by
     dropping the unsupported terms.
     """
     defect = hermiticity_defect(np.asarray(drho_mu))
@@ -194,7 +194,7 @@ def sld(rho: np.ndarray, drho_mu: np.ndarray, support_tol: float = SUPPORT_TOL) 
     t = v.conj().T @ drho_mu @ v
     denom = w[:, None] + w[None, :]
     coeff = np.zeros_like(t)
-    mask = denom > support_tol
+    mask = denom > SUPPORT_TOL
     coeff[mask] = 2.0 * t[mask] / denom[mask]
     return v @ coeff @ v.conj().T
 
@@ -245,15 +245,9 @@ def classical_fi(
     k = model.n_params
     dq = np.empty((k, q.size))
     for mu in range(k):
-        step = _step(vals[mu], h)
-        plus = vals.copy()
-        plus[mu] += step
-        minus = vals.copy()
-        minus[mu] -= step
-        dq[mu] = (
-            outcome_probabilities(model, plus, basis)
-            - outcome_probabilities(model, minus, basis)
-        ) / (2.0 * step)
+        dq[mu] = _central_difference(
+            lambda x: outcome_probabilities(model, x, basis), vals, mu, _step(vals[mu], h)
+        )
     keep = q > PROB_FLOOR
     f = np.empty((k, k))
     for a in range(k):

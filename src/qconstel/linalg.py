@@ -91,25 +91,32 @@ def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
         grid = np.append(grid, np.angle(tr))
     vals = [_max_abs_diff(u, v, phi) for phi in grid]
     best = int(np.argmin(vals))
-    phi0 = grid[best]
+    lo, hi = grid[best] - 2.0 * np.pi / 1024, grid[best] + 2.0 * np.pi / 1024
+    refined = _golden_section(lambda phi: _max_abs_diff(u, v, phi), lo, hi, 1e-12)[2]
+    return min(vals[best], refined)
 
-    # golden-section refinement around the best grid phase
-    lo, hi = phi0 - 2.0 * np.pi / 1024, phi0 + 2.0 * np.pi / 1024
+
+def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float, float]:
+    """Golden-section minimization of ``f`` on [a, b] down to width ``tol``.
+
+    Ties keep the left part.  Returns the final bracket and the smaller of
+    the two final probe values.
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = _max_abs_diff(u, v, x1)
-    f2 = _max_abs_diff(u, v, x2)
-    while hi - lo > 1e-12:
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1 = f(x1)
+    f2 = f(x2)
+    while b - a > tol:
         if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = _max_abs_diff(u, v, x1)
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = _max_abs_diff(u, v, x2)
-    return min(vals[best], f1, f2)
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    return a, b, min(f1, f2)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

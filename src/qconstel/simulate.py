@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import ModelFamily, outcome_probabilities, qfim
+from .linalg import _golden_section
 
 GRID_POINTS = 256
 REFINE_TOL = 1e-8
@@ -64,14 +65,13 @@ def mle_1d(
     prob_fn,
     bounds: tuple[float, float],
     grid_points: int = GRID_POINTS,
-    tol: float = REFINE_TOL,
     grid_probs: np.ndarray | None = None,
 ) -> float:
     """Maximum-likelihood estimate of a scalar parameter from outcome counts.
 
     A uniform grid scan over ``bounds`` locates the coarse optimum
     (ties resolved toward the smaller parameter), then golden-section
-    refinement narrows it to ``tol``.
+    refinement narrows it to ``REFINE_TOL``.
 
     Args:
         counts: per-outcome nonnegative counts.
@@ -100,23 +100,9 @@ def mle_1d(
         raise EstimationError("flat likelihood: outcomes carry no parameter information")
 
     best = int(np.argmax(ll))  # first maximum = smaller parameter on ties
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid_points - 1)]
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = _log_likelihood(counts, prob_fn(x1))
-    f2 = _log_likelihood(counts, prob_fn(x2))
-    while b - a > tol:
-        if f1 >= f2:  # keep the left interval on ties: smaller parameter
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = _log_likelihood(counts, prob_fn(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = _log_likelihood(counts, prob_fn(x2))
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid_points - 1)]
+    # minimizes -log L; ties keep the left part, the smaller parameter
+    a, b, _ = _golden_section(lambda x: -_log_likelihood(counts, prob_fn(x)), a, b, REFINE_TOL)
     return 0.5 * (a + b)
 
 

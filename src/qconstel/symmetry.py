@@ -68,7 +68,6 @@ def symmetric_eigenbasis(
     states: np.ndarray,
     group: AbelianGroup,
     momentum_perms: np.ndarray,
-    covariance_atol: float = COVARIANCE_ATOL,
 ) -> SymmetricEigenbasis:
     """Diagonalize a symmetric mixture from its group-indexed pure states.
 
@@ -94,7 +93,7 @@ def symmetric_eigenbasis(
     for g in range(n_g):
         predicted = apply_permutation(momentum_perms[g], states[0])
         dev = float(np.max(np.abs(states[g] - predicted)))
-        if dev > covariance_atol:
+        if dev > COVARIANCE_ATOL:
             raise ValueError(
                 f"states are not group-covariant: element {g} deviates by {dev:.3e}"
             )

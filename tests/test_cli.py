@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qconstel.circuit import from_text, netlist_unitary, to_text, preset_circuit
 from qconstel.cli import SETTINGS, build_parser, config_hash, main, resolve_config
+import qconstel
 from qconstel.linalg import unitary_distance
 
 
@@ -212,6 +217,23 @@ def test_config_errors(tmp_path, capsys):
     assert run(capsys, ["sweep", "--kind", "pair", "--parameter", "zz"])[0] == 2
     assert run(capsys, ["simulate", "--kind", "pair", "--bounds", "oops"])[0] == 2
     assert run(capsys, ["simulate", "--kind", "pair", "--basis", "netlist"])[0] == 2
+    # the model is validated before the preset circuit is built
+    for n in ("1", "0"):
+        code, _, err = run(capsys, ["decompose", "--kind", "ring", "--n", n])
+        assert code == 2 and err.startswith("config error:")
+    # a non-finite psf momentum is a config error and nothing else reaches stderr
+    for model in (["--kind", "pair", "--p", "inf"], ["--kind", "pair", "--p", "nan"],
+                  ["--kind", "ring", "--p", "inf"], ["--kind", "ring", "--n", "5", "--p", "nan"],
+                  ["--kind", "rect", "--px", "inf"], ["--kind", "rect", "--py", "nan"]):
+        code, _, err = run(capsys, ["qfi", *model])
+        assert code == 2 and err.startswith("config error:") and err.count("\n") == 1, err
+    # and in a fresh interpreter, where numpy warnings would print to stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(qconstel.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qconstel.cli", "qfi", "--kind", "pair", "--p", "inf"],
+        env=env, capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: psf momentum magnitude must be positive and finite, got inf\n"
     for bad_study in (["--seed", "-1"], ["--grid", "0"], ["--grid", "1"], ["--grid", "-3"]):
         code, _, err = run(capsys, ["simulate", "--kind", "pair", *bad_study])
         assert code == 2 and "config error" in err

@@ -88,6 +88,13 @@ def test_matching_psf_ring_and_rect():
         matching_psf(make_rectangle(1.0, 1.0), 1.0, phase=0.2)
     with pytest.raises(ValueError):
         matching_psf(make_pair(1.0), -1.0)
+    # non-finite momenta are rejected, by value, before any arithmetic
+    for bad in (np.inf, np.nan):
+        for c in (make_pair(1.0), make_ring(4, 0.5), make_ring(5, 0.5), make_rectangle(1.0, 1.0)):
+            with pytest.raises(ValueError, match=f"finite, got {bad}"):
+                matching_psf(c, bad)
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            matching_psf(make_rectangle(1.0, 1.0), 1.0, p_y=bad)
 
 
 def test_psf_symmetry_matches_constellation():

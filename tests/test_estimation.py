@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qconstel.constellation import make_pair, make_rectangle, make_ring
 from qconstel.estimation import (
     ModelFamily,
     analytic_qfi,
@@ -19,6 +20,7 @@ from qconstel.estimation import (
     sld,
 )
 from qconstel.linalg import haar_unitary, hermiticity_defect
+from qconstel.symmetry import qft_matrix
 
 
 def constant_model(rho):
@@ -307,14 +309,16 @@ def test_character_basis_weights_and_base_independence():
 
 
 def test_orbit_states_match_model_density():
-    for model, point in [
-        (pair_model(1.0, 0.2, 0.1), [0.5]),
-        (rectangle_model(1.0, 0.7), [0.4, 0.6]),
-        (ring_model(6, 1.0, 0.3, 0.2), [0.8]),
+    for model, point, make in [
+        (pair_model(1.0, 0.2, 0.1), [0.5], lambda v: make_pair(v[0], 0.2)),
+        (rectangle_model(1.0, 0.7), [0.4, 0.6], lambda v: make_rectangle(v[0], v[1])),
+        (ring_model(6, 1.0, 0.3, 0.2), [0.8], lambda v: make_ring(6, v[0], 0.3)),
+        (ring_model(5, 1.3, -2.1), [0.45], lambda v: make_ring(5, v[0], -2.1)),
     ]:
         states = orbit_states(model, point)
         rho = states.T @ states.conj() / states.shape[0]
         assert np.max(np.abs(rho - model.rho(point))) <= 1e-12
+        assert np.array_equal(model.orbit_base(np.array(point)), make(point).points[0])
 
 
 def test_orbit_states_accept_domain_closure():
@@ -332,3 +336,8 @@ def test_model_validation():
         model.rho([0.0])
     with pytest.raises(ValueError):
         pair_model(-1.0)
+    # qft_basis derives from the symmetry; it is not a constructor field
+    with pytest.raises(TypeError):
+        ModelFamily(("r",), 2, ((0.0, np.inf),), model.builder, qft_basis=np.eye(2))
+    for m in (model, rectangle_model(1.0, 0.5), ring_model(5, 1.0)):
+        assert np.array_equal(m.qft_basis, qft_matrix(m.group).conj().T)

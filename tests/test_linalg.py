@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qconstel.linalg import (
     ConvergenceError,
+    _golden_section,
     eig_hermitian,
     haar_unitary,
     hermiticity_defect,
@@ -205,6 +206,13 @@ def test_unitary_distance_detects_difference():
     fine = min(np.max(np.abs(u - np.exp(1j * f) * v)) for f in np.linspace(0, 2 * np.pi, 20001))
     assert d <= fine + 1e-9
     assert d > 0.01
+
+
+def test_golden_section_keeps_left_part_on_ties():
+    a, b, fmin = _golden_section(lambda x: 0.0, 0.0, 1.0, 1e-6)
+    assert a == 0.0 and 0.0 < b <= 1e-6 and fmin == 0.0
+    a, b, fmin = _golden_section(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-9)
+    assert a <= 0.3 <= b and b - a <= 1e-9 and fmin <= 1e-18
 
 
 def test_unitary_distance_shape_mismatch():
