@@ -166,6 +166,8 @@ def make_pair(r: float, theta: float = 0.0) -> Constellation:
     """
     if r <= 0:
         raise ValueError(f"pair radius must be positive, got {r}")
+    if not np.isfinite(theta):
+        raise ValueError(f"pair angle theta must be finite, got {theta}")
     p0 = np.array([r * np.cos(theta), r * np.sin(theta)])
     return Constellation(np.stack([p0, -p0]), SymmetrySpec.reflection_1d())
 
@@ -184,6 +186,8 @@ def make_ring(n: int, r: float, phase: float = 0.0) -> Constellation:
         raise ValueError(f"ring needs at least 2 sources, got {n}")
     if r <= 0:
         raise ValueError(f"ring radius must be positive, got {r}")
+    if not np.isfinite(phase):
+        raise ValueError(f"ring phase must be finite, got {phase}")
     ang = phase + 2.0 * np.pi * np.arange(n) / n
     pts = r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     return Constellation(pts, SymmetrySpec.cyclic(n))
@@ -201,6 +205,8 @@ def matching_psf(
     """
     if not (np.isfinite(p) and p > 0):
         raise ValueError(f"psf momentum magnitude must be positive and finite, got {p}")
+    if not np.isfinite(phase):
+        raise ValueError(f"psf phase must be finite, got {phase}")
     if c.symmetry is None:
         raise ValueError("constellation has no declared symmetry")
     kind = c.symmetry.kind

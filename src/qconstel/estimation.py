@@ -1,7 +1,18 @@
 """Quantum and classical Fisher information for constellation models.
 
-The numeric pipeline (finite-difference derivative -> SLD -> QFIM) is kept
-independent of the closed-form routes so each can check the other.
+Two routes lead to the same quantities, and each checks the other:
+
+- The orbit-phase route works from the amplitudes psi_g(v) of the symmetric
+  families (``ModelFamily.amplitudes``), in the symmetry eigenbasis that
+  diagonalizes every state of the family.  ``outcome_probabilities`` and
+  ``spectral_qfim`` take it, and through them ``simulate.crb_study``; it
+  builds no constellation, state vector or density matrix and calls no
+  eigensolver.
+- The numeric pipeline (density matrix -> finite-difference derivative ->
+  SLD -> QFIM: ``ModelFamily.rho``, ``drho``, ``sld``, ``qfim``) runs general
+  machinery.  The CLI's ``qfi`` and ``sweep`` print its value against the
+  closed forms, and the tests compare it with both the closed forms and the
+  orbit-phase route.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ SUPPORT_TOL = 1e-10
 PROB_FLOOR = 1e-12
 DRHO_HERMITIAN_ATOL = 1e-9
 BASIS_ORTHONORMAL_ATOL = 1e-10
+BLOCK_ROWS = 16  # parameter points per amplitude block in outcome_probabilities
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +56,14 @@ class ModelFamily:
     ``orbit_base`` maps a parameter vector to the source point whose group
     orbit is the constellation, and ``group`` and ``qft_basis`` derive from
     ``symmetry``.
+
+    ``phases`` is the orbit-phase tensor D[g, j, mu] of the symmetric
+    factories.  Each of them scales its unit template t coordinate-wise by
+    the parameters (r scales both coordinates of a pair or ring; x0 and y0
+    one each of a rectangle), so the phase that source g picks up on psf
+    momentum p_j, p_j . t_g(v), is linear in v:
+    phi_gj(v) = sum_mu D[g, j, mu] v_mu.  ``amplitudes`` derives the source
+    states from it, and their derivatives are -i D[..., mu] psi.
     """
 
     names: tuple[str, ...]
@@ -53,6 +73,7 @@ class ModelFamily:
     psf: DiscretePSF | None = None
     symmetry: SymmetrySpec | None = None
     orbit_base: Callable[[np.ndarray], np.ndarray] | None = None
+    phases: np.ndarray | None = None
 
     @property
     def group(self) -> AbelianGroup | None:
@@ -84,6 +105,38 @@ class ModelFamily:
                 raise ValueError(f"parameter {name}={v} outside open interval ({lo}, {hi})")
         return vals
 
+    def check_block(self, values) -> np.ndarray:
+        """One point, or a (K, n_params) block, as a (K, n_params) array.
+
+        Every row passes the open-interval check of ``check_values``, which
+        also words the error for the first row that fails.
+        """
+        vals = np.asarray(values, dtype=float)
+        if vals.ndim < 2:
+            return self.check_values(vals)[None, :]
+        if vals.ndim != 2 or vals.shape[1] != self.n_params or len(vals) == 0:
+            raise ValueError(
+                f"expected a (K, {self.n_params}) parameter block {self.names}, "
+                f"got shape {vals.shape}"
+            )
+        lo, hi = np.array(self.bounds).T
+        bad = ~np.all((lo < vals) & (vals < hi), axis=1)  # NaN and +-inf fail too
+        if bad.any():
+            self.check_values(vals[np.argmax(bad)])
+        return vals
+
+    def amplitudes(self, block: np.ndarray) -> np.ndarray:
+        """psi[x, g, j] = exp(-i sum_mu D[g, j, mu] v[x, mu]) / sqrt(N) of a checked block.
+
+        Each row is computed on its own: a block gives the same bits as its
+        rows one at a time.
+        """
+        if self.phases is None:
+            raise ValueError("model carries no orbit-phase tensor")
+        psi = np.exp(-1j * (self.phases * block[:, None, None, :]).sum(axis=-1))
+        psi /= np.sqrt(self.dim)
+        return psi
+
     def rho(self, values) -> np.ndarray:
         return self.builder(self.check_values(values))
 
@@ -93,8 +146,10 @@ def _symmetric_model(
 ) -> ModelFamily:
     """Family of the unit ``template`` scaled coordinate-wise by parameters in (0, inf).
 
-    ``make(v)`` builds the constellation at v, so its first point is v times the template's.
+    ``make(v)`` builds the constellation at v, so its first point is v times the
+    template's.  One parameter scales both coordinates; two scale one each.
     """
+    scale = np.ones((1, 2)) if len(names) == 1 else np.eye(2)  # S[mu, c]
     return ModelFamily(
         names=names,
         dim=len(psf),
@@ -103,6 +158,7 @@ def _symmetric_model(
         psf=psf,
         symmetry=template.symmetry,
         orbit_base=lambda v: v * template.points[0],
+        phases=np.einsum("mc,gc,jc->gjm", scale, template.points, psf.momenta),
     )
 
 
@@ -224,12 +280,48 @@ def check_basis(basis: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _orbit_weights(psi: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a[x, g, k] = <b_k|psi_g(v_x)> and q[x, k] = mean_g |a[x, g, k]|^2."""
+    a = psi @ basis.conj()  # one product per row, so a block repeats its rows' bits
+    return a, (a * a.conj()).real.sum(axis=1) / a.shape[1]
+
+
 def outcome_probabilities(model: ModelFamily, values, basis: np.ndarray) -> np.ndarray:
-    """Projective-measurement outcome distribution q_k = <b_k| rho |b_k>."""
+    """Projective-measurement outcome distribution q_k = mean_g |<b_k|psi_g>|^2.
+
+    That is <b_k| rho |b_k>, from the orbit amplitudes of ``model``.
+
+    ``values`` is one point, giving a vector q, or a (K, n_params) block,
+    giving one row per point; every point is checked against the domain.
+    A block is evaluated ``BLOCK_ROWS`` rows at a time, which bounds the
+    temporaries, and gives the same bits as its rows one by one.
+    """
     basis = check_basis(basis)
-    rho = model.rho(values)
-    q = np.real(np.einsum("nk,nm,mk->k", basis.conj(), rho, basis))
-    return np.clip(q, 0.0, None)
+    block = model.check_block(values)
+    q = np.concatenate([
+        _orbit_weights(model.amplitudes(block[i:i + BLOCK_ROWS]), basis)[1]
+        for i in range(0, len(block), BLOCK_ROWS)
+    ])
+    return q if np.ndim(values) == 2 else q[0]
+
+
+def spectral_qfim(model: ModelFamily, values) -> np.ndarray:
+    """Quantum Fisher information matrix by the eigenvalue route in ``model.qft_basis``.
+
+    The symmetry eigenbasis v_k diagonalizes every state of the family, so
+    the eigenvalues are lambda_k = mean_g |<v_k|psi_g>|^2, their derivatives
+    follow exactly from d psi_g = -i D[..., mu] psi_g, and
+    F = sum_{lambda_k > 0} d lambda_k d lambda_k^T / lambda_k (Liu, Yuan, Lu
+    & Wang, J. Phys. A 53, 023001 (2020)).  Only exact zeros are skipped:
+    each term is at most 4 mean_g |<v_k|d psi_g>|^2.
+    """
+    psi = model.amplitudes(model.check_values(values)[None, :])  # (1, G, N)
+    a, lam = _orbit_weights(psi, model.qft_basis)
+    dpsi = -1j * np.moveaxis(model.phases, -1, 0) * psi  # (n_params, G, N)
+    dlam = np.mean(2.0 * np.real(a.conj() * (dpsi @ model.qft_basis.conj())), axis=1)
+    keep = lam[0] > 0.0
+    f = (dlam[:, keep] / lam[0, keep]) @ dlam[:, keep].T
+    return 0.5 * (f + f.T)
 
 
 def classical_fi(

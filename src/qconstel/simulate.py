@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import ModelFamily, outcome_probabilities, qfim
+from .estimation import ModelFamily, outcome_probabilities, spectral_qfim
 from .linalg import _golden_section
 
 GRID_POINTS = 256
@@ -82,7 +82,7 @@ def mle_1d(
     """
     counts = np.asarray(counts, dtype=float)
     lo, hi = bounds
-    if not lo < hi:
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid bounds ({lo}, {hi})")
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
@@ -130,7 +130,15 @@ class StudyConfig:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
         if any(m < 1 for m in self.photon_counts):
             raise ValueError("photon counts must be >= 1")
-        if not self.bounds[0] < self.truth < self.bounds[1]:
+        lo, hi = self.bounds
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ValueError(f"bounds must be finite with lo < hi, got {self.bounds}")
+        (dlo, dhi), name = self.model.bounds[0], self.model.names[0]
+        if not dlo < lo < hi < dhi:
+            raise ValueError(
+                f"bounds {self.bounds} must lie inside the open domain ({dlo}, {dhi}) of {name}"
+            )
+        if not lo < self.truth < hi:
             raise ValueError(
                 f"truth {self.truth} outside estimator bounds {self.bounds}"
             )
@@ -187,17 +195,21 @@ def crb_study(cfg: StudyConfig) -> StudyReport:
 
     Trials are seeded independently through ``trial_seed`` so the report
     is reproducible and identical whether trials run serially or not.
-    Raises StudyError if at least 1% of the trials in any block fail.
+    The QFI comes from ``spectral_qfim``, the eigenvalue route in the
+    model's symmetry eigenbasis, and the probabilities of the whole scan
+    grid from one block call of ``outcome_probabilities``; the study builds
+    no density matrix.  Raises StudyError if at least 1% of the trials in
+    any block fail.
     """
     model = cfg.model
-    fisher = float(qfim(model, [cfg.truth])[0, 0])
+    fisher = float(spectral_qfim(model, [cfg.truth])[0, 0])
     p_true = outcome_probabilities(model, [cfg.truth], cfg.basis)
 
     def prob_fn(x):
         return outcome_probabilities(model, [x], cfg.basis)
 
     scan_grid = np.linspace(cfg.bounds[0], cfg.bounds[1], cfg.grid_points)
-    grid_probs = np.stack([prob_fn(x) for x in scan_grid])
+    grid_probs = outcome_probabilities(model, scan_grid[:, None], cfg.basis)
 
     blocks = []
     for b_idx, m in enumerate(cfg.photon_counts):

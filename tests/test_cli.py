@@ -224,9 +224,16 @@ def test_config_errors(tmp_path, capsys):
     # a non-finite psf momentum is a config error and nothing else reaches stderr
     for model in (["--kind", "pair", "--p", "inf"], ["--kind", "pair", "--p", "nan"],
                   ["--kind", "ring", "--p", "inf"], ["--kind", "ring", "--n", "5", "--p", "nan"],
-                  ["--kind", "rect", "--px", "inf"], ["--kind", "rect", "--py", "nan"]):
+                  ["--kind", "rect", "--px", "inf"], ["--kind", "rect", "--py", "nan"],
+                  # so is a non-finite angle, rejected before it reaches cos/sin
+                  ["--kind", "pair", "--theta", "inf"], ["--kind", "ring", "--phase", "inf"],
+                  ["--kind", "pair", "--psf-angle", "inf"], ["--kind", "ring", "--psf-phase", "nan"]):
         code, _, err = run(capsys, ["qfi", *model])
         assert code == 2 and err.startswith("config error:") and err.count("\n") == 1, err
+    # study bounds must be finite, ordered and inside the model's open domain
+    for bounds in ("0.1,inf", "0,0.5", "0.5,0.1", "nan,0.5"):
+        code, _, err = run(capsys, ["simulate", "--kind", "pair", "--bounds", bounds])
+        assert code == 2 and err.startswith("config error: bounds") and err.count("\n") == 1, err
     # and in a fresh interpreter, where numpy warnings would print to stderr
     env = {**os.environ, "PYTHONPATH": str(Path(qconstel.__file__).parents[1])}
     proc = subprocess.run(

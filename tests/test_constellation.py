@@ -97,6 +97,18 @@ def test_matching_psf_ring_and_rect():
             matching_psf(make_rectangle(1.0, 1.0), 1.0, p_y=bad)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_angles_rejected_before_trigonometry(bad):
+    # warnings are errors here, so a cos/sin of the bad angle would fail first
+    with pytest.raises(ValueError, match=f"pair angle theta must be finite, got {bad}"):
+        make_pair(1.0, bad)
+    with pytest.raises(ValueError, match=f"ring phase must be finite, got {bad}"):
+        make_ring(5, 1.0, bad)
+    for c in (make_pair(1.0), make_ring(4, 0.5), make_ring(5, 0.5), make_rectangle(1.0, 1.0)):
+        with pytest.raises(ValueError, match=f"psf phase must be finite, got {bad}"):
+            matching_psf(c, 1.0, phase=bad)
+
+
 def test_psf_symmetry_matches_constellation():
     for c, kwargs in [
         (make_pair(0.8, 0.3), dict(phase=0.4)),

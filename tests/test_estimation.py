@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qconstel.constellation import make_pair, make_rectangle, make_ring
 from qconstel.estimation import (
@@ -13,11 +15,13 @@ from qconstel.estimation import (
     pair_model,
     qfim,
     rectangle_model,
+    ring_amplitudes,
     ring_eigenvalues,
     ring_model,
     ring_qfi_parseval,
     ring_qfi_spectral,
     sld,
+    spectral_qfim,
 )
 from qconstel.linalg import haar_unitary, hermiticity_defect
 from qconstel.symmetry import qft_matrix
@@ -341,3 +345,122 @@ def test_model_validation():
         ModelFamily(("r",), 2, ((0.0, np.inf),), model.builder, qft_basis=np.eye(2))
     for m in (model, rectangle_model(1.0, 0.5), ring_model(5, 1.0)):
         assert np.array_equal(m.qft_basis, qft_matrix(m.group).conj().T)
+
+
+# ---------------------------------------------------------------- orbit-phase route vs rho route
+
+
+def two_route_models():
+    """(model, point, make) for every family: off-axis pair, rectangle, rings n = 2..16
+    at the default and at the aligned psf orientation."""
+    cases = [
+        (pair_model(1.3, 0.4, 0.25), [0.37], lambda v: make_pair(v[0], 0.4)),
+        (rectangle_model(1.1, 0.6), [0.45, 0.7], lambda v: make_rectangle(v[0], v[1])),
+    ]
+    for n in range(2, 17):
+        for psf_phase in (None, 0.0):
+            cases.append((ring_model(n, 1.2, 0.0, psf_phase), [0.3 + 0.05 * n],
+                          lambda v, n=n: make_ring(n, v[0], 0.0)))
+    return cases
+
+
+def rho_route_probabilities(model, point, basis):
+    return np.real(np.einsum("nk,nm,mk->k", basis.conj(), model.rho(point), basis))
+
+
+def test_outcome_probabilities_match_rho_route():
+    rng = np.random.default_rng(11)
+    for model, point, _ in two_route_models():
+        for basis in (model.qft_basis, np.eye(model.dim), haar_unitary(model.dim, rng)):
+            q = outcome_probabilities(model, point, basis)
+            assert q.shape == (model.dim,)
+            assert np.max(np.abs(q - rho_route_probabilities(model, point, basis))) <= 1e-14
+
+
+def test_spectral_qfim_matches_numeric_pipeline():
+    for model, point, _ in two_route_models():
+        f = spectral_qfim(model, point)
+        assert f.shape == (model.n_params, model.n_params)
+        assert np.array_equal(f, f.T)
+        # the rectangle's full 2x2, off-diagonal entries included
+        assert np.max(np.abs(f - qfim(model, point))) <= 1e-6
+
+
+def test_phase_tensor_matches_constellation_points():
+    for model, point, make in two_route_models():
+        v = np.array(point)
+        expected = make(v).points @ model.psf.momenta.T
+        assert model.phases.shape == (len(make(v)), model.dim, model.n_params)
+        scale = max(1.0, np.max(np.abs(expected)))
+        assert np.max(np.abs(model.phases @ v - expected)) <= 1e-14 * scale
+
+
+def test_block_evaluation_repeats_row_bits():
+    rng = np.random.default_rng(12)
+    for model, point, _ in two_route_models()[:4] + two_route_models()[-2:]:
+        basis = haar_unitary(model.dim, rng)
+        for k in (1, 5, 16, 17, 40):
+            block = np.array(point) * rng.uniform(0.2, 3.0, size=(k, model.n_params))
+            q = outcome_probabilities(model, block, basis)
+            assert q.shape == (k, model.dim)
+            one_by_one = np.stack([outcome_probabilities(model, x, basis) for x in block])
+            assert np.array_equal(q, one_by_one)
+
+
+def test_block_rows_are_domain_checked():
+    model, basis = ring_model(5, 1.0), np.eye(5)
+    grid = np.linspace(0.1, 0.5, 20)[:, None]
+    for bad, match in ((0.0, "r=0.0 outside open interval"), (-0.2, "outside open interval"),
+                       (np.inf, "finite"), (np.nan, "finite")):
+        block = grid.copy()
+        block[13, 0] = bad
+        with pytest.raises(ValueError, match=match):
+            outcome_probabilities(model, block, basis)
+    with pytest.raises(ValueError, match="parameter block"):
+        outcome_probabilities(model, np.ones((3, 2)), basis)
+    for shape in ((2, 3, 1), (0, 1)):
+        with pytest.raises(ValueError, match="parameter block"):
+            outcome_probabilities(model, np.ones(shape), basis)
+    with pytest.raises(ValueError, match="orbit-phase"):
+        outcome_probabilities(constant_model(np.eye(2) / 2), [0.0], np.eye(2))
+
+
+def test_spectral_qfim_holds_at_a_rank_change():
+    # at p r -> pi/2 one pair eigenvalue vanishes; the exact derivative keeps
+    # sum (d lambda)^2 / lambda at its continuous limit 4 p^2
+    for delta in (1e-3, 1e-5, 1e-7, 1e-10):
+        assert abs(spectral_qfim(pair_model(1.0), [np.pi / 2 - delta])[0, 0] - 4.0) <= 1e-9
+
+
+two_route_cases = st.tuples(
+    st.integers(2, 16),
+    st.floats(0.3, 3.0),
+    st.floats(0.02, 1.5),
+    st.floats(-np.pi, np.pi),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(two_route_cases)
+def test_two_routes_agree_sweep(case):
+    n, p, r, orientation, seed = case
+    ring = ring_model(n, p, 0.0, orientation)
+    pair = pair_model(p, 0.0, orientation)
+    basis = haar_unitary(n, np.random.default_rng(seed))
+    for model, b in ((ring, ring.qft_basis), (ring, basis), (pair, np.eye(2))):
+        q = outcome_probabilities(model, [r], b)
+        assert np.max(np.abs(q - rho_route_probabilities(model, [r], b))) <= 1e-14
+    # closed forms hold everywhere, rank changes included
+    f = spectral_qfim(ring, [r])[0, 0]
+    assert abs(f - ring_qfi_spectral(n, p, r, orientation)) <= 1e-9 * p * p
+    expected = analytic_qfi("pair_off_axis", p=p, theta=0.0, theta0=orientation)
+    assert abs(spectral_qfim(pair, [r])[0, 0] - expected) <= 1e-9 * p * p
+    # the finite-difference oracle drops eigenvalues below SUPPORT_TOL and loses
+    # about 1e-10 / sqrt(lambda) on small ones, a known limit of that route, so it
+    # is compared only where eigenvalues below 1e-6 carry under 1e-7 of the QFI
+    a, da = ring_amplitudes(n, p, r, orientation)
+    lam, dlam = np.abs(a) ** 2, 2.0 * np.real(a.conj() * da)
+    small = (lam > 0.0) & (lam <= 1e-6)
+    assume(np.sum(dlam[small] ** 2 / lam[small]) <= 1e-7)
+    assert abs(f - qfim(ring, [r])[0, 0]) <= 1e-6

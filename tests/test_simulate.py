@@ -1,7 +1,10 @@
+import collections
+
 import numpy as np
 import pytest
 
-from qconstel.estimation import outcome_probabilities, pair_model, ring_model
+from qconstel import estimation, simulate
+from qconstel.estimation import outcome_probabilities, pair_model, qfim, ring_model
 from qconstel.simulate import (
     EstimationError,
     StudyConfig,
@@ -194,6 +197,16 @@ def test_study_config_validation():
         with pytest.raises(ValueError, match="grid_points"):
             StudyConfig(model=model, truth=0.3, photon_counts=(10,), trials=5, seed=0,
                         bounds=(0.0, 1.0), basis=model.qft_basis, grid_points=grid_points)
+    # bounds: finite, lo < hi, and inside the open domain (0, inf) of r, so no
+    # scan-grid point can sit at r <= 0
+    for bounds in ((0.1, np.inf), (-np.inf, 0.5), (np.nan, 0.5), (0.5, 0.1), (0.3, 0.3),
+                   (0.0, 0.5), (-0.2, 0.5)):
+        with pytest.raises(ValueError, match="bounds"):
+            StudyConfig(model=model, truth=0.3, photon_counts=(10,), trials=5, seed=0,
+                        bounds=bounds, basis=model.qft_basis)
+    for bounds in ((0.1, np.inf), (0.5, 0.1)):
+        with pytest.raises(ValueError, match="invalid bounds"):
+            mle_1d(np.array([64, 36]), pair_prob_fn(), bounds)
 
 
 def test_report_serialization_shapes():
@@ -203,3 +216,34 @@ def test_report_serialization_shapes():
     d = report.to_dict()
     assert set(d) == {"qfi", "blocks"}
     assert len(d["blocks"][0]["estimates"]) == 10
+
+
+def test_crb_study_hot_path_builds_no_density_matrix(monkeypatch):
+    # the study takes its probabilities and QFI from the orbit-phase tensor:
+    # no constellation, density matrix or eigensolver call on its path
+    model = ring_model(8, 1.0)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("make_ring", "density_matrix", "eig_hermitian"):
+        monkeypatch.setattr(estimation, name, counted(name, getattr(estimation, name)))
+    monkeypatch.setattr(simulate, "outcome_probabilities",
+                        counted("outcome_probabilities", simulate.outcome_probabilities))
+    golden = simulate._golden_section
+    monkeypatch.setattr(simulate, "_golden_section",
+                        lambda f, a, b, tol: golden(counted("golden", f), a, b, tol))
+    cfg = StudyConfig(model=model, truth=0.3, photon_counts=(1000, 10000), trials=4, seed=2,
+                      bounds=(1e-3, np.pi - 1e-3), basis=model.qft_basis)
+    crb_study(cfg)
+    assert calls["make_ring"] == calls["density_matrix"] == calls["eig_hermitian"] == 0
+    # the true distribution and the whole scan grid, then one call per refinement step
+    assert calls["golden"] > 0
+    assert calls["outcome_probabilities"] <= 2 + calls["golden"]
+    # the counters see the rho route when it runs
+    qfim(model, [0.3])
+    assert calls["make_ring"] > 0 and calls["density_matrix"] > 0 and calls["eig_hermitian"] > 0
