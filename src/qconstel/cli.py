@@ -388,6 +388,9 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, h: str) -> int:
         raise ConfigError("sweep.count must be >= 1")
     if args.check is not None and s["quantity"] != "qfi":
         raise ConfigError("--check applies to quantity=qfi sweeps")
+    for key in ("start", "stop"):
+        if not np.isfinite(s[key]):
+            raise ConfigError(f"sweep.{key} must be finite, got {s[key]}")
     grid = np.linspace(s["start"], s["stop"], s["count"])
     rows = []
     if s["quantity"] == "qfi":

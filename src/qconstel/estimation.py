@@ -3,16 +3,19 @@
 Two routes lead to the same quantities, and each checks the other:
 
 - The orbit-phase route works from the amplitudes psi_g(v) of the symmetric
-  families (``ModelFamily.amplitudes``), in the symmetry eigenbasis that
-  diagonalizes every state of the family.  ``outcome_probabilities`` and
-  ``spectral_qfim`` take it, and through them ``simulate.crb_study``; it
-  builds no constellation, state vector or density matrix and calls no
-  eigensolver.
+  families (``ModelFamily.amplitudes``).  ``orbit_states`` relabels them by
+  group element, and ``character_basis`` and the CLI's ``eigen`` take their
+  states from it.  ``outcome_probabilities`` and ``classical_fi`` read them
+  in any measurement basis; ``spectral_qfim`` is ``classical_fi`` in the
+  symmetry eigenbasis, which diagonalizes every state of the family, and
+  through these two ``simulate.crb_study`` runs.  The route builds no
+  constellation or density matrix, calls no eigensolver, and differentiates
+  exactly: d psi_g = -i D[..., mu] psi_g.
 - The numeric pipeline (density matrix -> finite-difference derivative ->
   SLD -> QFIM: ``ModelFamily.rho``, ``drho``, ``sld``, ``qfim``) runs general
-  machinery.  The CLI's ``qfi`` and ``sweep`` print its value against the
-  closed forms, and the tests compare it with both the closed forms and the
-  orbit-phase route.
+  machinery and is the independent oracle.  The CLI's ``qfi`` and ``sweep``
+  print its value against the closed forms, and the tests compare it with
+  both the closed forms and the orbit-phase route.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .constellation import (
     Constellation,
     DiscretePSF,
     SymmetrySpec,
-    apply_group_element,
+    compose_elements,
     make_pair,
     make_rectangle,
     make_ring,
@@ -36,11 +39,10 @@ from .constellation import (
     validate_symmetry,
 )
 from .linalg import eig_hermitian, hermiticity_defect, unitarity_defect
-from .states import density_matrix, source_state
+from .states import density_matrix
 from .symmetry import SymmetricEigenbasis, qft_matrix, symmetric_eigenbasis
 
 SUPPORT_TOL = 1e-10
-PROB_FLOOR = 1e-12
 DRHO_HERMITIAN_ATOL = 1e-9
 BASIS_ORTHONORMAL_ATOL = 1e-10
 BLOCK_ROWS = 16  # parameter points per amplitude block in outcome_probabilities
@@ -51,11 +53,9 @@ class ModelFamily:
     """Parameterized density-matrix family with a fixed constellation kind + psf.
 
     ``bounds`` are open intervals; parameter vectors must lie strictly
-    inside (boundary points are reachable only through the orbit-state
-    routines, which accept the closure).  For the symmetric factories,
-    ``orbit_base`` maps a parameter vector to the source point whose group
-    orbit is the constellation, and ``group`` and ``qft_basis`` derive from
-    ``symmetry``.
+    inside (boundary points are reachable only through ``orbit_states``,
+    which accepts the closure).  For the symmetric factories ``group`` and
+    ``qft_basis`` derive from ``symmetry``.
 
     ``phases`` is the orbit-phase tensor D[g, j, mu] of the symmetric
     factories.  Each of them scales its unit template t coordinate-wise by
@@ -63,7 +63,8 @@ class ModelFamily:
     one each of a rectangle), so the phase that source g picks up on psf
     momentum p_j, p_j . t_g(v), is linear in v:
     phi_gj(v) = sum_mu D[g, j, mu] v_mu.  ``amplitudes`` derives the source
-    states from it, and their derivatives are -i D[..., mu] psi.
+    states from it, in the group order of the template, and their
+    derivatives are -i D[..., mu] psi.
     """
 
     names: tuple[str, ...]
@@ -72,7 +73,6 @@ class ModelFamily:
     builder: Callable[[np.ndarray], np.ndarray]
     psf: DiscretePSF | None = None
     symmetry: SymmetrySpec | None = None
-    orbit_base: Callable[[np.ndarray], np.ndarray] | None = None
     phases: np.ndarray | None = None
 
     @property
@@ -146,8 +146,9 @@ def _symmetric_model(
 ) -> ModelFamily:
     """Family of the unit ``template`` scaled coordinate-wise by parameters in (0, inf).
 
-    ``make(v)`` builds the constellation at v, so its first point is v times the
-    template's.  One parameter scales both coordinates; two scale one each.
+    ``make(v)`` builds the constellation at v for the rho oracle: the template's
+    points scaled by v, in the same group order.  One parameter scales both
+    coordinates; two scale one each.
     """
     scale = np.ones((1, 2)) if len(names) == 1 else np.eye(2)  # S[mu, c]
     return ModelFamily(
@@ -157,7 +158,6 @@ def _symmetric_model(
         builder=lambda v: density_matrix(make(v), psf),
         psf=psf,
         symmetry=template.symmetry,
-        orbit_base=lambda v: v * template.points[0],
         phases=np.einsum("mc,gc,jc->gjm", scale, template.points, psf.momenta),
     )
 
@@ -210,30 +210,21 @@ def ring_model(
     return _symmetric_model(("r",), template, psf, lambda v: make_ring(n, v[0], phase))
 
 
-def _step(value: float, h: float | None) -> float:
-    return h if h is not None else 1e-6 * max(1.0, abs(value))
-
-
-def _central_difference(f, vals: np.ndarray, mu: int, step: float) -> np.ndarray:
-    """(f(vals + step e_mu) - f(vals - step e_mu)) / (2 step)."""
-    shift = np.zeros_like(vals)
-    shift[mu] = step
-    return (f(vals + shift) - f(vals - shift)) / (2.0 * step)
-
-
 def drho(model: ModelFamily, values, mu: int, h: float | None = None) -> np.ndarray:
     """Central-difference derivative of rho with respect to parameter mu."""
     vals = model.check_values(values)
     if not 0 <= mu < model.n_params:
         raise ValueError(f"parameter index {mu} out of range")
-    step = _step(vals[mu], h)
+    step = h if h is not None else 1e-6 * max(1.0, abs(vals[mu]))
     lo, hi = model.bounds[mu]
     if not (lo < vals[mu] - step and vals[mu] + step < hi):
         raise ValueError(
             f"parameter {model.names[mu]}={vals[mu]} too close to the domain "
             f"boundary for step {step}"
         )
-    return _central_difference(model.builder, vals, mu, step)
+    shift = np.zeros_like(vals)
+    shift[mu] = step
+    return (model.builder(vals + shift) - model.builder(vals - shift)) / (2.0 * step)
 
 
 def sld(rho: np.ndarray, drho_mu: np.ndarray) -> np.ndarray:
@@ -305,49 +296,35 @@ def outcome_probabilities(model: ModelFamily, values, basis: np.ndarray) -> np.n
     return q if np.ndim(values) == 2 else q[0]
 
 
-def spectral_qfim(model: ModelFamily, values) -> np.ndarray:
-    """Quantum Fisher information matrix by the eigenvalue route in ``model.qft_basis``.
+def classical_fi(model: ModelFamily, values, basis: np.ndarray) -> np.ndarray:
+    """Classical Fisher information of the outcome distribution q_k in ``basis``.
 
-    The symmetry eigenbasis v_k diagonalizes every state of the family, so
-    the eigenvalues are lambda_k = mean_g |<v_k|psi_g>|^2, their derivatives
-    follow exactly from d psi_g = -i D[..., mu] psi_g, and
-    F = sum_{lambda_k > 0} d lambda_k d lambda_k^T / lambda_k (Liu, Yuan, Lu
-    & Wang, J. Phys. A 53, 023001 (2020)).  Only exact zeros are skipped:
-    each term is at most 4 mean_g |<v_k|d psi_g>|^2.
+    With a_gk = <b_k|psi_g>, q_k = mean_g |a_gk|^2, and the derivatives
+    follow exactly from d psi_g = -i D[..., mu] psi_g:
+    F = sum_{q_k > 0} d q_k d q_k^T / q_k.  Only exact zeros are skipped,
+    with no floor: each term is at most 4 mean_g |<b_k|d psi_g>|^2, so tiny
+    probabilities cannot blow up.
     """
+    basis = check_basis(basis)
     psi = model.amplitudes(model.check_values(values)[None, :])  # (1, G, N)
-    a, lam = _orbit_weights(psi, model.qft_basis)
+    a, q = _orbit_weights(psi, basis)
     dpsi = -1j * np.moveaxis(model.phases, -1, 0) * psi  # (n_params, G, N)
-    dlam = np.mean(2.0 * np.real(a.conj() * (dpsi @ model.qft_basis.conj())), axis=1)
-    keep = lam[0] > 0.0
-    f = (dlam[:, keep] / lam[0, keep]) @ dlam[:, keep].T
+    dq = np.mean(2.0 * np.real(a.conj() * (dpsi @ basis.conj())), axis=1)
+    keep = q[0] > 0.0
+    f = (dq[:, keep] / q[0, keep]) @ dq[:, keep].T
     return 0.5 * (f + f.T)
 
 
-def classical_fi(
-    model: ModelFamily, values, basis: np.ndarray, h: float | None = None
-) -> np.ndarray:
-    """Classical Fisher information of the measurement outcome distribution.
+def spectral_qfim(model: ModelFamily, values) -> np.ndarray:
+    """Quantum Fisher information matrix by the eigenvalue route in ``model.qft_basis``.
 
-    Outcomes with probability below 1e-12 are excluded from the sum.
+    The symmetry eigenbasis diagonalizes every state of the family, so its
+    outcome probabilities are the eigenvalues lambda_k and the classical
+    Fisher information there, sum_{lambda_k > 0} d lambda_k d lambda_k^T /
+    lambda_k, is the QFIM (Liu, Yuan, Lu & Wang, J. Phys. A 53, 023001
+    (2020)).
     """
-    vals = model.check_values(values)
-    basis = check_basis(basis)
-    q = outcome_probabilities(model, vals, basis)
-    k = model.n_params
-    dq = np.empty((k, q.size))
-    for mu in range(k):
-        dq[mu] = _central_difference(
-            lambda x: outcome_probabilities(model, x, basis), vals, mu, _step(vals[mu], h)
-        )
-    keep = q > PROB_FLOOR
-    f = np.empty((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            val = float(np.sum(dq[a, keep] * dq[b, keep] / q[keep]))
-            f[a, b] = val
-            f[b, a] = val
-    return f
+    return classical_fi(model, values, model.qft_basis)
 
 
 def orbit_states(model: ModelFamily, values, base_element: int = 0) -> np.ndarray:
@@ -355,21 +332,15 @@ def orbit_states(model: ModelFamily, values, base_element: int = 0) -> np.ndarra
 
     Row g is the state of the source at group element g applied to the
     orbit base point (itself shifted by ``base_element``, which relabels
-    the orbit without changing the mixture).  Accepts the closure of the
-    parameter domain, so degenerate boundary points like zero separation
-    are allowed.
+    the orbit without changing the mixture): row compose(g, base_element)
+    of ``model.amplitudes``.  Accepts the closure of the parameter domain,
+    so degenerate boundary points like zero separation are allowed.
     """
     if model.psf is None or model.symmetry is None:
         raise ValueError("model carries no symmetry metadata")
-    vals = model.check_values(values, closed=True)
+    psi = model.amplitudes(model.check_values(values, closed=True)[None, :])[0]
     spec = model.symmetry
-    base = apply_group_element(spec, base_element, model.orbit_base(vals)[None, :])[0]
-    return np.stack(
-        [
-            source_state(model.psf, apply_group_element(spec, g, base[None, :])[0])
-            for g in range(spec.order)
-        ]
-    )
+    return psi[[compose_elements(spec, g, base_element) for g in range(spec.order)]]
 
 
 def character_basis(model: ModelFamily, values, base_element: int = 0) -> SymmetricEigenbasis:

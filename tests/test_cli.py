@@ -234,6 +234,11 @@ def test_config_errors(tmp_path, capsys):
     for bounds in ("0.1,inf", "0,0.5", "0.5,0.1", "nan,0.5"):
         code, _, err = run(capsys, ["simulate", "--kind", "pair", "--bounds", bounds])
         assert code == 2 and err.startswith("config error: bounds") and err.count("\n") == 1, err
+    # a non-finite sweep end is named before it reaches linspace
+    for end in (["--start", "inf"], ["--stop", "nan"]):
+        code, _, err = run(capsys, ["sweep", "--kind", "pair", *end])
+        assert code == 2 and err.startswith(f"config error: sweep.{end[0][2:]} must be finite")
+        assert err.count("\n") == 1, err
     # and in a fresh interpreter, where numpy warnings would print to stderr
     env = {**os.environ, "PYTHONPATH": str(Path(qconstel.__file__).parents[1])}
     proc = subprocess.run(

@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qconstel.constellation import make_pair, make_rectangle, make_ring
+from qconstel.constellation import apply_group_element, make_pair, make_rectangle, make_ring
 from qconstel.estimation import (
     ModelFamily,
     analytic_qfi,
@@ -24,6 +26,7 @@ from qconstel.estimation import (
     spectral_qfim,
 )
 from qconstel.linalg import haar_unitary, hermiticity_defect
+from qconstel.states import source_state
 from qconstel.symmetry import qft_matrix
 
 
@@ -313,16 +316,15 @@ def test_character_basis_weights_and_base_independence():
 
 
 def test_orbit_states_match_model_density():
-    for model, point, make in [
-        (pair_model(1.0, 0.2, 0.1), [0.5], lambda v: make_pair(v[0], 0.2)),
-        (rectangle_model(1.0, 0.7), [0.4, 0.6], lambda v: make_rectangle(v[0], v[1])),
-        (ring_model(6, 1.0, 0.3, 0.2), [0.8], lambda v: make_ring(6, v[0], 0.3)),
-        (ring_model(5, 1.3, -2.1), [0.45], lambda v: make_ring(5, v[0], -2.1)),
+    for model, point in [
+        (pair_model(1.0, 0.2, 0.1), [0.5]),
+        (rectangle_model(1.0, 0.7), [0.4, 0.6]),
+        (ring_model(6, 1.0, 0.3, 0.2), [0.8]),
+        (ring_model(5, 1.3, -2.1), [0.45]),
     ]:
         states = orbit_states(model, point)
         rho = states.T @ states.conj() / states.shape[0]
         assert np.max(np.abs(rho - model.rho(point))) <= 1e-12
-        assert np.array_equal(model.orbit_base(np.array(point)), make(point).points[0])
 
 
 def test_orbit_states_accept_domain_closure():
@@ -432,6 +434,102 @@ def test_spectral_qfim_holds_at_a_rank_change():
         assert abs(spectral_qfim(pair_model(1.0), [np.pi / 2 - delta])[0, 0] - 4.0) <= 1e-9
 
 
+def closed_domain_points(point):
+    """The interior point and the boundary points r = 0, or x0 = 0 and/or y0 = 0."""
+    v = np.array(point, dtype=float)
+    corners = [v * mask for mask in np.ndindex(*(2,) * len(v))]  # masks of 0s and 1s
+    return [v] + [c for c in corners if not np.all(c)]
+
+
+def test_orbit_states_match_group_action_oracle():
+    # oracle: one source_state per source, at the group action of g and then
+    # base_element on the base point v t_0, with no phase tensor involved
+    for model, point, make in two_route_models():
+        spec = model.symmetry
+        t0 = make(np.ones(model.n_params)).points[0]
+        for v in closed_domain_points(point):
+            for b in range(spec.order):
+                base = apply_group_element(spec, b, v * t0)
+                oracle = np.stack([source_state(model.psf, apply_group_element(spec, g, base)[0])
+                                   for g in range(spec.order)])
+                states = orbit_states(model, v, base_element=b)
+                assert states.shape == oracle.shape
+                assert np.max(np.abs(states - oracle)) <= 1e-14
+
+
+def test_orbit_states_guards():
+    with pytest.raises(ValueError, match="symmetry metadata"):
+        orbit_states(constant_model(np.eye(2) / 2), [0.0])
+    for bad in ([-0.1], [np.inf], [0.1, 0.2]):
+        with pytest.raises(ValueError):
+            orbit_states(ring_model(4, 1.0), bad)
+
+
+def test_character_basis_builds_no_constellation_or_source_state(monkeypatch):
+    model = ring_model(8, 1.0)
+    calls = []
+    for mod in [m for name, m in sys.modules.items() if name.startswith("qconstel")]:
+        for fname in ("source_state", "make_pair", "make_rectangle", "make_ring"):
+            if hasattr(mod, fname):
+                orig = getattr(mod, fname)
+                monkeypatch.setattr(mod, fname,
+                                    lambda *a, _f=orig, _n=fname, **k: calls.append(_n) or _f(*a, **k))
+    basis = character_basis(model, [0.3])
+    assert calls == []
+    assert np.max(np.abs(np.sort(basis.weights) - np.sort(ring_eigenvalues(8, 1.0, 0.3)))) <= 1e-12
+
+
+def finite_difference_fi(model, point, basis):
+    """Central difference of outcome_probabilities, summed over outcomes with q > 0."""
+    v = np.array(point, dtype=float)
+    q = outcome_probabilities(model, v, basis)
+    dq = np.empty((model.n_params, model.dim))
+    for mu in range(model.n_params):
+        shift = np.zeros_like(v)
+        shift[mu] = 1e-6 * max(1.0, abs(v[mu]))
+        dq[mu] = (outcome_probabilities(model, v + shift, basis)
+                  - outcome_probabilities(model, v - shift, basis)) / (2.0 * shift[mu])
+    keep = q > 0.0
+    return (dq[:, keep] / q[keep]) @ dq[:, keep].T
+
+
+def test_classical_fi_matches_finite_difference():
+    rng = np.random.default_rng(13)
+    for model, point, _ in two_route_models():
+        bases = (model.qft_basis, np.eye(model.dim),
+                 haar_unitary(model.dim, rng), haar_unitary(model.dim, rng))
+        for basis in bases:
+            f = classical_fi(model, point, basis)
+            assert f.shape == (model.n_params, model.n_params)
+            assert np.array_equal(f, f.T)
+            assert np.max(np.abs(f - finite_difference_fi(model, point, basis))) <= 1e-7
+
+
+def test_spectral_qfim_is_classical_fi_in_the_symmetry_basis():
+    for model, point, _ in two_route_models():
+        assert np.array_equal(spectral_qfim(model, point),
+                              classical_fi(model, point, model.qft_basis))
+
+
+def test_classical_fi_keeps_tiny_outcomes():
+    # ring16 at p r = 0.1 in the eigenbasis: two outcomes with q ~ 7e-14 carry
+    # 4.3e-10 each, which a probability floor at 1e-12 would drop
+    n, p, r = 16, 1.0, 0.1
+    model = ring_model(n, p)
+    q = outcome_probabilities(model, [r], model.qft_basis)
+    assert np.any((q > 0.0) & (q < 1e-12))
+    a, da = ring_amplitudes(n, p, r)
+    lam, dlam = np.abs(a) ** 2, 2.0 * np.real(a.conj() * da)
+    tiny = (lam > 0.0) & (lam < 1e-12)
+    terms = dlam[tiny] ** 2 / lam[tiny]
+    assert terms.max() >= 1e-10
+    # each term stays within 4 mean_g |<b_k|d psi_g>|^2 = 4 |a_k'|^2, which it
+    # attains at this orientation, up to rounding
+    assert np.all(terms <= 4.0 * np.abs(da[tiny]) ** 2 * (1.0 + 1e-9))
+    f = classical_fi(model, [r], model.qft_basis)[0, 0]
+    assert abs(f - ring_qfi_spectral(n, p, r)) <= 1e-3 * terms.sum()
+
+
 two_route_cases = st.tuples(
     st.integers(2, 16),
     st.floats(0.3, 3.0),
@@ -441,7 +539,7 @@ two_route_cases = st.tuples(
 )
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(two_route_cases)
 def test_two_routes_agree_sweep(case):
     n, p, r, orientation, seed = case

@@ -158,7 +158,7 @@ hermitian_cases = st.tuples(
 )
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(hermitian_cases)
 def test_eigensolver_contract_sweep(case):
     h = scaled_hermitian(*case)
@@ -171,7 +171,7 @@ def test_eigensolver_contract_sweep(case):
     assert abs(w.sum() - np.real(np.trace(h))) <= 16 * n * EPS * scale
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@settings(max_examples=30)
 @given(hermitian_cases)
 def test_relative_hermiticity_defect_rejected_at_every_scale(case):
     h = scaled_hermitian(*case).astype(np.complex128)
