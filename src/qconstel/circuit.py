@@ -7,13 +7,17 @@ phase f acts on the (i, j) block as::
      [e^{-if} sin t,   -cos t       ]]
 
 This block is unitary and Hermitian (an involution); the 50:50 setting
-t = pi/4, f = 0 is exactly the real Hadamard mix.  Elements are applied in
-list order, output phases last.
+t = pi/4, f = 0 is exactly the real Hadamard mix.  Its transpose is the same
+beamsplitter with phase -f.  Elements are applied in list order, output
+phases last.  Each element updates only the rows of its modes, in place, so
+it costs O(n) and the n-mode Reck synthesis costs O(n^3).
 """
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +41,9 @@ class Beamsplitter:
     def __post_init__(self):
         if self.i < 0 or self.j < 0 or self.i >= self.j:
             raise ValueError(f"beamsplitter needs 0 <= i < j, got ({self.i}, {self.j})")
+        for name, value in (("mixing", self.mixing), ("phase", self.phase)):
+            if not math.isfinite(value):
+                raise ValueError(f"beamsplitter {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,8 @@ class PhaseShifter:
     def __post_init__(self):
         if self.mode < 0:
             raise ValueError(f"phaseshifter mode must be >= 0, got {self.mode}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phaseshifter phase must be finite, got {self.phase}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,8 @@ class InterferometerNetlist:
         if self.n_modes < 1:
             raise ValueError("netlist needs at least one mode")
         for el in self.elements:
+            if not isinstance(el, (Beamsplitter, PhaseShifter)):
+                raise TypeError(f"unknown netlist element: {el!r}")
             top = el.j if isinstance(el, Beamsplitter) else el.mode
             if top >= self.n_modes:
                 raise ValueError(f"element {el} exceeds mode count {self.n_modes}")
@@ -74,27 +85,22 @@ class InterferometerNetlist:
         return sum(isinstance(el, Beamsplitter) for el in self.elements)
 
 
-def element_unitary(el, n: int) -> np.ndarray:
-    u = np.eye(n, dtype=np.complex128)
-    if isinstance(el, Beamsplitter):
-        c = np.cos(el.mixing)
-        s = np.sin(el.mixing)
-        u[el.i, el.i] = c
-        u[el.i, el.j] = np.exp(1j * el.phase) * s
-        u[el.j, el.i] = np.exp(-1j * el.phase) * s
-        u[el.j, el.j] = -c
-    elif isinstance(el, PhaseShifter):
-        u[el.mode, el.mode] = np.exp(1j * el.phase)
+def _apply(el, rows: np.ndarray) -> None:
+    """Left-multiply ``rows`` in place by the element's n-mode unitary."""
+    if isinstance(el, PhaseShifter):
+        rows[el.mode] *= cmath.exp(1j * el.phase)
     else:
-        raise TypeError(f"unknown netlist element: {el!r}")
-    return u
+        c, s = math.cos(el.mixing), cmath.exp(1j * el.phase) * math.sin(el.mixing)
+        top = rows[el.i].copy()
+        rows[el.i] = c * top + s * rows[el.j]
+        rows[el.j] = s.conjugate() * top - c * rows[el.j]
 
 
 def netlist_unitary(net: InterferometerNetlist) -> np.ndarray:
     """Total mode transformation of the netlist (elements first, phases last)."""
     u = np.eye(net.n_modes, dtype=np.complex128)
     for el in net.elements:
-        u = element_unitary(el, net.n_modes) @ u
+        _apply(el, u)
     if net.output_phases:
         u = np.exp(1j * np.asarray(net.output_phases))[:, None] * u
     return u
@@ -104,14 +110,16 @@ def reck_decompose(u: np.ndarray) -> InterferometerNetlist:
     """Triangular beamsplitter mesh (plus output phases) realizing ``u``.
 
     Emits at most n(n-1)/2 beamsplitters; rotations with mixing angle
-    below ``PRUNE_TOL`` are pruned.  Raises ValueError with the residual
-    when the input is not unitary within 1e-10.
+    below ``PRUNE_TOL`` are pruned.  Each rotation updates the two columns
+    it nulls in place, through the transposed view of the running matrix,
+    so the synthesis costs O(n^3).  Raises ValueError with the residual
+    when the input is not unitary within 1e-10 (or has a non-finite entry).
     """
     u = np.array(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     defect = unitarity_defect(u)
-    if defect > UNITARY_ATOL:
+    if not defect <= UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary: max |U^H U - I| = {defect:.3e}")
 
     n = u.shape[0]
@@ -126,9 +134,9 @@ def reck_decompose(u: np.ndarray) -> InterferometerNetlist:
             mixing = np.arctan2(abs(a), abs(b))
             phase = 0.0 if abs(b) == 0.0 else float(np.angle(b) - np.angle(a) - np.pi)
             phase = float((phase + np.pi) % (2.0 * np.pi) - np.pi)
-            bs = Beamsplitter(j, i, float(mixing), phase)
-            work = work @ element_unitary(bs, n)
-            elements.append(bs)
+            elements.append(Beamsplitter(j, i, float(mixing), phase))
+            # work @ B = (B^T work^T)^T, and B^T is B with phase -f
+            _apply(Beamsplitter(j, i, float(mixing), -phase), work.T)
     phases = tuple(
         0.0 if abs(a) <= PRUNE_TOL else float(a) for a in np.angle(np.diag(work))
     )

@@ -213,7 +213,7 @@ def measurement_basis(cfg: dict, model: ModelFamily) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             net = from_text(fh.read(), n_modes=model.dim)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read netlist file {path}: {exc}") from None
     return netlist_unitary(net).conj().T
 

@@ -235,7 +235,7 @@ def sld(rho: np.ndarray, drho_mu: np.ndarray) -> np.ndarray:
     dropping the unsupported terms.
     """
     defect = hermiticity_defect(np.asarray(drho_mu))
-    if defect > DRHO_HERMITIAN_ATOL:
+    if not defect <= DRHO_HERMITIAN_ATOL:
         raise ValueError(f"drho is not Hermitian: max |A - A^H| = {defect:.3e}")
     w, v = eig_hermitian(rho)
     t = v.conj().T @ drho_mu @ v
@@ -266,7 +266,7 @@ def check_basis(basis: np.ndarray) -> np.ndarray:
     if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
         raise ValueError(f"measurement basis must be square, got shape {basis.shape}")
     defect = unitarity_defect(basis)
-    if defect > BASIS_ORTHONORMAL_ATOL:
+    if not defect <= BASIS_ORTHONORMAL_ATOL:
         raise ValueError(f"basis is not orthonormal: max |B^H B - I| = {defect:.3e}")
     return basis
 

@@ -36,7 +36,7 @@ def sample_outcomes(probabilities, m: int, seed) -> np.ndarray:
     if np.any(p < -1e-9):
         raise ValueError(f"negative outcome probability: min = {p.min():.3e}")
     total = p.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-9")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()

@@ -93,7 +93,7 @@ def symmetric_eigenbasis(
     for g in range(n_g):
         predicted = apply_permutation(momentum_perms[g], states[0])
         dev = float(np.max(np.abs(states[g] - predicted)))
-        if dev > COVARIANCE_ATOL:
+        if not dev <= COVARIANCE_ATOL:
             raise ValueError(
                 f"states are not group-covariant: element {g} deviates by {dev:.3e}"
             )

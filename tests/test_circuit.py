@@ -21,6 +21,33 @@ from qconstel.symmetry import AbelianGroup, qft_matrix
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 
+def dense_element(el, n):
+    """The element as an n x n matrix: the block of the module docstring in an identity."""
+    u = np.eye(n, dtype=np.complex128)
+    if isinstance(el, Beamsplitter):
+        c = np.cos(el.mixing)
+        s = np.sin(el.mixing)
+        u[el.i, el.i] = c
+        u[el.i, el.j] = np.exp(1j * el.phase) * s
+        u[el.j, el.i] = np.exp(-1j * el.phase) * s
+        u[el.j, el.j] = -c
+    else:
+        u[el.mode, el.mode] = np.exp(1j * el.phase)
+    return u
+
+
+def random_netlist(n, rng, count):
+    elements = []
+    for _ in range(count):
+        if n > 1 and rng.uniform() < 0.7:
+            i, j = sorted(rng.choice(n, size=2, replace=False))
+            elements.append(Beamsplitter(int(i), int(j), rng.uniform(0, np.pi / 2),
+                                         rng.uniform(-np.pi, np.pi)))
+        else:
+            elements.append(PhaseShifter(int(rng.integers(n)), rng.uniform(-np.pi, np.pi)))
+    return tuple(elements)
+
+
 def test_empty_netlist_is_identity():
     net = InterferometerNetlist(3, ())
     assert np.allclose(netlist_unitary(net), np.eye(3))
@@ -42,6 +69,29 @@ def test_element_validation():
         InterferometerNetlist(2, (Beamsplitter(0, 2, 0.3),))
     with pytest.raises(ValueError):
         InterferometerNetlist(2, (), output_phases=(0.1,))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="beamsplitter mixing must be finite"):
+            Beamsplitter(0, 1, bad)
+        with pytest.raises(ValueError, match="beamsplitter phase must be finite"):
+            Beamsplitter(0, 1, 0.3, bad)
+        with pytest.raises(ValueError, match="phaseshifter phase must be finite"):
+            PhaseShifter(0, bad)
+    with pytest.raises(TypeError, match="unknown netlist element"):
+        InterferometerNetlist(2, ((0, 1),))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_netlist_unitary_matches_dense_product(n):
+    rng = np.random.default_rng([5, n])
+    for _ in range(4):
+        elements = random_netlist(n, rng, 3 * n)
+        phases = tuple(rng.uniform(-np.pi, np.pi, size=n))
+        expected = np.eye(n, dtype=np.complex128)
+        for el in elements:
+            expected = dense_element(el, n) @ expected
+        expected = np.diag(np.exp(1j * np.array(phases))) @ expected
+        got = netlist_unitary(InterferometerNetlist(n, elements, phases))
+        assert np.max(np.abs(got - expected)) <= 1e-14
 
 
 def test_phaseshifter_and_order():
@@ -68,6 +118,10 @@ def test_reck_identity_empty():
 def test_reck_rejects_nonunitary():
     with pytest.raises(ValueError, match="not unitary"):
         reck_decompose(np.ones((3, 3)))
+    u = np.eye(3, dtype=complex)
+    u[1, 2] = np.nan
+    with pytest.raises(ValueError, match="not unitary: .* = nan"):
+        reck_decompose(u)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -80,6 +134,14 @@ def test_reck_roundtrip_random(n):
         realized = netlist_unitary(net)
         assert unitarity_defect(realized) <= 1e-10
         assert unitary_distance(realized, u) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [24, 40, 64])
+def test_reck_roundtrip_large(n):
+    u = haar_unitary(n, np.random.default_rng(n))
+    net = reck_decompose(u)
+    assert net.beamsplitter_count <= n * (n - 1) // 2
+    assert unitary_distance(netlist_unitary(net), u) <= 1e-12
 
 
 def test_reck_of_netlist_roundtrip():
@@ -178,6 +240,10 @@ def test_from_text_diagnostics():
         from_text("BS 0 1 0.5 0.0\nXX 0 1\n")
     with pytest.raises(ValueError, match="line 1"):
         from_text("BS 0 1 abc 0.0\n")
+    with pytest.raises(ValueError, match="line 1: 'BS 0 1 inf 0': beamsplitter mixing"):
+        from_text("BS 0 1 inf 0\n")
+    with pytest.raises(ValueError, match="line 2: 'PS 0 nan': phaseshifter phase"):
+        from_text("BS 0 1 0.5 0.0\nPS 0 nan\n")
 
 
 def test_json_serialization_roundtrip():
@@ -191,12 +257,5 @@ def test_json_serialization_roundtrip():
 def test_netlist_unitary_always_unitary():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        elements = []
-        for _ in range(6):
-            if rng.uniform() < 0.7:
-                i, j = sorted(rng.choice(5, size=2, replace=False))
-                elements.append(Beamsplitter(int(i), int(j), rng.uniform(0, np.pi / 2), rng.uniform(-np.pi, np.pi)))
-            else:
-                elements.append(PhaseShifter(int(rng.integers(5)), rng.uniform(-np.pi, np.pi)))
-        net = InterferometerNetlist(5, tuple(elements))
+        net = InterferometerNetlist(5, random_netlist(5, rng, 6))
         assert unitarity_defect(netlist_unitary(net)) <= 1e-10

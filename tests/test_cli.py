@@ -137,6 +137,15 @@ def test_decompose_roundtrip_through_file(tmp_path, capsys):
     assert unitary_distance(netlist_unitary(parsed), u) <= 1e-9
 
 
+@pytest.mark.parametrize("entry", [[1.0, 0.0], [float("nan"), 0.0]])
+def test_decompose_rejects_nonunitary_file(tmp_path, capsys, entry):
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"matrix": [[[1.0, 0.0], [0.0, 0.0]], [entry, [1.0, 0.0]]]}))
+    code, out, err = run(capsys, ["decompose", "--unitary", str(ufile)])
+    assert code == 3 and out == ""
+    assert "not unitary" in err and err.count("\n") == 1, err
+
+
 def test_decompose_preset_json(tmp_path, capsys):
     out_path = tmp_path / "ring.json"
     code, _, _ = run(
@@ -239,6 +248,14 @@ def test_config_errors(tmp_path, capsys):
         code, _, err = run(capsys, ["sweep", "--kind", "pair", *end])
         assert code == 2 and err.startswith(f"config error: sweep.{end[0][2:]} must be finite")
         assert err.count("\n") == 1, err
+    # a non-finite netlist angle is named with its line before it reaches cos/sin
+    for record in ("BS 0 1 inf 0", "BS 0 1 0.5 nan"):
+        netfile = tmp_path / "bad.net"
+        netfile.write_text(record + "\n")
+        code, _, err = run(capsys, ["simulate", "--kind", "pair", "--r", "0.3", "--photons", "100",
+                                    "--trials", "3", "--basis", "netlist", "--netlist", str(netfile)])
+        assert code == 2 and err.startswith("config error:") and err.count("\n") == 1, err
+        assert f"netlist line 1: {record!r}: beamsplitter" in err
     # and in a fresh interpreter, where numpy warnings would print to stderr
     env = {**os.environ, "PYTHONPATH": str(Path(qconstel.__file__).parents[1])}
     proc = subprocess.run(

@@ -10,6 +10,7 @@ from qconstel.estimation import (
     ModelFamily,
     analytic_qfi,
     character_basis,
+    check_basis,
     classical_fi,
     drho,
     orbit_states,
@@ -124,6 +125,8 @@ def test_sld_rejects_nonhermitian():
     rho = np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(ValueError, match="Hermitian"):
         sld(rho, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="not Hermitian: .* = nan"):
+        sld(rho, np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
 def test_qfim_pair_on_axis():
@@ -227,6 +230,8 @@ def test_classical_fi_rejects_bad_basis():
     model = pair_model(1.0)
     with pytest.raises(ValueError, match="orthonormal"):
         classical_fi(model, [0.3], np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="not orthonormal: .* = nan"):
+        check_basis(np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
 def test_analytic_qfi_cases():

@@ -44,6 +44,8 @@ def test_sample_validation():
         sample_outcomes([1.1, -0.1], 10, 0)
     with pytest.raises(ValueError, match="sum"):
         sample_outcomes([0.5, 0.4], 10, 0)
+    with pytest.raises(ValueError, match="sum to nan"):
+        sample_outcomes([np.nan, 1.0], 10, 1)
     with pytest.raises(ValueError):
         sample_outcomes([1.0], 0, 0)
     # tiny negatives within tolerance are clipped

@@ -149,6 +149,10 @@ def test_covariance_violation_names_element():
     bad[2] = np.roll(bad[2], 1)
     with pytest.raises(ValueError, match="element 2"):
         symmetric_eigenbasis(bad, Z4, perms)
+    bad = states.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="element 1 deviates by nan"):
+        symmetric_eigenbasis(bad, Z4, perms)
 
 
 def test_state_count_mismatch():
