@@ -13,7 +13,6 @@ from .constellation import (
     SymmetryError,
     SymmetrySpec,
     apply_group_element,
-    compose_elements,
     make_pair,
     make_rectangle,
     make_ring,
@@ -99,7 +98,6 @@ __all__ = [
     "character_basis",
     "characters",
     "classical_fi",
-    "compose_elements",
     "crb_study",
     "density_matrix",
     "drho",

@@ -101,7 +101,9 @@ SETTINGS = {
         "photons": Setting(str, "10000", help="comma-separated photon counts"),
         "trials": Setting(int, 200),
         "seed": Setting(int, 7),
-        "bounds": Setting(str, "", help="estimator search interval 'lo,hi'"),
+        "bounds": Setting(str, "", help="estimator search interval 'lo,hi'; by default from 1e-3 "
+                                        "to pi/(2p) - 1e-3 for two sources and to pi/p - 1e-3 "
+                                        "for larger rings"),
         "grid": Setting(int, 256, help="MLE scan grid points"),
     },
     "output": {
@@ -309,11 +311,11 @@ def _study_bounds(cfg: dict, model: ModelFamily) -> tuple[float, float]:
         except ValueError:
             raise ConfigError(f"study.bounds must be 'lo,hi', got {raw!r}") from None
         return lo, hi
-    m = cfg["model"]
-    delta = 1e-3
-    if m["kind"] == "pair":
-        return delta, np.pi / (2.0 * m["p"]) - delta
-    return delta, np.pi / m["p"] - delta  # ring: simulate rejects rect before this
+    # a two-source likelihood mirrors exactly at pi/(2p); simulate rejects rect before this
+    p, delta = cfg["model"]["p"], 1e-3
+    if model.dim == 2:
+        return delta, np.pi / (2.0 * p) - delta
+    return delta, np.pi / p - delta
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: dict, h: str) -> int:

@@ -1,8 +1,14 @@
-"""Source constellations, discrete momentum-space PSFs, and planar symmetry actions."""
+"""Source constellations, discrete momentum-space PSFs, and planar symmetry actions.
+
+Two symmetry kinds cover every family, ``cyclic`` and ``rect_reflections``: a
+pair is the two-source ring, whose rotation by pi is its point inversion.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,10 +36,7 @@ class AbelianGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
+        return math.prod(self.factors)
 
     def element_tuple(self, g: int) -> tuple[int, ...]:
         if not 0 <= g < self.order:
@@ -53,14 +56,19 @@ class AbelianGroup:
     def inverse(self, g: int) -> int:
         return self.element_index([-d for d in self.element_tuple(g)])
 
+    def compose(self, g: int, h: int) -> int:
+        """Index of the product element g * h (componentwise modular addition)."""
+        return self.element_index(np.add(self.element_tuple(g), self.element_tuple(h)))
+
 
 @dataclass(frozen=True)
 class SymmetrySpec:
     """Planar symmetry group declaration.
 
     kind:
-        ``cyclic``            rotations by multiples of 2 pi / n  (group Z_n)
-        ``reflection_1d``     point inversion through the origin  (group Z_2)
+        ``cyclic``            rotations by multiples of 2 pi / n  (group Z_n);
+                              at n = 2 the rotation by pi is the point
+                              inversion of a pair
         ``rect_reflections``  independent sign flips of x and y   (group Z_2 x Z_2)
     """
 
@@ -71,7 +79,7 @@ class SymmetrySpec:
         if self.kind == "cyclic":
             if self.n is None or self.n < 2:
                 raise ValueError("cyclic symmetry needs n >= 2")
-        elif self.kind in ("reflection_1d", "rect_reflections"):
+        elif self.kind == "rect_reflections":
             if self.n is not None:
                 raise ValueError(f"{self.kind} takes no order parameter")
         else:
@@ -82,23 +90,15 @@ class SymmetrySpec:
         return cls("cyclic", n)
 
     @classmethod
-    def reflection_1d(cls) -> "SymmetrySpec":
-        return cls("reflection_1d")
-
-    @classmethod
     def rect_reflections(cls) -> "SymmetrySpec":
         return cls("rect_reflections")
 
     @property
     def factors(self) -> tuple[int, ...]:
         """Cyclic factor orders of the group."""
-        if self.kind == "cyclic":
-            return (self.n,)
-        if self.kind == "reflection_1d":
-            return (2,)
-        return (2, 2)
+        return (self.n,) if self.kind == "cyclic" else (2, 2)
 
-    @property
+    @cached_property
     def group(self) -> AbelianGroup:
         """The abstract group, a product of the cyclic factors."""
         return AbelianGroup(self.factors)
@@ -160,16 +160,16 @@ class DiscretePSF:
 
 
 def make_pair(r: float, theta: float = 0.0) -> Constellation:
-    """Two sources at radius r and angles theta, theta + pi (inversion symmetric).
+    """Two sources at radius r and angles theta, theta + pi: the two-source ring.
 
-    theta = 0 places the pair on the x axis.
+    theta = 0 places the pair on the x axis.  Its symmetry is ``cyclic(2)``,
+    whose rotation by pi is the point inversion through the origin.
     """
     if r <= 0:
         raise ValueError(f"pair radius must be positive, got {r}")
     if not np.isfinite(theta):
         raise ValueError(f"pair angle theta must be finite, got {theta}")
-    p0 = np.array([r * np.cos(theta), r * np.sin(theta)])
-    return Constellation(np.stack([p0, -p0]), SymmetrySpec.reflection_1d())
+    return make_ring(2, r, theta)
 
 
 def make_rectangle(x0: float, y0: float) -> Constellation:
@@ -198,10 +198,10 @@ def matching_psf(
 ) -> DiscretePSF:
     """Momentum comb with the same symmetry and count as the constellation.
 
-    Pair: momenta +-p at angle ``phase``.  Ring(n): n momenta of radius p at
-    angles phase + 2 pi k / n.  Rectangle: axis-aligned (+-p, +-p_y) in
-    sign-flip group order, with p_y defaulting to p; ``phase`` does not
-    apply and must stay 0.
+    Ring(n), the pair included as n = 2: n momenta of radius p at angles
+    phase + 2 pi k / n.  Rectangle: axis-aligned (+-p, +-p_y) in sign-flip
+    group order, with p_y defaulting to p; ``phase`` does not apply and must
+    stay 0.
     """
     if not (np.isfinite(p) and p > 0):
         raise ValueError(f"psf momentum magnitude must be positive and finite, got {p}")
@@ -212,9 +212,6 @@ def matching_psf(
     kind = c.symmetry.kind
     if kind != "rect_reflections" and p_y is not None:
         raise ValueError("p_y only applies to the rectangle psf")
-    if kind == "reflection_1d":
-        m0 = np.array([p * np.cos(phase), p * np.sin(phase)])
-        return DiscretePSF(np.stack([m0, -m0]))
     if kind == "rect_reflections":
         if phase != 0.0:
             raise ValueError("the rectangle psf is axis-aligned; phase must be 0")
@@ -227,12 +224,6 @@ def matching_psf(
     return DiscretePSF(p * np.stack([np.cos(ang), np.sin(ang)], axis=1))
 
 
-def compose_elements(spec: SymmetrySpec, g: int, h: int) -> int:
-    """Index of the product element g * h (componentwise modular addition)."""
-    group = spec.group
-    return group.element_index(np.add(group.element_tuple(g), group.element_tuple(h)))
-
-
 def apply_group_element(spec: SymmetrySpec, g: int, pts) -> np.ndarray:
     """Apply the planar orthogonal action of element g to every point."""
     arr = _as_points(pts)
@@ -241,8 +232,6 @@ def apply_group_element(spec: SymmetrySpec, g: int, pts) -> np.ndarray:
         a = 2.0 * np.pi * digits[0] / spec.n
         rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
         return arr @ rot.T
-    if spec.kind == "reflection_1d":
-        return -arr if digits[0] else arr.copy()
     signs = np.array([(-1.0) ** digits[0], (-1.0) ** digits[1]])
     return arr * signs
 

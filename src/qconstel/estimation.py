@@ -11,11 +11,12 @@ Two routes lead to the same quantities, and each checks the other:
   through these two ``simulate.crb_study`` runs.  The route builds no
   constellation or density matrix, calls no eigensolver, and differentiates
   exactly: d psi_g = -i D[..., mu] psi_g.
-- The numeric pipeline (density matrix -> finite-difference derivative ->
-  SLD -> QFIM: ``ModelFamily.rho``, ``drho``, ``sld``, ``qfim``) runs general
-  machinery and is the independent oracle.  The CLI's ``qfi`` and ``sweep``
-  print its value against the closed forms, and the tests compare it with
-  both the closed forms and the orbit-phase route.
+- The numeric pipeline (``ModelFamily.rho`` -> ``drho`` -> ``sld`` ->
+  ``qfim``: the density matrix of the constellation built at v, its
+  finite-difference derivative, the SLD and the QFIM) runs general machinery
+  and is the independent oracle.  The CLI's ``qfi`` and ``sweep`` print its
+  value against the closed forms, and the tests compare it with both the
+  closed forms and the orbit-phase route.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .constellation import (
     Constellation,
     DiscretePSF,
     SymmetrySpec,
-    compose_elements,
-    make_pair,
     make_rectangle,
     make_ring,
     matching_psf,
@@ -50,17 +49,16 @@ BLOCK_ROWS = 16  # parameter points per amplitude block in outcome_probabilities
 
 @dataclass(frozen=True, eq=False)
 class ModelFamily:
-    """Parameterized density-matrix family with a fixed constellation kind + psf.
+    """Symmetric family: a unit ``template`` constellation scaled by the parameters.
 
-    ``bounds`` are open intervals; parameter vectors must lie strictly
-    inside (boundary points are reachable only through ``orbit_states``,
-    which accepts the closure).  For the symmetric factories ``group`` and
-    ``qft_basis`` derive from ``symmetry``.
-
-    ``phases`` is the orbit-phase tensor D[g, j, mu] of the symmetric
-    factories.  Each of them scales its unit template t coordinate-wise by
-    the parameters (r scales both coordinates of a pair or ring; x0 and y0
-    one each of a rectangle), so the phase that source g picks up on psf
+    ``names`` are the parameters, each in the open interval (0, inf); only
+    ``orbit_states`` accepts the closure.  ``make(v)`` builds the constellation
+    at v, the template's points scaled coordinate-wise by v in the same group
+    order (r scales both coordinates of a ring; x0 and y0 one each of a
+    rectangle).  ``psf`` is the momentum comb.  The rest derives from these
+    four fields: ``dim``, ``bounds``, ``symmetry``, ``group``, ``qft_basis``,
+    the oracle ``rho(v)`` = density matrix of ``make(v)``, and the orbit-phase
+    tensor ``phases`` D[g, j, mu].  The phase that source g picks up on psf
     momentum p_j, p_j . t_g(v), is linear in v:
     phi_gj(v) = sum_mu D[g, j, mu] v_mu.  ``amplitudes`` derives the source
     states from it, in the group order of the template, and their
@@ -68,26 +66,39 @@ class ModelFamily:
     """
 
     names: tuple[str, ...]
-    dim: int
-    bounds: tuple[tuple[float, float], ...]
-    builder: Callable[[np.ndarray], np.ndarray]
-    psf: DiscretePSF | None = None
-    symmetry: SymmetrySpec | None = None
-    phases: np.ndarray | None = None
-
-    @property
-    def group(self) -> AbelianGroup | None:
-        """Symmetry group of ``symmetry``; None for a model without one."""
-        return None if self.symmetry is None else self.symmetry.group
-
-    @cached_property
-    def qft_basis(self) -> np.ndarray | None:
-        """Parameter-independent eigenbasis (columns) of every model state."""
-        return None if self.symmetry is None else qft_matrix(self.group).conj().T
+    template: Constellation
+    psf: DiscretePSF
+    make: Callable[[np.ndarray], Constellation]
 
     @property
     def n_params(self) -> int:
         return len(self.names)
+
+    @property
+    def dim(self) -> int:
+        return len(self.psf)
+
+    @property
+    def bounds(self) -> tuple[tuple[float, float], ...]:
+        return ((0.0, np.inf),) * self.n_params
+
+    @property
+    def symmetry(self) -> SymmetrySpec:
+        return self.template.symmetry
+
+    @property
+    def group(self) -> AbelianGroup:
+        return self.symmetry.group
+
+    @cached_property
+    def qft_basis(self) -> np.ndarray:
+        """Parameter-independent eigenbasis (columns) of every model state."""
+        return qft_matrix(self.group).conj().T
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        scale = np.ones((1, 2)) if self.n_params == 1 else np.eye(2)  # S[mu, c]
+        return np.einsum("mc,gc,jc->gjm", scale, self.template.points, self.psf.momenta)
 
     def check_values(self, values, closed: bool = False) -> np.ndarray:
         vals = np.atleast_1d(np.asarray(values, dtype=float))
@@ -131,45 +142,20 @@ class ModelFamily:
         Each row is computed on its own: a block gives the same bits as its
         rows one at a time.
         """
-        if self.phases is None:
-            raise ValueError("model carries no orbit-phase tensor")
         psi = np.exp(-1j * (self.phases * block[:, None, None, :]).sum(axis=-1))
         psi /= np.sqrt(self.dim)
         return psi
 
     def rho(self, values) -> np.ndarray:
-        return self.builder(self.check_values(values))
-
-
-def _symmetric_model(
-    names: tuple[str, ...], template: Constellation, psf: DiscretePSF, make: Callable
-) -> ModelFamily:
-    """Family of the unit ``template`` scaled coordinate-wise by parameters in (0, inf).
-
-    ``make(v)`` builds the constellation at v for the rho oracle: the template's
-    points scaled by v, in the same group order.  One parameter scales both
-    coordinates; two scale one each.
-    """
-    scale = np.ones((1, 2)) if len(names) == 1 else np.eye(2)  # S[mu, c]
-    return ModelFamily(
-        names=names,
-        dim=len(psf),
-        bounds=((0.0, np.inf),) * len(names),
-        builder=lambda v: density_matrix(make(v), psf),
-        psf=psf,
-        symmetry=template.symmetry,
-        phases=np.einsum("mc,gc,jc->gjm", scale, template.points, psf.momenta),
-    )
+        return density_matrix(self.make(self.check_values(values)), self.psf)
 
 
 def pair_model(p: float, theta: float = 0.0, psf_angle: float = 0.0) -> ModelFamily:
-    """Two inversion-symmetric sources at angle theta; psf momenta +-p at psf_angle.
+    """Two sources at angle theta; psf momenta +-p at psf_angle: ``ring_model(2, ...)``.
 
     The single parameter is the source radius r.
     """
-    template = make_pair(1.0, theta)
-    psf = matching_psf(template, p, phase=psf_angle)
-    return _symmetric_model(("r",), template, psf, lambda v: make_pair(v[0], theta))
+    return ring_model(2, p, theta, psf_angle)
 
 
 def rectangle_model(p_x: float, p_y: float) -> ModelFamily:
@@ -179,7 +165,7 @@ def rectangle_model(p_x: float, p_y: float) -> ModelFamily:
     """
     template = make_rectangle(1.0, 1.0)
     psf = matching_psf(template, p_x, p_y=p_y)
-    return _symmetric_model(("x0", "y0"), template, psf, lambda v: make_rectangle(v[0], v[1]))
+    return ModelFamily(("x0", "y0"), template, psf, lambda v: make_rectangle(v[0], v[1]))
 
 
 def _default_ring_orientation(n: int) -> float:
@@ -207,7 +193,7 @@ def ring_model(
         psf_phase = phase + _default_ring_orientation(n)
     template = make_ring(n, 1.0, phase)
     psf = matching_psf(template, p, phase=psf_phase)
-    return _symmetric_model(("r",), template, psf, lambda v: make_ring(n, v[0], phase))
+    return ModelFamily(("r",), template, psf, lambda v: make_ring(n, v[0], phase))
 
 
 def drho(model: ModelFamily, values, mu: int, h: float | None = None) -> np.ndarray:
@@ -224,7 +210,7 @@ def drho(model: ModelFamily, values, mu: int, h: float | None = None) -> np.ndar
         )
     shift = np.zeros_like(vals)
     shift[mu] = step
-    return (model.builder(vals + shift) - model.builder(vals - shift)) / (2.0 * step)
+    return (model.rho(vals + shift) - model.rho(vals - shift)) / (2.0 * step)
 
 
 def sld(rho: np.ndarray, drho_mu: np.ndarray) -> np.ndarray:
@@ -249,7 +235,7 @@ def sld(rho: np.ndarray, drho_mu: np.ndarray) -> np.ndarray:
 def qfim(model: ModelFamily, values, h: float | None = None) -> np.ndarray:
     """Quantum Fisher information matrix F_mn = Re tr(L_m L_n rho)."""
     vals = model.check_values(values)
-    rho = model.builder(vals)
+    rho = model.rho(vals)
     slds = [sld(rho, drho(model, vals, mu, h)) for mu in range(model.n_params)]
     k = model.n_params
     f = np.empty((k, k))
@@ -336,11 +322,9 @@ def orbit_states(model: ModelFamily, values, base_element: int = 0) -> np.ndarra
     of ``model.amplitudes``.  Accepts the closure of the parameter domain,
     so degenerate boundary points like zero separation are allowed.
     """
-    if model.psf is None or model.symmetry is None:
-        raise ValueError("model carries no symmetry metadata")
     psi = model.amplitudes(model.check_values(values, closed=True)[None, :])[0]
-    spec = model.symmetry
-    return psi[[compose_elements(spec, g, base_element) for g in range(spec.order)]]
+    group = model.group
+    return psi[[group.compose(g, base_element) for g in range(group.order)]]
 
 
 def character_basis(model: ModelFamily, values, base_element: int = 0) -> SymmetricEigenbasis:

@@ -101,6 +101,23 @@ def test_simulate_csv_format(tmp_path, capsys):
     assert first[0] == "300" and first[1] == "20"
 
 
+def test_simulate_two_source_ring_is_the_pair(tmp_path, capsys):
+    # the default interval stops short of the pair likelihood's mirror at pi/(2p)
+    rows = {}
+    for kind in ("pair", "ring"):
+        out_path = tmp_path / f"{kind}.csv"
+        code, _, _ = run(
+            capsys,
+            ["simulate", "--kind", kind, "--n", "2", "--r", "0.3", "--trials", "40",
+             "--photons", "10000", "--out", str(out_path)],
+        )
+        assert code == 0
+        rows[kind] = out_path.read_text().splitlines()
+    assert rows["ring"][0] != rows["pair"][0]  # the config hash line
+    assert rows["ring"][1:] == rows["pair"][1:]
+    assert float(rows["ring"][2].split(",")[4]) < 2.0
+
+
 def test_simulate_direct_detection_exit_3(capsys):
     code, _, err = run(
         capsys,

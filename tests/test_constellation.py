@@ -6,7 +6,6 @@ from qconstel.constellation import (
     SymmetryError,
     SymmetrySpec,
     apply_group_element,
-    compose_elements,
     make_pair,
     make_rectangle,
     make_ring,
@@ -18,7 +17,7 @@ from qconstel.constellation import (
 def test_make_pair_on_axis():
     c = make_pair(1.0, 0.0)
     assert np.allclose(c.points, [[1.0, 0.0], [-1.0, 0.0]])
-    assert c.symmetry.kind == "reflection_1d"
+    assert c.symmetry.kind == "cyclic" and c.symmetry.n == 2
 
 
 def test_make_pair_axis_swap():
@@ -123,7 +122,7 @@ def test_apply_group_element_examples():
     spec4 = SymmetrySpec.cyclic(4)
     assert np.allclose(apply_group_element(spec4, 1, [[1.0, 0.0]]), [[0.0, 1.0]], atol=1e-15)
 
-    refl = SymmetrySpec.reflection_1d()
+    refl = SymmetrySpec.cyclic(2)
     assert np.allclose(apply_group_element(refl, 1, [[0.3, -0.4]]), [[-0.3, 0.4]])
 
     rect = SymmetrySpec.rect_reflections()
@@ -140,11 +139,11 @@ def test_apply_group_element_examples():
 def test_group_law_on_random_points():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((5, 2))
-    for spec in (SymmetrySpec.cyclic(6), SymmetrySpec.reflection_1d(), SymmetrySpec.rect_reflections()):
+    for spec in (SymmetrySpec.cyclic(6), SymmetrySpec.cyclic(2), SymmetrySpec.rect_reflections()):
         for g in range(spec.order):
             for h in range(spec.order):
                 via_two = apply_group_element(spec, g, apply_group_element(spec, h, pts))
-                direct = apply_group_element(spec, compose_elements(spec, g, h), pts)
+                direct = apply_group_element(spec, spec.group.compose(g, h), pts)
                 assert np.max(np.abs(via_two - direct)) <= 1e-12
 
 
@@ -193,3 +192,10 @@ def test_symmetry_spec_validation():
         SymmetrySpec("hexagonal")
     assert SymmetrySpec.cyclic(5).order == 5
     assert SymmetrySpec.rect_reflections().factors == (2, 2)
+
+
+def test_pair_symmetry_is_the_two_source_rotation():
+    # the point inversion of a pair is the rotation by pi of cyclic(2)
+    with pytest.raises(ValueError, match="unknown symmetry kind"):
+        SymmetrySpec("reflection_1d")
+    assert make_pair(0.7, 0.3).symmetry == SymmetrySpec.cyclic(2)

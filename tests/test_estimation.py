@@ -31,15 +31,6 @@ from qconstel.states import source_state
 from qconstel.symmetry import qft_matrix
 
 
-def constant_model(rho):
-    return ModelFamily(
-        names=("a",),
-        dim=rho.shape[0],
-        bounds=((-1.0, 1.0),),
-        builder=lambda v: rho,
-    )
-
-
 def pair_drho_oracle(p, theta, r):
     """Entrywise derivative of the pair density matrix from the phase formula."""
     u = np.array([np.cos(theta), np.sin(theta)])
@@ -64,11 +55,6 @@ def test_drho_matches_symbolic_oracle():
         assert np.max(np.abs(num - pair_drho_oracle(p, theta, r))) <= 1e-6
         assert hermiticity_defect(num) <= 1e-9
         assert abs(np.trace(num)) <= 1e-8
-
-
-def test_drho_constant_model_is_zero():
-    rho = np.diag([0.25, 0.75]).astype(complex)
-    assert np.max(np.abs(drho(constant_model(rho), [0.0], 0))) <= 1e-12
 
 
 def test_drho_eigenvalue_derivative_on_diagonal():
@@ -349,9 +335,24 @@ def test_model_validation():
         pair_model(-1.0)
     # qft_basis derives from the symmetry; it is not a constructor field
     with pytest.raises(TypeError):
-        ModelFamily(("r",), 2, ((0.0, np.inf),), model.builder, qft_basis=np.eye(2))
+        ModelFamily(("r",), model.template, model.psf, model.make, qft_basis=np.eye(2))
     for m in (model, rectangle_model(1.0, 0.5), ring_model(5, 1.0)):
         assert np.array_equal(m.qft_basis, qft_matrix(m.group).conj().T)
+
+
+def test_pair_model_is_the_two_source_ring():
+    rng = np.random.default_rng(21)
+    for _ in range(6):
+        p, theta, r = rng.uniform(0.5, 2.0), rng.uniform(-np.pi, np.pi), rng.uniform(0.1, 1.2)
+        for psi in (theta, rng.uniform(-np.pi, np.pi)):  # aligned and off-axis psf
+            pair, ring = pair_model(p, theta, psi), ring_model(2, p, theta, psi)
+            assert np.array_equal(pair.phases, ring.phases)
+            assert np.array_equal(pair.rho([r]), ring.rho([r]))
+            for basis in (pair.qft_basis, np.eye(2), haar_unitary(2, rng)):
+                assert np.array_equal(outcome_probabilities(pair, [r], basis),
+                                      outcome_probabilities(ring, [r], basis))
+            assert np.array_equal(spectral_qfim(pair, [r]), spectral_qfim(ring, [r]))
+            assert np.array_equal(qfim(pair, [r]), qfim(ring, [r]))
 
 
 # ---------------------------------------------------------------- orbit-phase route vs rho route
@@ -428,8 +429,6 @@ def test_block_rows_are_domain_checked():
     for shape in ((2, 3, 1), (0, 1)):
         with pytest.raises(ValueError, match="parameter block"):
             outcome_probabilities(model, np.ones(shape), basis)
-    with pytest.raises(ValueError, match="orbit-phase"):
-        outcome_probabilities(constant_model(np.eye(2) / 2), [0.0], np.eye(2))
 
 
 def test_spectral_qfim_holds_at_a_rank_change():
@@ -463,8 +462,6 @@ def test_orbit_states_match_group_action_oracle():
 
 
 def test_orbit_states_guards():
-    with pytest.raises(ValueError, match="symmetry metadata"):
-        orbit_states(constant_model(np.eye(2) / 2), [0.0])
     for bad in ([-0.1], [np.inf], [0.1, 0.2]):
         with pytest.raises(ValueError):
             orbit_states(ring_model(4, 1.0), bad)
