@@ -32,10 +32,7 @@ from .symmetry import (
     AbelianGroup,
     SymmetricEigenbasis,
     characters,
-    permutation_matrix,
     qft_matrix,
-    symmetric_eigenbasis,
-    verify_multiplicity_free,
 )
 from .estimation import (
     ModelFamily,
@@ -114,7 +111,6 @@ __all__ = [
     "outcome_probabilities",
     "overlap",
     "pair_model",
-    "permutation_matrix",
     "preset_circuit",
     "qfim",
     "qft_matrix",
@@ -130,9 +126,7 @@ __all__ = [
     "sld",
     "source_state",
     "spectral_qfim",
-    "symmetric_eigenbasis",
     "unitarity_defect",
     "unitary_distance",
     "validate_symmetry",
-    "verify_multiplicity_free",
 ]

@@ -7,6 +7,7 @@ pair is the two-source ring, whose rotation by pi is its point inversion.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,27 +39,35 @@ class AbelianGroup:
     def order(self) -> int:
         return math.prod(self.factors)
 
+    def check_element(self, g) -> int:
+        """``g`` as an element index; ValueError unless it is an integer in 0..|G|-1."""
+        if not (isinstance(g, numbers.Integral) and 0 <= g < self.order):
+            raise ValueError(f"element index {g!r} out of range for |G|={self.order}")
+        return int(g)
+
     def element_tuple(self, g: int) -> tuple[int, ...]:
-        if not 0 <= g < self.order:
-            raise ValueError(f"element index {g} out of range for |G|={self.order}")
-        digits = []
-        for f in reversed(self.factors):
-            digits.append(g % f)
-            g //= f
-        return tuple(reversed(digits))
+        return tuple(int(d) for d in np.unravel_index(self.check_element(g), self.factors))
 
     def element_index(self, digits) -> int:
-        out = 0
-        for f, d in zip(self.factors, digits):
-            out = out * f + int(d) % f
-        return out
+        """Index of the element with these digits, each taken modulo its factor."""
+        return int(np.ravel_multi_index(np.mod(np.asarray(digits, dtype=int), self.factors),
+                                        self.factors))
 
     def inverse(self, g: int) -> int:
         return self.element_index([-d for d in self.element_tuple(g)])
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Read-only (|G|, |G|) table of g * h: modular addition of the element digits."""
+        digits = np.unravel_index(np.arange(self.order), self.factors)
+        summed = [(d[:, None] + d[None, :]) % f for d, f in zip(digits, self.factors)]
+        table = np.ravel_multi_index(summed, self.factors)
+        table.flags.writeable = False
+        return table
+
     def compose(self, g: int, h: int) -> int:
-        """Index of the product element g * h (componentwise modular addition)."""
-        return self.element_index(np.add(self.element_tuple(g), self.element_tuple(h)))
+        """Index of the product element g * h."""
+        return int(self.table[self.check_element(g), self.check_element(h)])
 
 
 @dataclass(frozen=True)

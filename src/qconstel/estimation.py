@@ -3,14 +3,14 @@
 Two routes lead to the same quantities, and each checks the other:
 
 - The orbit-phase route works from the amplitudes psi_g(v) of the symmetric
-  families (``ModelFamily.amplitudes``).  ``orbit_states`` relabels them by
-  group element, and ``character_basis`` and the CLI's ``eigen`` take their
-  states from it.  ``outcome_probabilities`` and ``classical_fi`` read them
-  in any measurement basis; ``spectral_qfim`` is ``classical_fi`` in the
-  symmetry eigenbasis, which diagonalizes every state of the family, and
-  through these two ``simulate.crb_study`` runs.  The route builds no
-  constellation or density matrix, calls no eigensolver, and differentiates
-  exactly: d psi_g = -i D[..., mu] psi_g.
+  families (``ModelFamily.amplitudes``).  ``outcome_probabilities`` and
+  ``classical_fi`` read them in any measurement basis.  In ``qft_basis``,
+  which diagonalizes every state of the family, the outcome probabilities
+  are the eigenvalues: ``character_basis`` (the CLI's ``eigen``) reads them
+  from ``orbit_states``, and ``spectral_qfim`` is ``classical_fi`` there.
+  ``simulate.crb_study`` runs on ``outcome_probabilities`` and
+  ``spectral_qfim``.  The route builds no constellation or density matrix,
+  calls no eigensolver, and differentiates exactly: d psi_g = -i D[..., mu] psi_g.
 - The numeric pipeline (``ModelFamily.rho`` -> ``drho`` -> ``sld`` ->
   ``qfim``: the density matrix of the constellation built at v, its
   finite-difference derivative, the SLD and the QFIM) runs general machinery
@@ -21,6 +21,7 @@ Two routes lead to the same quantities, and each checks the other:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -28,9 +29,11 @@ from typing import Callable
 import numpy as np
 
 from .constellation import (
+    SYMMETRY_MATCH_ATOL,
     AbelianGroup,
     Constellation,
     DiscretePSF,
+    SymmetryError,
     SymmetrySpec,
     make_rectangle,
     make_ring,
@@ -39,7 +42,7 @@ from .constellation import (
 )
 from .linalg import eig_hermitian, hermiticity_defect, unitarity_defect
 from .states import density_matrix
-from .symmetry import SymmetricEigenbasis, qft_matrix, symmetric_eigenbasis
+from .symmetry import SymmetricEigenbasis, qft_matrix
 
 SUPPORT_TOL = 1e-10
 DRHO_HERMITIAN_ATOL = 1e-9
@@ -63,12 +66,29 @@ class ModelFamily:
     phi_gj(v) = sum_mu D[g, j, mu] v_mu.  ``amplitudes`` derives the source
     states from it, in the group order of the template, and their
     derivatives are -i D[..., mu] psi.
+
+    Construction checks the condition under which ``qft_basis`` diagonalizes
+    every rho of the family: sources and psf momenta share the group order,
+    D[g, g * j, :] = D[0, j, :] for all g and j within ``SYMMETRY_MATCH_ATOL``
+    times max |D|, or SymmetryError names g and j.
     """
 
     names: tuple[str, ...]
     template: Constellation
     psf: DiscretePSF
     make: Callable[[np.ndarray], Constellation]
+
+    def __post_init__(self):
+        d, table = self.phases, self.group.table
+        if d.shape[:2] != table.shape:
+            raise SymmetryError(f"{d.shape[:2]} sources x psf momenta, but |G| = {len(table)}")
+        dev = np.max(np.abs(d[np.arange(len(table))[:, None], table] - d[0]), axis=-1)
+        dev /= np.max(np.abs(d))
+        bad = np.argwhere(~(dev <= SYMMETRY_MATCH_ATOL))  # NaN fails too
+        if len(bad):
+            g, j = bad[0]
+            raise SymmetryError(f"group element {g} does not carry psf momentum {j} to "
+                                f"{table[g, j]}: relative phase deviation {dev[g, j]:.3e}")
 
     @property
     def n_params(self) -> int:
@@ -92,8 +112,10 @@ class ModelFamily:
 
     @cached_property
     def qft_basis(self) -> np.ndarray:
-        """Parameter-independent eigenbasis (columns) of every model state."""
-        return qft_matrix(self.group).conj().T
+        """Parameter-independent eigenbasis (columns) of every model state; read-only."""
+        basis = qft_matrix(self.group).conj().T
+        basis.flags.writeable = False
+        return basis
 
     @cached_property
     def phases(self) -> np.ndarray:
@@ -318,25 +340,27 @@ def orbit_states(model: ModelFamily, values, base_element: int = 0) -> np.ndarra
 
     Row g is the state of the source at group element g applied to the
     orbit base point (itself shifted by ``base_element``, which relabels
-    the orbit without changing the mixture): row compose(g, base_element)
-    of ``model.amplitudes``.  Accepts the closure of the parameter domain,
+    the orbit without changing the mixture): row g * base_element of
+    ``model.amplitudes``.  Accepts the closure of the parameter domain,
     so degenerate boundary points like zero separation are allowed.
     """
-    psi = model.amplitudes(model.check_values(values, closed=True)[None, :])[0]
     group = model.group
-    return psi[[group.compose(g, base_element) for g in range(group.order)]]
+    psi = model.amplitudes(model.check_values(values, closed=True)[None, :])[0]
+    return psi[group.table[:, group.check_element(base_element)]]
 
 
 def character_basis(model: ModelFamily, values, base_element: int = 0) -> SymmetricEigenbasis:
-    """Character-combination eigenbasis of a symmetric model at a parameter point.
+    """Eigenbasis ``model.qft_basis`` of a symmetric model and its eigenvalues at a point.
 
-    Feeds the group orbit of source states through
-    ``symmetric_eigenbasis``; the weight multiset is independent of the
-    base-point choice.
+    ``weights[k]`` = mean_g |<b_k|psi_g>|^2 over ``orbit_states``, as
+    ``outcome_probabilities`` computes it, with no floor; the multiset is
+    independent of the base-point choice.
     """
     states = orbit_states(model, values, base_element)
-    perms = validate_symmetry(model.symmetry, model.psf.momenta)
-    return symmetric_eigenbasis(states, model.group, perms)
+    validate_symmetry(model.symmetry, model.psf.momenta)  # redundant; see ROADMAP item 2
+    basis = model.qft_basis
+    weights = _orbit_weights(states[None], basis)[1][0]
+    return SymmetricEigenbasis(vectors=basis, weights=weights, support=weights > 0)
 
 
 def analytic_qfi(case: str, **params):
@@ -364,12 +388,12 @@ def analytic_qfi(case: str, **params):
 
 
 def _check_ring_args(n: int, p: float, r: float) -> None:
-    if n < 2:
-        raise ValueError(f"ring needs n >= 2, got {n}")
-    if p <= 0:
-        raise ValueError(f"psf magnitude must be positive, got {p}")
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
+    if not (isinstance(n, numbers.Integral) and n >= 2):
+        raise ValueError(f"ring needs an integer n >= 2, got {n!r}")
+    if not (np.isfinite(p) and p > 0):
+        raise ValueError(f"psf magnitude p must be positive and finite, got {p}")
+    if not (np.isfinite(r) and r >= 0):
+        raise ValueError(f"radius r must be nonnegative and finite, got {r}")
 
 
 def ring_amplitudes(

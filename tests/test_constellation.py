@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qconstel.constellation import (
+    AbelianGroup,
     Constellation,
     SymmetryError,
     SymmetrySpec,
@@ -145,6 +146,21 @@ def test_group_law_on_random_points():
                 via_two = apply_group_element(spec, g, apply_group_element(spec, h, pts))
                 direct = apply_group_element(spec, spec.group.compose(g, h), pts)
                 assert np.max(np.abs(via_two - direct)) <= 1e-12
+
+
+def test_composition_table():
+    for group in (AbelianGroup((5,)), AbelianGroup((2, 3)), AbelianGroup((3, 4, 2))):
+        n = group.order
+        for g in range(n):
+            for h in range(n):
+                digits = np.add(group.element_tuple(g), group.element_tuple(h))
+                assert group.table[g, h] == group.element_index(digits) == group.compose(g, h)
+        assert not group.table.flags.writeable
+        for bad in (-1, n, 2.5):
+            with pytest.raises(ValueError, match="element index"):
+                group.compose(bad, 0)
+            with pytest.raises(ValueError, match="element index"):
+                group.compose(0, bad)
 
 
 def test_validate_symmetry_ring4_shift():

@@ -26,7 +26,7 @@ from qconstel.estimation import (
     sld,
     spectral_qfim,
 )
-from qconstel.linalg import haar_unitary, hermiticity_defect
+from qconstel.linalg import haar_unitary, hermiticity_defect, unitarity_defect
 from qconstel.states import source_state
 from qconstel.symmetry import qft_matrix
 
@@ -262,6 +262,20 @@ def test_ring_eigenvalues_basics():
         ring_eigenvalues(4, 1.0, -0.5)
 
 
+def test_ring_helpers_reject_bad_input():
+    # unchecked, nan p or r give a QFI of 0.0, inf gives numpy warnings and
+    # n = 4.5 gives five eigenvalues
+    bad = [
+        ((4, np.nan, 0.3), "p"), ((4, np.inf, 0.3), "p"), ((4, 0.0, 0.3), "p"),
+        ((4, 1.0, np.nan), "r"), ((4, 1.0, np.inf), "r"), ((4, 1.0, -0.1), "r"),
+        ((4.5, 1.0, 0.3), "n"), ((1, 1.0, 0.3), "n"),
+    ]
+    for helper in (ring_amplitudes, ring_eigenvalues, ring_qfi_spectral, ring_qfi_parseval):
+        for args, name in bad:
+            with pytest.raises(ValueError, match=rf"\b{name} (must|>=)"):
+                helper(*args)
+
+
 def test_ring_eigenvalues_match_density_matrix():
     for n, p, r in [(3, 1.0, 0.7), (5, 0.8, 1.1), (8, 1.3, 0.4)]:
         model = ring_model(n, p)
@@ -304,6 +318,17 @@ def test_character_basis_weights_and_base_independence():
     for base in range(1, 5):
         other = character_basis(model, [0.7], base_element=base)
         assert np.max(np.abs(np.sort(cb.weights) - np.sort(other.weights))) <= 1e-10
+
+
+def test_character_basis_keeps_tiny_weights_and_a_unitary_basis():
+    # ring16 with the psf aligned: the smallest eigenvalues, 5.6e-19 and
+    # 1.4e-16, are reported as they are, not floored to 0 with a zero column
+    cb = character_basis(ring_model(16, 1.0, 0.0, 0.0), [0.5])
+    lam = ring_eigenvalues(16, 1.0, 0.5, orientation=0.0)
+    pos = lam > 0.0
+    assert np.min(cb.weights) > 0.0
+    assert np.max(np.abs(cb.weights[pos] - lam[pos]) / lam[pos]) <= 1e-6
+    assert unitarity_defect(cb.vectors) <= 1e-12
 
 
 def test_orbit_states_match_model_density():
@@ -465,6 +490,9 @@ def test_orbit_states_guards():
     for bad in ([-0.1], [np.inf], [0.1, 0.2]):
         with pytest.raises(ValueError):
             orbit_states(ring_model(4, 1.0), bad)
+    for base in (-1, 4, 2.5):
+        with pytest.raises(ValueError, match="element index"):
+            orbit_states(ring_model(4, 1.0), [0.3], base_element=base)
 
 
 def test_character_basis_builds_no_constellation_or_source_state(monkeypatch):
@@ -564,3 +592,41 @@ def test_two_routes_agree_sweep(case):
     small = (lam > 0.0) & (lam <= 1e-6)
     assume(np.sum(dlam[small] ** 2 / lam[small]) <= 1e-7)
     assert abs(f - qfim(ring, [r])[0, 0]) <= 1e-6
+
+
+character_basis_cases = st.tuples(
+    st.integers(0, 16),  # 0: rectangle, 1: off-axis pair, n >= 2: ring n
+    st.floats(0.3, 3.0),
+    st.floats(0.3, 3.0),
+    st.floats(0.02, 1.5),
+    st.floats(0.02, 1.5),
+    st.floats(-np.pi, np.pi),
+    st.floats(-np.pi, np.pi),
+)
+
+
+@settings(max_examples=40)
+@given(character_basis_cases)
+def test_character_basis_reads_qft_basis_sweep(case):
+    kind, p1, p2, v1, v2, a1, a2 = case
+    if kind == 0:
+        model, point = rectangle_model(p1, p2), [v1, v2]
+    elif kind == 1:
+        model, point = pair_model(p1, a1, a2), [v1]
+    else:
+        model, point = ring_model(kind, p1, a1, a2), [v1]
+    q = outcome_probabilities(model, point, model.qft_basis)
+    for i, v in enumerate(closed_domain_points(point)):  # the interior point first
+        if i == 0:
+            rho = model.rho(v)
+        else:  # boundary: the source-state mixture, with no phase tensor involved
+            states = np.stack([source_state(model.psf, v * t) for t in model.template.points])
+            rho = states.T @ states.conj() / len(states)
+        lam = np.linalg.eigvalsh(rho)
+        for base in range(model.group.order):
+            cb = character_basis(model, v, base_element=base)
+            assert cb.vectors is model.qft_basis
+            assert np.array_equal(cb.support, cb.weights > 0)
+            assert np.max(np.abs(np.sort(cb.weights) - lam)) <= 1e-12
+            if base == 0 and i == 0:
+                assert np.array_equal(cb.weights, q)

@@ -12,7 +12,11 @@ from qconstel.constellation import (
 )
 from qconstel.linalg import hermiticity_defect
 from qconstel.states import density_matrix, overlap, source_state
-from qconstel.symmetry import permutation_matrix
+
+
+def permutation_matrix(perm):
+    """Matrix of the relabeling that maps basis state j to perm[j]."""
+    return np.eye(len(perm))[:, perm]
 
 
 def pair_psf(p=1.0):

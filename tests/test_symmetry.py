@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from qconstel.constellation import make_pair, make_ring, matching_psf, validate_symmetry
-from qconstel.linalg import eig_hermitian, unitarity_defect
-from qconstel.states import density_matrix, source_state
-from qconstel.symmetry import (
-    AbelianGroup,
-    characters,
-    qft_matrix,
-    symmetric_eigenbasis,
-    verify_multiplicity_free,
+from qconstel.constellation import (
+    Constellation,
+    DiscretePSF,
+    SymmetryError,
+    make_ring,
+    matching_psf,
+    validate_symmetry,
 )
+from qconstel.estimation import ModelFamily, character_basis, orbit_states, pair_model, ring_model
+from qconstel.linalg import eig_hermitian, unitarity_defect
+from qconstel.states import source_state
+from qconstel.symmetry import AbelianGroup, characters, qft_matrix
 
 Z2 = AbelianGroup((2,))
 Z4 = AbelianGroup((4,))
@@ -63,18 +65,9 @@ def test_qft_unitary(group):
     assert unitarity_defect(qft_matrix(group)) <= 1e-12
 
 
-def pair_setup(p=1.0, r=0.3):
-    c = make_pair(r)
-    psf = matching_psf(c, p)
-    perms = validate_symmetry(c.symmetry, psf.momenta)
-    states = np.stack([source_state(psf, pt) for pt in c.points])
-    return c, psf, perms, states
-
-
 def test_pair_eigenbasis_plus_minus():
     p, r = 1.0, 0.3
-    _, _, perms, states = pair_setup(p, r)
-    basis = symmetric_eigenbasis(states, Z2, perms)
+    basis = character_basis(pair_model(p), [r])
     plus = np.ones(2) / np.sqrt(2)
     minus = np.array([1.0, -1.0]) / np.sqrt(2)
     assert abs(abs(plus.conj() @ basis.vectors[:, 0]) - 1.0) <= 1e-10
@@ -85,12 +78,15 @@ def test_pair_eigenbasis_plus_minus():
 
 
 def test_identical_states_single_weight():
-    states = np.stack([np.ones(4) / 2.0] * 4)
-    perms = validate_symmetry(make_ring(4, 1.0).symmetry, matching_psf(make_ring(4, 1.0), 1.0).momenta)
-    basis = symmetric_eigenbasis(states, Z4, perms)
+    # ring4 at r = 0: all four orbit states are the uniform state
+    model = ring_model(4, 1.0)
+    assert np.allclose(orbit_states(model, [0.0]), np.ones((4, 4)) / 2.0)
+    basis = character_basis(model, [0.0])
     assert np.allclose(basis.weights, [1, 0, 0, 0], atol=1e-12)
-    assert basis.support.tolist() == [True, False, False, False]
-    assert np.all(basis.vectors[:, ~basis.support] == 0.0)
+    # the weights as computed, and the full unitary basis with no zero columns
+    assert np.array_equal(basis.support, basis.weights > 0)
+    assert basis.vectors is model.qft_basis
+    assert unitarity_defect(basis.vectors) <= 1e-12
 
 
 def ring_setup(n, p, r):
@@ -103,28 +99,28 @@ def ring_setup(n, p, r):
 
 @pytest.mark.parametrize("n,p,r", [(4, 1.0, 0.7), (3, 1.2, 0.5), (6, 0.8, 1.1)])
 def test_weights_match_eigenvalues(n, p, r):
-    c, psf, perms, states = ring_setup(n, p, r)
-    basis = symmetric_eigenbasis(states, AbelianGroup((n,)), perms)
-    w, _ = eig_hermitian(density_matrix(c, psf))
+    model = ring_model(n, p, 0.0, 0.0)  # psf aligned with the sources
+    basis = character_basis(model, [r])
+    w, _ = eig_hermitian(model.rho([r]))
     assert np.max(np.abs(np.sort(basis.weights) - np.sort(w))) <= 1e-9
 
 
 def test_orthogonality_of_nonorthogonal_inputs():
-    _, _, perms, states = ring_setup(5, 1.0, 0.4)
+    model = ring_model(5, 1.0, 0.0, 0.0)
+    states = orbit_states(model, [0.4])
     gram_states = states.conj() @ states.T
     assert np.max(np.abs(gram_states - np.eye(5))) > 0.1  # genuinely non-orthogonal inputs
-    basis = symmetric_eigenbasis(states, AbelianGroup((5,)), perms)
-    vecs = basis.vectors[:, basis.support]
+    vecs = character_basis(model, [0.4]).vectors  # every column, not only the support
     gram = vecs.conj().T @ vecs
     assert np.max(np.abs(gram - np.eye(vecs.shape[1]))) <= 1e-10
 
 
 def test_completeness_and_diagonalization():
-    c, psf, perms, states = ring_setup(6, 1.0, 0.9)
-    basis = symmetric_eigenbasis(states, AbelianGroup((6,)), perms)
+    model = ring_model(6, 1.0, 0.0, 0.0)
+    basis = character_basis(model, [0.9])
     assert abs(basis.weights.sum() - 1.0) <= 1e-10
-    rho = density_matrix(c, psf)
-    e = basis.vectors[:, basis.support]
+    rho = model.rho([0.9])
+    e = basis.vectors
     inner = e.conj().T @ rho @ e
     off = inner - np.diag(np.diag(inner))
     assert np.max(np.abs(off)) <= 1e-10
@@ -144,50 +140,35 @@ def test_character_inversion_reconstructs_states():
 
 
 def test_covariance_violation_names_element():
-    _, _, perms, states = ring_setup(4, 1.0, 0.6)
-    bad = states.copy()
-    bad[2] = np.roll(bad[2], 1)
-    with pytest.raises(ValueError, match="element 2"):
-        symmetric_eigenbasis(bad, Z4, perms)
-    bad = states.copy()
-    bad[1, 0] = np.nan
-    with pytest.raises(ValueError, match="element 1 deviates by nan"):
-        symmetric_eigenbasis(bad, Z4, perms)
-
-
-def test_state_count_mismatch():
-    _, _, perms, states = ring_setup(4, 1.0, 0.6)
-    with pytest.raises(ValueError, match="4 states"):
-        symmetric_eigenbasis(states[:3], Z4, perms)
+    # qft_basis diagonalizes the family only if sources and psf momenta share
+    # the group order; unchecked, the swapped-psf ring5 gives spectral_qfim
+    # 1.9377 at r = 0.7 against the FD -> SLD oracle's 2.0000
+    model = ring_model(5, 1.0)
+    swap = [0, 2, 1, 3, 4]
+    with pytest.raises(SymmetryError, match="group element 1 does not carry psf momentum 0"):
+        ModelFamily(model.names, model.template, DiscretePSF(model.psf.momenta[swap]), model.make)
+    template = Constellation(model.template.points[swap], model.symmetry)
+    with pytest.raises(SymmetryError, match="group element 1 does not carry psf momentum 0"):
+        ModelFamily(model.names, template, model.psf, model.make)
+    nan_psf = DiscretePSF.__new__(DiscretePSF)
+    object.__setattr__(nan_psf, "momenta", np.where(np.arange(5)[:, None] == 3, np.nan, model.psf.momenta))
+    with pytest.raises(SymmetryError, match="deviation nan"):
+        ModelFamily(model.names, model.template, nan_psf, model.make)
+    with pytest.raises(SymmetryError, match=r"\|G\| = 5"):
+        ModelFamily(model.names, model.template, matching_psf(make_ring(4, 1.0), 1.0), model.make)
 
 
 def test_zero_weight_flagging_at_degenerate_point():
     # pr = pi/2 kills the trivial-character weight of the pair model
     p = 1.0
     r = np.pi / 2
-    _, _, perms, states = pair_setup(p, r)
-    basis = symmetric_eigenbasis(states, Z2, perms)
-    assert basis.support.tolist() == [False, True]
-    assert basis.weights[0] == 0.0
-    assert np.all(basis.vectors[:, 0] == 0.0)
-
-
-def test_multiplicity_free():
-    for n in (2, 3, 5, 8):
-        c = make_ring(n, 1.0)
-        psf = matching_psf(c, 1.0)
-        perms = validate_symmetry(c.symmetry, psf.momenta)
-        assert verify_multiplicity_free(AbelianGroup((n,)), perms)
-
-    from qconstel.constellation import make_rectangle
-
-    rect = make_rectangle(1.0, 0.5)
-    psf = matching_psf(rect, 1.0, p_y=0.5)
-    perms = validate_symmetry(rect.symmetry, psf.momenta)
-    assert verify_multiplicity_free(Z2Z2, perms)
-
-    trivial_action = np.stack([np.arange(2), np.arange(2)])
-    assert not verify_multiplicity_free(Z2, trivial_action)
+    basis = character_basis(pair_model(p), [r])
+    assert basis.weights[0] <= 1e-30
+    assert abs(basis.weights[1] - 1.0) <= 1e-15
+    # the weight as computed, flagged by the same rule, and its column kept
+    assert np.array_equal(basis.support, basis.weights > 0)
+    assert np.allclose(basis.vectors[:, 0], np.ones(2) / np.sqrt(2), atol=1e-15)
+    assert unitarity_defect(basis.vectors) <= 1e-12
 
 
 def test_group_indexing():
