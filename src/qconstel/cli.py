@@ -21,10 +21,16 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import hashlib
 import json
 import sys
 from typing import NamedTuple
+try:  # builtin SHA-256 first: importing hashlib loads OpenSSL just to hash the config
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -167,8 +173,7 @@ def config_hash(cfg: dict) -> str:
             if isinstance(val, float):
                 val = repr(val)
             lines.append(f"{section}.{key}={val}")
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    return digest[:12]
+    return sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
 def build_model(cfg: dict) -> tuple[ModelFamily, np.ndarray, np.ndarray]:

@@ -127,11 +127,10 @@ def _as_points(pts) -> np.ndarray:
 
 
 def _check_distinct(arr: np.ndarray, what: str) -> None:
-    m = arr.shape[0]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.max(np.abs(arr[i] - arr[j])) == 0.0:
-                raise ValueError(f"{what} must be distinct (entries {i} and {j} coincide)")
+    same = np.argwhere(np.triu(np.all(arr[:, None] == arr[None], axis=-1), 1))
+    if len(same):
+        i, j = same[0]
+        raise ValueError(f"{what} must be distinct (entries {i} and {j} coincide)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,6 +247,7 @@ def apply_group_element(spec: SymmetrySpec, g: int, pts) -> np.ndarray:
 def validate_symmetry(spec: SymmetrySpec, pts) -> np.ndarray:
     """Permutation table of the group action on a point list.
 
+    The independent point-permutation check, for API users and tests.
     Returns an integer array ``perm`` of shape (|G|, m) with
     ``apply_group_element(spec, g, pts)[i] == pts[perm[g, i]]`` within
     ``SYMMETRY_MATCH_ATOL`` per coordinate.  Raises SymmetryError naming the offending

@@ -38,7 +38,6 @@ from .constellation import (
     make_rectangle,
     make_ring,
     matching_psf,
-    validate_symmetry,
 )
 from .linalg import eig_hermitian, hermiticity_defect, unitarity_defect
 from .states import density_matrix
@@ -354,10 +353,10 @@ def character_basis(model: ModelFamily, values, base_element: int = 0) -> Symmet
 
     ``weights[k]`` = mean_g |<b_k|psi_g>|^2 over ``orbit_states``, as
     ``outcome_probabilities`` computes it, with no floor; the multiset is
-    independent of the base-point choice.
+    independent of the base-point choice.  The symmetry condition under which
+    the basis is exact is checked once, when the ``ModelFamily`` is built.
     """
     states = orbit_states(model, values, base_element)
-    validate_symmetry(model.symmetry, model.psf.momenta)  # redundant; see ROADMAP item 2
     basis = model.qft_basis
     weights = _orbit_weights(states[None], basis)[1][0]
     return SymmetricEigenbasis(vectors=basis, weights=weights, support=weights > 0)
@@ -387,13 +386,15 @@ def analytic_qfi(case: str, **params):
     raise ValueError(f"unknown analytic case: {case!r}")
 
 
-def _check_ring_args(n: int, p: float, r: float) -> None:
+def _check_ring_args(n: int, p: float, r: float, orientation: float | None) -> None:
     if not (isinstance(n, numbers.Integral) and n >= 2):
         raise ValueError(f"ring needs an integer n >= 2, got {n!r}")
     if not (np.isfinite(p) and p > 0):
         raise ValueError(f"psf magnitude p must be positive and finite, got {p}")
     if not (np.isfinite(r) and r >= 0):
         raise ValueError(f"radius r must be nonnegative and finite, got {r}")
+    if not (orientation is None or np.isfinite(orientation)):
+        raise ValueError(f"orientation must be finite, got {orientation}")
 
 
 def ring_amplitudes(
@@ -406,10 +407,9 @@ def ring_amplitudes(
     phi is the psf angle minus the source angle; it defaults to
     ``ring_model``'s default (0 for even n, pi/(2n) for odd n).
     """
-    _check_ring_args(n, p, r)
-    if orientation is None:
-        orientation = _default_ring_orientation(n)
-    c = np.cos(2.0 * np.pi * np.arange(n) / n + orientation)
+    _check_ring_args(n, p, r, orientation)
+    phi = _default_ring_orientation(n) if orientation is None else orientation
+    c = np.cos(2.0 * np.pi * np.arange(n) / n + phi)
     f = np.exp(-1j * p * r * c)
     return np.fft.ifft(f), np.fft.ifft(-1j * p * c * f)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -219,6 +220,31 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     over["output"]["path"] = "elsewhere.csv"
     over2 = {s: dict(v) for s, v in over.items()}
     assert config_hash(over) == config_hash(over2)
+
+
+def test_config_hash_is_sha256_of_the_scientific_lines():
+    def oracle(cfg):
+        lines = [f"{s}.{k}={v!r}" if isinstance(v, float) else f"{s}.{k}={v}"
+                 for s in sorted(cfg) if s != "output" for k, v in sorted(cfg[s].items())]
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
+
+    parser = build_parser()
+    configs = [resolve_config(parser.parse_args([command]))
+               for command in ("qfi", "eigen", "simulate", "decompose", "sweep")]
+    for argv in (["qfi", "--kind", "ring", "--n", "16", "--r", "0.125"],
+                 ["simulate", "--kind", "rect", "--px", "2.5", "--seed", "7"],
+                 ["sweep", "--quantity", "eigenvalues", "--stop", "1e-3", "--out", "x.csv"]):
+        configs.append(resolve_config(parser.parse_args(argv)))
+    for cfg in configs:
+        assert config_hash(cfg) == oracle(cfg)
+
+
+def test_cli_import_does_not_load_openssl():
+    env = {**os.environ, "PYTHONPATH": str(Path(qconstel.__file__).parents[1])}
+    code = "import sys, qconstel.cli; print('_hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_config_errors(tmp_path, capsys):

@@ -4,8 +4,10 @@ import pytest
 from qconstel.constellation import (
     AbelianGroup,
     Constellation,
+    DiscretePSF,
     SymmetryError,
     SymmetrySpec,
+    _check_distinct,
     apply_group_element,
     make_pair,
     make_rectangle,
@@ -199,6 +201,49 @@ def test_constellation_invariants():
         Constellation(np.array([[np.inf, 0.0]]))
     single = Constellation(np.array([[0.2, 0.1]]))
     assert len(single) == 1
+
+
+def distinct_oracle(arr, what):
+    """The pairwise loop: message naming the first coinciding (i, j), or None."""
+    m = arr.shape[0]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if np.max(np.abs(arr[i] - arr[j])) == 0.0:
+                return f"{what} must be distinct (entries {i} and {j} coincide)"
+    return None
+
+
+def test_check_distinct_matches_pairwise_loop():
+    rng = np.random.default_rng(11)
+    raised = passed = 0
+    for m in range(2, 65):
+        for case in range(5):
+            if case < 2:  # a small grid with signed zeros: coincidences are common
+                pts = rng.integers(-1, 2, (m, 2)) * rng.choice([-1.0, 1.0], (m, 2))
+            else:  # distinct, then case - 2 planted copies (0 to 2)
+                pts = rng.standard_normal((m, 2))
+                for _ in range(case - 2):
+                    i, j = rng.choice(m, 2, replace=False)
+                    pts[j] = pts[i]
+            expected = distinct_oracle(pts, "source points")
+            if expected is None:
+                _check_distinct(pts, "source points")
+                passed += 1
+                continue
+            raised += 1
+            with pytest.raises(ValueError) as err:
+                _check_distinct(pts, "source points")
+            assert str(err.value) == expected
+    assert raised >= 2 * 63 and passed >= 63  # planted copies raise, case 2 passes
+    # 0.0 and -0.0 coincide; neighbouring floats do not
+    pts = np.array([[0.0, 1.0], [1.0, 2.0], [-0.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(ValueError, match=r"^psf momenta must be distinct \(entries 0 and 2 "):
+        DiscretePSF(pts)
+    pts[2, 1] = np.nextafter(1.0, 2.0)
+    with pytest.raises(ValueError, match=r"\(entries 1 and 3 coincide\)$"):
+        Constellation(pts)
+    pts[3, 0] = np.nextafter(1.0, 0.0)
+    assert len(Constellation(pts)) == 4
 
 
 def test_symmetry_spec_validation():

@@ -263,12 +263,14 @@ def test_ring_eigenvalues_basics():
 
 
 def test_ring_helpers_reject_bad_input():
-    # unchecked, nan p or r give a QFI of 0.0, inf gives numpy warnings and
-    # n = 4.5 gives five eigenvalues
+    # unchecked, nan p, r or orientation give a QFI of 0.0, inf gives numpy
+    # warnings and n = 4.5 gives five eigenvalues
     bad = [
         ((4, np.nan, 0.3), "p"), ((4, np.inf, 0.3), "p"), ((4, 0.0, 0.3), "p"),
         ((4, 1.0, np.nan), "r"), ((4, 1.0, np.inf), "r"), ((4, 1.0, -0.1), "r"),
         ((4.5, 1.0, 0.3), "n"), ((1, 1.0, 0.3), "n"),
+        ((4, 1.0, 0.3, np.inf), "orientation"), ((5, 1.0, 0.3, -np.inf), "orientation"),
+        ((4, 1.0, 0.3, np.nan), "orientation"),
     ]
     for helper in (ring_amplitudes, ring_eigenvalues, ring_qfi_spectral, ring_qfi_parseval):
         for args, name in bad:
@@ -507,6 +509,21 @@ def test_character_basis_builds_no_constellation_or_source_state(monkeypatch):
     basis = character_basis(model, [0.3])
     assert calls == []
     assert np.max(np.abs(np.sort(basis.weights) - np.sort(ring_eigenvalues(8, 1.0, 0.3)))) <= 1e-12
+
+
+def test_character_basis_does_not_recheck_symmetry(monkeypatch):
+    # the symmetry condition is checked when the family is built, so a call
+    # re-runs no point-permutation check
+    models = [pair_model(1.0), rectangle_model(1.0, 0.7), ring_model(16, 1.0)]
+    calls = []
+    for mod in [m for name, m in sys.modules.items() if name.startswith("qconstel")]:
+        if hasattr(mod, "validate_symmetry"):
+            orig = mod.validate_symmetry
+            monkeypatch.setattr(mod, "validate_symmetry",
+                                lambda *a, _f=orig, **k: calls.append(1) or _f(*a, **k))
+    for model in models:
+        character_basis(model, [0.4] * model.n_params)
+    assert calls == []
 
 
 def finite_difference_fi(model, point, basis):
