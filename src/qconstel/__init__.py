@@ -30,14 +30,12 @@ from .linalg import (
 from .states import density_matrix, overlap, source_state
 from .symmetry import (
     AbelianGroup,
-    SymmetricEigenbasis,
     characters,
     qft_matrix,
 )
 from .estimation import (
     ModelFamily,
     analytic_qfi,
-    character_basis,
     classical_fi,
     drho,
     orbit_states,
@@ -87,12 +85,10 @@ __all__ = [
     "StudyConfig",
     "StudyError",
     "StudyReport",
-    "SymmetricEigenbasis",
     "SymmetryError",
     "SymmetrySpec",
     "analytic_qfi",
     "apply_group_element",
-    "character_basis",
     "characters",
     "classical_fi",
     "crb_study",

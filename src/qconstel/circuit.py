@@ -263,10 +263,18 @@ def from_json_dict(data: dict) -> InterferometerNetlist:
     )
 
 
+def _complex_entry(entry, i: int, j: int) -> complex:
+    if not (isinstance(entry, list) and len(entry) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)):
+        raise ValueError(f"matrix entry ({i}, {j}) must be an [re, im] pair of real numbers, "
+                         f"got {entry!r}")
+    return complex(entry[0], entry[1])
+
+
 def load_unitary(path: str) -> np.ndarray:
     """Load a complex matrix from JSON: nested rows of [re, im] pairs."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     rows = data["matrix"] if isinstance(data, dict) else data
-    mat = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
-    return mat
+    return np.array([[_complex_entry(e, i, j) for j, e in enumerate(row)]
+                     for i, row in enumerate(rows)])

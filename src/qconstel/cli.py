@@ -47,8 +47,8 @@ from .circuit import (
 from .estimation import (
     ModelFamily,
     analytic_qfi,
-    character_basis,
     orbit_states,
+    outcome_probabilities,
     pair_model,
     qfim,
     rectangle_model,
@@ -121,7 +121,10 @@ SETTINGS = {
 
 def _read_config_file(path: str) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     out: dict = {}
@@ -201,9 +204,10 @@ def build_model(cfg: dict) -> tuple[ModelFamily, np.ndarray, np.ndarray]:
     return model, values, ana
 
 
-def _require_interior(model: ModelFamily, values: np.ndarray) -> None:
+def _require(check, values: np.ndarray) -> None:
+    """Run a model's domain check; its ValueError is a config error."""
     try:
-        model.check_values(values)
+        check(values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -239,18 +243,23 @@ def print_table(hash_: str, header: list[str], rows: list[tuple]) -> None:
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
 
 
+def write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from None
+
+
 def write_csv(path: str, hash_: str, header: list[str], rows: list[tuple]) -> None:
     lines = [f"# config_hash={hash_}", ",".join(header)]
     lines += [",".join(_fmt(x) for x in row) for row in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: str, hash_: str, payload: dict) -> None:
     doc = {"config_hash": hash_, **payload}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _emit(cfg: dict, hash_: str, header: list[str], rows: list[tuple], payload: dict) -> None:
@@ -265,7 +274,7 @@ def _emit(cfg: dict, hash_: str, header: list[str], rows: list[tuple], payload: 
 
 def cmd_qfi(args: argparse.Namespace, cfg: dict, h: str) -> int:
     model, values, ana = build_model(cfg)
-    _require_interior(model, values)
+    _require(model.check_values, values)
     numeric = qfim(model, values)
     diff = float(np.max(np.abs(numeric - ana)))
     header = ["mu", "nu", "numeric", "analytic", "abs_diff"]
@@ -286,25 +295,23 @@ def cmd_qfi(args: argparse.Namespace, cfg: dict, h: str) -> int:
 
 def cmd_eigen(args: argparse.Namespace, cfg: dict, h: str) -> int:
     model, values, _ = build_model(cfg)
-    basis = character_basis(model, values)
+    weights = outcome_probabilities(model, values, model.qft_basis)
     # orbit-state mixture: equals the model density matrix and also covers
     # degenerate boundary points like zero separation
     states = orbit_states(model, values)
     rho = states.T @ states.conj() / states.shape[0]
     evals, _vecs = eig_hermitian(rho)
-    order_w = np.argsort(basis.weights)[::-1]
+    order_w = np.argsort(weights)[::-1]
     order_e = np.argsort(evals)[::-1]
     matched = np.empty_like(evals)
     matched[order_w] = evals[order_e]
     header = ["lambda", "weight", "eigenvalue", "abs_diff"]
     rows = [
-        (int(k), float(basis.weights[k]), float(matched[k]),
-         abs(float(basis.weights[k] - matched[k])))
-        for k in range(len(basis.weights))
+        (int(k), float(weights[k]), float(matched[k]), abs(float(weights[k] - matched[k])))
+        for k in range(len(weights))
     ]
     print_table(h, header, rows)
-    _emit(cfg, h, header, rows,
-          {"weights": basis.weights.tolist(), "eigenvalues": evals.tolist()})
+    _emit(cfg, h, header, rows, {"weights": weights.tolist(), "eigenvalues": evals.tolist()})
     return 0
 
 
@@ -379,8 +386,7 @@ def cmd_decompose(args: argparse.Namespace, cfg: dict, h: str) -> int:
         if cfg["output"]["format"] == "json":
             write_json(path, h, {"netlist": to_json_dict(net), "residual": residual})
         else:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            write_text(path, text)
     return 0
 
 
@@ -399,23 +405,21 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, h: str) -> int:
         if not np.isfinite(s[key]):
             raise ConfigError(f"sweep.{key} must be finite, got {s[key]}")
     grid = np.linspace(s["start"], s["stop"], s["count"])
-    rows = []
+    block = np.tile(values, (len(grid), 1))
+    block[:, idx] = grid
     if s["quantity"] == "qfi":
-        header = [param, "qfi_numeric", "qfi_analytic", "abs_diff"]
-        for x in grid:
-            point = values.copy()
-            point[idx] = x
-            _require_interior(model, point)
+        header, rows = [param, "qfi_numeric", "qfi_analytic", "abs_diff"], []
+        for x, point in zip(grid, block):
+            _require(model.check_values, point)
             num = float(qfim(model, point)[idx, idx])
             an = float(np.asarray(ana)[idx, idx])
             rows.append((float(x), num, an, abs(num - an)))
         maxdiff = max(r[3] for r in rows)
     else:
         header = [param] + [f"lambda_{k}" for k in range(model.dim)]
-        for x in grid:
-            point = values.copy()
-            point[idx] = x
-            rows.append((float(x), *(float(w) for w in character_basis(model, point).weights)))
+        _require(model.check_block, block)
+        weights = outcome_probabilities(model, block, model.qft_basis)
+        rows = [(float(x), *(float(w) for w in q)) for x, q in zip(grid, weights)]
     print_table(h, header, rows)
     _emit(cfg, h, header, rows, {"header": header, "rows": [list(r) for r in rows]})
     if args.check is not None and maxdiff > args.check:
@@ -437,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     commands = (  # name, function, help, sections beyond model and output
         ("qfi", cmd_qfi, "numeric QFIM vs the closed form", ()),
-        ("eigen", cmd_eigen, "eigenvalues vs character-basis weights", ()),
+        ("eigen", cmd_eigen, "eigensolver vs outcome probabilities in the Fourier basis", ()),
         ("simulate", cmd_simulate, "Monte Carlo Cramer-Rao study", ("measurement", "study")),
         ("decompose", cmd_decompose, "beamsplitter netlist synthesis", ()),
         ("sweep", cmd_sweep, "tabulate QFI or eigenvalues over a grid", ("sweep",)),

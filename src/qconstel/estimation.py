@@ -6,11 +6,11 @@ Two routes lead to the same quantities, and each checks the other:
   families (``ModelFamily.amplitudes``).  ``outcome_probabilities`` and
   ``classical_fi`` read them in any measurement basis.  In ``qft_basis``,
   which diagonalizes every state of the family, the outcome probabilities
-  are the eigenvalues: ``character_basis`` (the CLI's ``eigen``) reads them
-  from ``orbit_states``, and ``spectral_qfim`` is ``classical_fi`` there.
-  ``simulate.crb_study`` runs on ``outcome_probabilities`` and
-  ``spectral_qfim``.  The route builds no constellation or density matrix,
-  calls no eigensolver, and differentiates exactly: d psi_g = -i D[..., mu] psi_g.
+  are the eigenvalues (CLI ``eigen``, eigenvalue sweeps), and
+  ``spectral_qfim`` is ``classical_fi`` there.  ``simulate.crb_study`` runs
+  on ``outcome_probabilities`` and ``spectral_qfim``.  The route builds no
+  constellation or density matrix, calls no eigensolver, and differentiates
+  exactly: d psi_g = -i D[..., mu] psi_g.
 - The numeric pipeline (``ModelFamily.rho`` -> ``drho`` -> ``sld`` ->
   ``qfim``: the density matrix of the constellation built at v, its
   finite-difference derivative, the SLD and the QFIM) runs general machinery
@@ -41,7 +41,7 @@ from .constellation import (
 )
 from .linalg import eig_hermitian, hermiticity_defect, unitarity_defect
 from .states import density_matrix
-from .symmetry import SymmetricEigenbasis, qft_matrix
+from .symmetry import qft_matrix
 
 SUPPORT_TOL = 1e-10
 DRHO_HERMITIAN_ATOL = 1e-9
@@ -53,17 +53,17 @@ BLOCK_ROWS = 16  # parameter points per amplitude block in outcome_probabilities
 class ModelFamily:
     """Symmetric family: a unit ``template`` constellation scaled by the parameters.
 
-    ``names`` are the parameters, each in the open interval (0, inf); only
-    ``orbit_states`` accepts the closure.  ``make(v)`` builds the constellation
-    at v, the template's points scaled coordinate-wise by v in the same group
-    order (r scales both coordinates of a ring; x0 and y0 one each of a
-    rectangle).  ``psf`` is the momentum comb.  The rest derives from these
-    four fields: ``dim``, ``bounds``, ``symmetry``, ``group``, ``qft_basis``,
-    the oracle ``rho(v)`` = density matrix of ``make(v)``, and the orbit-phase
-    tensor ``phases`` D[g, j, mu].  The phase that source g picks up on psf
-    momentum p_j, p_j . t_g(v), is linear in v:
-    phi_gj(v) = sum_mu D[g, j, mu] v_mu.  ``amplitudes`` derives the source
-    states from it, in the group order of the template, and their
+    ``names`` are the parameters, each in the open interval (0, inf), whose
+    closure ``outcome_probabilities`` and ``orbit_states`` accept.
+    ``make(v)`` builds the constellation at v, the template's points scaled
+    coordinate-wise by v in the same group order (r scales both coordinates
+    of a ring; x0 and y0 one each of a rectangle).  ``psf`` is the momentum
+    comb.  The rest derives from these four fields: ``dim``, ``bounds``,
+    ``symmetry``, ``group``, ``qft_basis``, the oracle ``rho(v)`` = density
+    matrix of ``make(v)``, and the orbit-phase tensor ``phases`` D[g, j, mu].
+    The phase that source g picks up on psf momentum p_j, p_j . t_g(v), is
+    linear in v: phi_gj(v) = sum_mu D[g, j, mu] v_mu.  ``amplitudes`` derives
+    the source states from it, in the group order of the template, and their
     derivatives are -i D[..., mu] psi.
 
     Construction checks the condition under which ``qft_basis`` diagonalizes
@@ -140,21 +140,21 @@ class ModelFamily:
     def check_block(self, values) -> np.ndarray:
         """One point, or a (K, n_params) block, as a (K, n_params) array.
 
-        Every row passes the open-interval check of ``check_values``, which
+        Every row passes the closed-interval check of ``check_values``, which
         also words the error for the first row that fails.
         """
         vals = np.asarray(values, dtype=float)
         if vals.ndim < 2:
-            return self.check_values(vals)[None, :]
+            return self.check_values(vals, closed=True)[None, :]
         if vals.ndim != 2 or vals.shape[1] != self.n_params or len(vals) == 0:
             raise ValueError(
                 f"expected a (K, {self.n_params}) parameter block {self.names}, "
                 f"got shape {vals.shape}"
             )
         lo, hi = np.array(self.bounds).T
-        bad = ~np.all((lo < vals) & (vals < hi), axis=1)  # NaN and +-inf fail too
+        bad = ~np.all((lo <= vals) & (vals < hi), axis=1)  # NaN and +-inf fail too
         if bad.any():
-            self.check_values(vals[np.argmax(bad)])
+            self.check_values(vals[np.argmax(bad)], closed=True)
         return vals
 
     def amplitudes(self, block: np.ndarray) -> np.ndarray:
@@ -290,7 +290,8 @@ def outcome_probabilities(model: ModelFamily, values, basis: np.ndarray) -> np.n
     That is <b_k| rho |b_k>, from the orbit amplitudes of ``model``.
 
     ``values`` is one point, giving a vector q, or a (K, n_params) block,
-    giving one row per point; every point is checked against the domain.
+    giving one row per point; every point is checked against the closed
+    domain, where the probabilities are well defined.
     A block is evaluated ``BLOCK_ROWS`` rows at a time, which bounds the
     temporaries, and gives the same bits as its rows one by one.
     """
@@ -334,32 +335,13 @@ def spectral_qfim(model: ModelFamily, values) -> np.ndarray:
     return classical_fi(model, values, model.qft_basis)
 
 
-def orbit_states(model: ModelFamily, values, base_element: int = 0) -> np.ndarray:
-    """Group-indexed source states psi_g of a symmetric model.
+def orbit_states(model: ModelFamily, values) -> np.ndarray:
+    """Source states psi_g of a symmetric model, one row per group element g.
 
-    Row g is the state of the source at group element g applied to the
-    orbit base point (itself shifted by ``base_element``, which relabels
-    the orbit without changing the mixture): row g * base_element of
-    ``model.amplitudes``.  Accepts the closure of the parameter domain,
-    so degenerate boundary points like zero separation are allowed.
+    Accepts the closure of the parameter domain, so degenerate boundary
+    points like zero separation are allowed.
     """
-    group = model.group
-    psi = model.amplitudes(model.check_values(values, closed=True)[None, :])[0]
-    return psi[group.table[:, group.check_element(base_element)]]
-
-
-def character_basis(model: ModelFamily, values, base_element: int = 0) -> SymmetricEigenbasis:
-    """Eigenbasis ``model.qft_basis`` of a symmetric model and its eigenvalues at a point.
-
-    ``weights[k]`` = mean_g |<b_k|psi_g>|^2 over ``orbit_states``, as
-    ``outcome_probabilities`` computes it, with no floor; the multiset is
-    independent of the base-point choice.  The symmetry condition under which
-    the basis is exact is checked once, when the ``ModelFamily`` is built.
-    """
-    states = orbit_states(model, values, base_element)
-    basis = model.qft_basis
-    weights = _orbit_weights(states[None], basis)[1][0]
-    return SymmetricEigenbasis(vectors=basis, weights=weights, support=weights > 0)
+    return model.amplitudes(model.check_values(values, closed=True)[None, :])[0]
 
 
 def analytic_qfi(case: str, **params):

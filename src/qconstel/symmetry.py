@@ -5,13 +5,12 @@ order over the cyclic factors (first factor most significant, index 0 the
 identity / trivial character); ``AbelianGroup`` lives in ``constellation``
 next to the symmetry declarations and is re-exported here.  The conjugate
 transpose of ``qft_matrix`` is the eigenbasis ``ModelFamily.qft_basis`` of
-every symmetric model family, and ``SymmetricEigenbasis`` is what
-``estimation.character_basis`` returns.
+every symmetric model family: column k is the eigenvector of character
+label k, and its eigenvalue is the probability of outcome k,
+``estimation.outcome_probabilities`` in that basis.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,17 +31,3 @@ def qft_matrix(group: AbelianGroup) -> np.ndarray:
     inv = np.argmin(group.table, axis=1)  # the row of g holds its one identity at g^-1
     return chi[:, inv] / np.sqrt(group.order)
 
-
-@dataclass(frozen=True, eq=False)
-class SymmetricEigenbasis:
-    """Eigenbasis of a group-symmetric density matrix, one column per character.
-
-    ``vectors`` is always the unitary ``ModelFamily.qft_basis``: column k is
-    the eigenvector for character label k, kept when its weight vanishes.
-    ``weights[k]`` is its eigenvalue, and ``support[k]`` flags the nonzero
-    weights.
-    """
-
-    vectors: np.ndarray
-    weights: np.ndarray
-    support: np.ndarray

@@ -12,8 +12,9 @@ import pytest
 
 from qconstel.circuit import netlist_unitary, preset_circuit, reck_decompose, relabeling_distance
 from qconstel.estimation import (
-    character_basis,
     classical_fi,
+    orbit_states,
+    outcome_probabilities,
     pair_model,
     qfim,
     rectangle_model,
@@ -64,7 +65,7 @@ def test_criterion_02_pair_eigenvalues_two_routes():
         model = pair_model(p)
         expected = np.sort([np.cos(p * r) ** 2, np.sin(p * r) ** 2])
         w, _ = eig_hermitian(model.rho([r]))
-        weights = np.sort(character_basis(model, [r]).weights)
+        weights = np.sort(outcome_probabilities(model, [r], model.qft_basis))
         worst_eig = max(worst_eig, float(np.max(np.abs(np.sort(w) - expected))))
         worst_char = max(worst_char, float(np.max(np.abs(weights - expected))))
         worst_cross = max(worst_cross, float(np.max(np.abs(weights - np.sort(w)))))
@@ -273,14 +274,16 @@ def test_criterion_09_circuit_synthesis():
 def test_criterion_10_symmetry_machinery():
     worst_orth = worst_sum = worst_base = 0.0
     for _name, model, point in section4_models():
-        cb = character_basis(model, point)
-        vecs = cb.vectors[:, cb.support]
+        vecs = model.qft_basis
+        weights = outcome_probabilities(model, point, vecs)
         gram = vecs.conj().T @ vecs
         worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(vecs.shape[1])))))
-        worst_sum = max(worst_sum, abs(float(cb.weights.sum()) - 1.0))
-        ref = np.sort(cb.weights)
-        for base in range(1, model.group.order):
-            other = np.sort(character_basis(model, point, base_element=base).weights)
+        worst_sum = max(worst_sum, abs(float(weights.sum()) - 1.0))
+        ref = np.sort(weights)
+        states = orbit_states(model, point)
+        for base in range(1, model.group.order):  # the orbit relabelled from base point b
+            a = states[model.group.table[:, base]] @ vecs.conj()
+            other = np.sort(np.mean(np.abs(a) ** 2, axis=0))
             worst_base = max(worst_base, float(np.max(np.abs(ref - other))))
     ok = worst_orth <= 1e-10 and worst_sum <= 1e-10 and worst_base <= 1e-10
     line = report(

@@ -164,6 +164,16 @@ def test_decompose_rejects_nonunitary_file(tmp_path, capsys, entry):
     assert "not unitary" in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("entry", [[1.0], [1.0, 0.0, 5.0]])
+def test_decompose_rejects_malformed_entries(tmp_path, capsys, entry):
+    # an entry that is not one [re, im] pair is named, not cut short or dropped
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"matrix": [[entry]]}))
+    code, out, err = run(capsys, ["decompose", "--unitary", str(ufile)])
+    assert code == 2 and out == ""
+    assert "matrix entry (0, 0) must be an [re, im] pair" in err and err.count("\n") == 1, err
+
+
 def test_decompose_preset_json(tmp_path, capsys):
     out_path = tmp_path / "ring.json"
     code, _, _ = run(
@@ -314,6 +324,29 @@ def test_config_errors(tmp_path, capsys):
     code, stdout, _ = run(capsys, ["sweep", "--quantity", "eigenvalues", "--check", "1e-3",
                                    "--out", str(out)])
     assert code == 2 and stdout == "" and not out.exists()
+    # an eigenvalue sweep outside the closed domain is refused like the qfi sweep
+    for quantity in ("eigenvalues", "qfi"):
+        code, stdout, err = run(capsys, ["sweep", "--quantity", quantity, "--start", "-0.5",
+                                         "--stop", "0.5", "--count", "3"])
+        assert code == 2 and stdout == "" and err.count("\n") == 1, err
+        assert err.startswith("config error: parameter r=-0.5 outside"), err
+    # unreadable config files: no section header, duplicates, undecodable bytes, no '='
+    for name, data in (("nohead.ini", b"p = 1\n"), ("dupsec.ini", b"[model]\n[model]\n"),
+                       ("dupkey.ini", b"[model]\np = 1\np = 2\n"),
+                       ("utf16.ini", b"\xff\xfe[\x00m\x00"), ("noeq.ini", b"[model]\np\n")):
+        cfg = tmp_path / name
+        cfg.write_bytes(data)
+        code, _, err = run(capsys, ["qfi", "-c", str(cfg)])
+        assert code == 2 and err.startswith("config error: cannot read config file"), err
+        assert err.count("\n") == 1, err
+    # an output path that cannot be written is named, for every writer
+    missing = tmp_path / "nodir"
+    for argv in (["qfi", "--out", str(missing / "x.csv")],
+                 ["qfi", "--out", str(missing / "x.json"), "--format", "json"],
+                 ["decompose", "--kind", "ring", "--n", "4", "--out", str(missing / "x.net")]):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and err.startswith("config error: cannot write output file"), err
+        assert err.count("\n") == 1, err
 
 
 def _other_value(setting):

@@ -2,14 +2,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qconstel.constellation import apply_group_element, make_pair, make_rectangle, make_ring
 from qconstel.estimation import (
     ModelFamily,
     analytic_qfi,
-    character_basis,
     check_basis,
     classical_fi,
     drho,
@@ -313,24 +312,34 @@ def test_default_ring_orientation_meets_closed_form():
             assert abs(ring_qfi_spectral(n, p, r) - expected) <= 1e-9
 
 
+def character_weights(states, basis):
+    """mean_g |<b_k|psi_g>|^2 over the rows of ``states``, with no kernel involved."""
+    return np.mean(np.abs(states @ basis.conj()) ** 2, axis=0)
+
+
 def test_character_basis_weights_and_base_independence():
+    # in the character basis qft_basis the outcome probabilities are the
+    # eigenvalues, and relabelling the orbit from another base point b
+    # (row g -> row g * b) leaves them unchanged
     model = ring_model(5, 1.0)
-    cb = character_basis(model, [0.7])
-    assert np.max(np.abs(np.sort(cb.weights) - np.sort(ring_eigenvalues(5, 1.0, 0.7)))) <= 1e-10
+    q = outcome_probabilities(model, [0.7], model.qft_basis)
+    assert np.max(np.abs(np.sort(q) - np.sort(ring_eigenvalues(5, 1.0, 0.7)))) <= 1e-10
+    states = orbit_states(model, [0.7])
     for base in range(1, 5):
-        other = character_basis(model, [0.7], base_element=base)
-        assert np.max(np.abs(np.sort(cb.weights) - np.sort(other.weights))) <= 1e-10
+        other = character_weights(states[model.group.table[:, base]], model.qft_basis)
+        assert np.max(np.abs(np.sort(q) - np.sort(other))) <= 1e-10
 
 
 def test_character_basis_keeps_tiny_weights_and_a_unitary_basis():
     # ring16 with the psf aligned: the smallest eigenvalues, 5.6e-19 and
     # 1.4e-16, are reported as they are, not floored to 0 with a zero column
-    cb = character_basis(ring_model(16, 1.0, 0.0, 0.0), [0.5])
+    model = ring_model(16, 1.0, 0.0, 0.0)
+    q = outcome_probabilities(model, [0.5], model.qft_basis)
     lam = ring_eigenvalues(16, 1.0, 0.5, orientation=0.0)
     pos = lam > 0.0
-    assert np.min(cb.weights) > 0.0
-    assert np.max(np.abs(cb.weights[pos] - lam[pos]) / lam[pos]) <= 1e-6
-    assert unitarity_defect(cb.vectors) <= 1e-12
+    assert np.min(q) > 0.0
+    assert np.max(np.abs(q[pos] - lam[pos]) / lam[pos]) <= 1e-6
+    assert unitarity_defect(model.qft_basis) <= 1e-12
 
 
 def test_orbit_states_match_model_density():
@@ -445,7 +454,12 @@ def test_block_evaluation_repeats_row_bits():
 def test_block_rows_are_domain_checked():
     model, basis = ring_model(5, 1.0), np.eye(5)
     grid = np.linspace(0.1, 0.5, 20)[:, None]
-    for bad, match in ((0.0, "r=0.0 outside open interval"), (-0.2, "outside open interval"),
+    # the closed domain: probabilities are well defined at r = 0
+    block = grid.copy()
+    block[13, 0] = 0.0
+    q = outcome_probabilities(model, block, basis)
+    assert np.array_equal(q[13], outcome_probabilities(model, [0.0], basis))
+    for bad, match in ((-0.2, "r=-0.2 outside interval"), (-np.inf, "finite"),
                        (np.inf, "finite"), (np.nan, "finite")):
         block = grid.copy()
         block[13, 0] = bad
@@ -474,7 +488,8 @@ def closed_domain_points(point):
 
 def test_orbit_states_match_group_action_oracle():
     # oracle: one source_state per source, at the group action of g and then
-    # base_element on the base point v t_0, with no phase tensor involved
+    # b on the base point v t_0, with no phase tensor involved; the orbit from
+    # base point b is row g * b of orbit_states
     for model, point, make in two_route_models():
         spec = model.symmetry
         t0 = make(np.ones(model.n_params)).points[0]
@@ -483,7 +498,7 @@ def test_orbit_states_match_group_action_oracle():
                 base = apply_group_element(spec, b, v * t0)
                 oracle = np.stack([source_state(model.psf, apply_group_element(spec, g, base)[0])
                                    for g in range(spec.order)])
-                states = orbit_states(model, v, base_element=b)
+                states = orbit_states(model, v)[model.group.table[:, b]]
                 assert states.shape == oracle.shape
                 assert np.max(np.abs(states - oracle)) <= 1e-14
 
@@ -492,9 +507,6 @@ def test_orbit_states_guards():
     for bad in ([-0.1], [np.inf], [0.1, 0.2]):
         with pytest.raises(ValueError):
             orbit_states(ring_model(4, 1.0), bad)
-    for base in (-1, 4, 2.5):
-        with pytest.raises(ValueError, match="element index"):
-            orbit_states(ring_model(4, 1.0), [0.3], base_element=base)
 
 
 def test_character_basis_builds_no_constellation_or_source_state(monkeypatch):
@@ -506,9 +518,9 @@ def test_character_basis_builds_no_constellation_or_source_state(monkeypatch):
                 orig = getattr(mod, fname)
                 monkeypatch.setattr(mod, fname,
                                     lambda *a, _f=orig, _n=fname, **k: calls.append(_n) or _f(*a, **k))
-    basis = character_basis(model, [0.3])
+    q = outcome_probabilities(model, [0.3], model.qft_basis)
     assert calls == []
-    assert np.max(np.abs(np.sort(basis.weights) - np.sort(ring_eigenvalues(8, 1.0, 0.3)))) <= 1e-12
+    assert np.max(np.abs(np.sort(q) - np.sort(ring_eigenvalues(8, 1.0, 0.3)))) <= 1e-12
 
 
 def test_character_basis_does_not_recheck_symmetry(monkeypatch):
@@ -522,7 +534,7 @@ def test_character_basis_does_not_recheck_symmetry(monkeypatch):
             monkeypatch.setattr(mod, "validate_symmetry",
                                 lambda *a, _f=orig, **k: calls.append(1) or _f(*a, **k))
     for model in models:
-        character_basis(model, [0.4] * model.n_params)
+        outcome_probabilities(model, [0.4] * model.n_params, model.qft_basis)
     assert calls == []
 
 
@@ -632,7 +644,6 @@ def test_character_basis_reads_qft_basis_sweep(case):
         model, point = pair_model(p1, a1, a2), [v1]
     else:
         model, point = ring_model(kind, p1, a1, a2), [v1]
-    q = outcome_probabilities(model, point, model.qft_basis)
     for i, v in enumerate(closed_domain_points(point)):  # the interior point first
         if i == 0:
             rho = model.rho(v)
@@ -640,10 +651,64 @@ def test_character_basis_reads_qft_basis_sweep(case):
             states = np.stack([source_state(model.psf, v * t) for t in model.template.points])
             rho = states.T @ states.conj() / len(states)
         lam = np.linalg.eigvalsh(rho)
+        q = outcome_probabilities(model, v, model.qft_basis)
+        assert np.max(np.abs(np.sort(q) - lam)) <= 1e-12
+        states = orbit_states(model, v)
         for base in range(model.group.order):
-            cb = character_basis(model, v, base_element=base)
-            assert cb.vectors is model.qft_basis
-            assert np.array_equal(cb.support, cb.weights > 0)
-            assert np.max(np.abs(np.sort(cb.weights) - lam)) <= 1e-12
-            if base == 0 and i == 0:
-                assert np.array_equal(cb.weights, q)
+            weights = character_weights(states[model.group.table[:, base]], model.qft_basis)
+            assert np.max(np.abs(np.sort(weights) - lam)) <= 1e-12
+
+
+def assert_exact_near_spectral_zero(model, v, expected):
+    """Outcome probabilities in qft_basis are the eigenvalues of the orbit-state
+    mixture, and, off the boundary, spectral_qfim is the closed form."""
+    states = orbit_states(model, v)
+    lam = np.linalg.eigvalsh(states.T @ states.conj() / len(states))
+    q = outcome_probabilities(model, v, model.qft_basis)
+    assert np.max(np.abs(np.sort(q) - lam)) <= 1e-12
+    if np.all(np.asarray(v) > 0.0):
+        f = spectral_qfim(model, v)
+        assert np.max(np.abs(f - expected)) <= 1e-9 * np.max(np.abs(expected))
+    return lam
+
+
+zero_offsets = st.tuples(st.integers(1, 3), st.sampled_from((-1.0, 1.0)), st.floats(-9.0, -1.0))
+
+
+@settings(max_examples=60)
+@given(zero_offsets, st.floats(0.3, 3.0))
+@example((3, -1.0, -9.0), 0.3)
+@example((1, 1.0, -9.0), 3.0)
+def test_pair_spectral_zeros_sweep(offset, p):
+    # one pair eigenvalue, cos^2(p r) or sin^2(p r), vanishes at p r = k pi / 2
+    k, side, log_delta = offset
+    r = (k * np.pi / 2 + side * 10.0 ** log_delta) / p
+    assert_exact_near_spectral_zero(pair_model(p), [r], [[analytic_qfi("pair_on_axis", p=p)]])
+
+
+@settings(max_examples=60)
+@given(zero_offsets, st.integers(0, 1), st.floats(0.3, 3.0), st.floats(0.3, 3.0),
+       st.floats(0.02, 1.5))
+@example((2, -1.0, -9.0), 0, 3.0, 0.3, 1.5)
+@example((3, 1.0, -9.0), 1, 0.3, 3.0, 0.02)
+def test_rectangle_spectral_zeros_sweep(offset, axis, p_x, p_y, other):
+    # the eigenvalues are products cos^2/sin^2(p_x x0) cos^2/sin^2(p_y y0), so
+    # two of them vanish as one axis nears p x0 = k pi / 2 (or p y0)
+    k, side, log_delta = offset
+    v = np.full(2, other)
+    v[axis] = (k * np.pi / 2 + side * 10.0 ** log_delta) / (p_x, p_y)[axis]
+    expected = analytic_qfi("rectangle", p_x=p_x, p_y=p_y)
+    assert_exact_near_spectral_zero(rectangle_model(p_x, p_y), v, expected)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 16), st.floats(0.3, 3.0), st.floats(-9.0, -1.0))
+@example(14, 0.3, -9.0)
+@example(16, 3.0, -9.0)
+def test_ring_spectral_zeros_sweep(n, p, log_r):
+    # every eigenvalue but the trivial one vanishes as r -> 0, and at r = 0
+    model = ring_model(n, p)
+    expected = [[analytic_qfi("ring", n=n, p=p)]]
+    for r in (10.0 ** log_r, 0.0):
+        lam = assert_exact_near_spectral_zero(model, [r], expected)
+        assert np.max(np.abs(np.sort(ring_eigenvalues(n, p, r)) - lam)) <= 1e-12

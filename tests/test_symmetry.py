@@ -9,7 +9,13 @@ from qconstel.constellation import (
     matching_psf,
     validate_symmetry,
 )
-from qconstel.estimation import ModelFamily, character_basis, orbit_states, pair_model, ring_model
+from qconstel.estimation import (
+    ModelFamily,
+    orbit_states,
+    outcome_probabilities,
+    pair_model,
+    ring_model,
+)
 from qconstel.linalg import eig_hermitian, unitarity_defect
 from qconstel.states import source_state
 from qconstel.symmetry import AbelianGroup, characters, qft_matrix
@@ -67,13 +73,16 @@ def test_qft_unitary(group):
 
 def test_pair_eigenbasis_plus_minus():
     p, r = 1.0, 0.3
-    basis = character_basis(pair_model(p), [r])
+    model = pair_model(p)
+    vectors = model.qft_basis
     plus = np.ones(2) / np.sqrt(2)
     minus = np.array([1.0, -1.0]) / np.sqrt(2)
-    assert abs(abs(plus.conj() @ basis.vectors[:, 0]) - 1.0) <= 1e-10
-    assert abs(abs(minus.conj() @ basis.vectors[:, 1]) - 1.0) <= 1e-10
+    assert abs(abs(plus.conj() @ vectors[:, 0]) - 1.0) <= 1e-10
+    assert abs(abs(minus.conj() @ vectors[:, 1]) - 1.0) <= 1e-10
     assert np.allclose(
-        np.sort(basis.weights), np.sort([np.cos(p * r) ** 2, np.sin(p * r) ** 2]), atol=1e-12
+        np.sort(outcome_probabilities(model, [r], vectors)),
+        np.sort([np.cos(p * r) ** 2, np.sin(p * r) ** 2]),
+        atol=1e-12,
     )
 
 
@@ -81,12 +90,10 @@ def test_identical_states_single_weight():
     # ring4 at r = 0: all four orbit states are the uniform state
     model = ring_model(4, 1.0)
     assert np.allclose(orbit_states(model, [0.0]), np.ones((4, 4)) / 2.0)
-    basis = character_basis(model, [0.0])
-    assert np.allclose(basis.weights, [1, 0, 0, 0], atol=1e-12)
-    # the weights as computed, and the full unitary basis with no zero columns
-    assert np.array_equal(basis.support, basis.weights > 0)
-    assert basis.vectors is model.qft_basis
-    assert unitarity_defect(basis.vectors) <= 1e-12
+    weights = outcome_probabilities(model, [0.0], model.qft_basis)
+    assert np.allclose(weights, [1, 0, 0, 0], atol=1e-12)
+    # the full unitary basis, with no zero columns
+    assert unitarity_defect(model.qft_basis) <= 1e-12
 
 
 def ring_setup(n, p, r):
@@ -100,9 +107,9 @@ def ring_setup(n, p, r):
 @pytest.mark.parametrize("n,p,r", [(4, 1.0, 0.7), (3, 1.2, 0.5), (6, 0.8, 1.1)])
 def test_weights_match_eigenvalues(n, p, r):
     model = ring_model(n, p, 0.0, 0.0)  # psf aligned with the sources
-    basis = character_basis(model, [r])
+    weights = outcome_probabilities(model, [r], model.qft_basis)
     w, _ = eig_hermitian(model.rho([r]))
-    assert np.max(np.abs(np.sort(basis.weights) - np.sort(w))) <= 1e-9
+    assert np.max(np.abs(np.sort(weights) - np.sort(w))) <= 1e-9
 
 
 def test_orthogonality_of_nonorthogonal_inputs():
@@ -110,17 +117,16 @@ def test_orthogonality_of_nonorthogonal_inputs():
     states = orbit_states(model, [0.4])
     gram_states = states.conj() @ states.T
     assert np.max(np.abs(gram_states - np.eye(5))) > 0.1  # genuinely non-orthogonal inputs
-    vecs = character_basis(model, [0.4]).vectors  # every column, not only the support
+    vecs = model.qft_basis  # every column, not only those of nonzero weight
     gram = vecs.conj().T @ vecs
     assert np.max(np.abs(gram - np.eye(vecs.shape[1]))) <= 1e-10
 
 
 def test_completeness_and_diagonalization():
     model = ring_model(6, 1.0, 0.0, 0.0)
-    basis = character_basis(model, [0.9])
-    assert abs(basis.weights.sum() - 1.0) <= 1e-10
+    assert abs(outcome_probabilities(model, [0.9], model.qft_basis).sum() - 1.0) <= 1e-10
     rho = model.rho([0.9])
-    e = basis.vectors
+    e = model.qft_basis
     inner = e.conj().T @ rho @ e
     off = inner - np.diag(np.diag(inner))
     assert np.max(np.abs(off)) <= 1e-10
@@ -162,13 +168,13 @@ def test_zero_weight_flagging_at_degenerate_point():
     # pr = pi/2 kills the trivial-character weight of the pair model
     p = 1.0
     r = np.pi / 2
-    basis = character_basis(pair_model(p), [r])
-    assert basis.weights[0] <= 1e-30
-    assert abs(basis.weights[1] - 1.0) <= 1e-15
-    # the weight as computed, flagged by the same rule, and its column kept
-    assert np.array_equal(basis.support, basis.weights > 0)
-    assert np.allclose(basis.vectors[:, 0], np.ones(2) / np.sqrt(2), atol=1e-15)
-    assert unitarity_defect(basis.vectors) <= 1e-12
+    model = pair_model(p)
+    weights = outcome_probabilities(model, [r], model.qft_basis)
+    assert weights[0] <= 1e-30
+    assert abs(weights[1] - 1.0) <= 1e-15
+    # the weight as computed, and its column kept
+    assert np.allclose(model.qft_basis[:, 0], np.ones(2) / np.sqrt(2), atol=1e-15)
+    assert unitarity_defect(model.qft_basis) <= 1e-12
 
 
 def test_group_indexing():
