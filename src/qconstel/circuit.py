@@ -272,9 +272,15 @@ def _complex_entry(entry, i: int, j: int) -> complex:
 
 
 def load_unitary(path: str) -> np.ndarray:
-    """Load a complex matrix from JSON: nested rows of [re, im] pairs."""
+    """Load a complex matrix from JSON: nested rows of [re, im] pairs.
+
+    Raises ValueError naming the shape unless the matrix is a non-empty n x n.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     rows = data["matrix"] if isinstance(data, dict) else data
-    return np.array([[_complex_entry(e, i, j) for j, e in enumerate(row)]
-                     for i, row in enumerate(rows)])
+    u = np.array([[_complex_entry(e, i, j) for j, e in enumerate(row)]
+                  for i, row in enumerate(rows)])
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {u.shape}")
+    return u

@@ -8,7 +8,8 @@ Two routes lead to the same quantities, and each checks the other:
   which diagonalizes every state of the family, the outcome probabilities
   are the eigenvalues (CLI ``eigen``, eigenvalue sweeps), and
   ``spectral_qfim`` is ``classical_fi`` there.  ``simulate.crb_study`` runs
-  on ``outcome_probabilities`` and ``spectral_qfim``.  The route builds no
+  on ``outcome_probabilities``, its unchecked kernel ``_probabilities`` and
+  ``spectral_qfim``.  The route builds no
   constellation or density matrix, calls no eigensolver, and differentiates
   exactly: d psi_g = -i D[..., mu] psi_g.
 - The numeric pipeline (``ModelFamily.rho`` -> ``drho`` -> ``sld`` ->
@@ -292,16 +293,26 @@ def outcome_probabilities(model: ModelFamily, values, basis: np.ndarray) -> np.n
     ``values`` is one point, giving a vector q, or a (K, n_params) block,
     giving one row per point; every point is checked against the closed
     domain, where the probabilities are well defined.
-    A block is evaluated ``BLOCK_ROWS`` rows at a time, which bounds the
-    temporaries, and gives the same bits as its rows one by one.
+    The arithmetic is the unchecked kernel ``_probabilities``, run after
+    ``check_basis`` and ``check_block``.
     """
     basis = check_basis(basis)
-    block = model.check_block(values)
-    q = np.concatenate([
+    q = _probabilities(model, model.check_block(values), basis)
+    return q if np.ndim(values) == 2 else q[0]
+
+
+def _probabilities(model: ModelFamily, block: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """q[x, k] of a checked (K, n_params) block in a checked complex128 basis.
+
+    The block is evaluated ``BLOCK_ROWS`` rows at a time, which bounds the
+    temporaries, and gives the same bits as its rows one by one.  Callers
+    that validated their inputs once (``simulate.StudyConfig``) call it in
+    their hot loop.
+    """
+    return np.concatenate([
         _orbit_weights(model.amplitudes(block[i:i + BLOCK_ROWS]), basis)[1]
         for i in range(0, len(block), BLOCK_ROWS)
     ])
-    return q if np.ndim(values) == 2 else q[0]
 
 
 def classical_fi(model: ModelFamily, values, basis: np.ndarray) -> np.ndarray:

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import ModelFamily, outcome_probabilities, spectral_qfim
+from .estimation import (
+    ModelFamily,
+    _probabilities,
+    check_basis,
+    outcome_probabilities,
+    spectral_qfim,
+)
 from .linalg import _golden_section
 
 GRID_POINTS = 256
@@ -23,14 +30,21 @@ class StudyError(RuntimeError):
     """Too many estimator failures for the study to be meaningful."""
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def sample_outcomes(probabilities, m: int, seed) -> np.ndarray:
     """Multinomial draw of m photons over the outcome distribution.
 
     Deterministic for a given seed (``numpy.random.default_rng``).
     Probabilities may be off unit sum by up to 1e-9 and are renormalized;
-    anything more negative than -1e-9 is rejected.
+    anything more negative than -1e-9 is rejected.  ``m`` must be an integer:
+    the draw would truncate a fractional count.
     """
     p = np.asarray(probabilities, dtype=float)
+    if not _is_integer(m):
+        raise ValueError(f"photon count must be an integer, got {m!r}")
     if m < 1:
         raise ValueError(f"photon count must be >= 1, got {m}")
     if np.any(p < -1e-9):
@@ -106,9 +120,19 @@ def mle_1d(
     return 0.5 * (a + b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudyConfig:
-    """Inputs of one Cramer-Rao attainment study (single scalar parameter)."""
+    """Inputs of one Cramer-Rao attainment study (single scalar parameter).
+
+    Construction validates every input once, so that ``crb_study`` can run
+    its hot loop unchecked.  ``photon_counts`` (at least one), ``trials``,
+    ``seed`` and ``grid_points`` are integers (bool excluded); ``bounds`` lie
+    inside the open domain of the parameter; ``basis`` is a square unitary of
+    the model's dimension (``estimation.check_basis``), stored as a read-only
+    complex128 copy, so that a later write to the caller's array cannot
+    reach the study.  Configs compare by identity, as the basis array has
+    no truth value.
+    """
 
     model: ModelFamily
     truth: float
@@ -122,6 +146,11 @@ class StudyConfig:
     def __post_init__(self):
         if self.model.n_params != 1:
             raise ValueError("studies estimate a single scalar parameter")
+        for name in ("trials", "seed", "grid_points"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (self.photon_counts and all(_is_integer(m) for m in self.photon_counts)):
+            raise ValueError(f"photon_counts must be integers, got {self.photon_counts!r}")
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.seed < 0:
@@ -142,6 +171,12 @@ class StudyConfig:
             raise ValueError(
                 f"truth {self.truth} outside estimator bounds {self.bounds}"
             )
+        basis = np.array(check_basis(self.basis))  # a copy the caller cannot write to
+        if basis.shape[0] != self.model.dim:
+            raise ValueError(f"basis is {basis.shape[0]}x{basis.shape[0]}, "
+                             f"but the model has {self.model.dim} modes")
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
 
 
 @dataclass(frozen=True)
@@ -200,13 +235,17 @@ def crb_study(cfg: StudyConfig) -> StudyReport:
     grid from one block call of ``outcome_probabilities``; the study builds
     no density matrix.  Raises StudyError if at least 1% of the trials in
     any block fail.
+
+    ``StudyConfig`` has validated the basis and the bounds, so the
+    golden-section probes of ``mle_1d``, which all lie inside the bounds,
+    call the unchecked kernel ``estimation._probabilities``.
     """
     model = cfg.model
     fisher = float(spectral_qfim(model, [cfg.truth])[0, 0])
     p_true = outcome_probabilities(model, [cfg.truth], cfg.basis)
 
     def prob_fn(x):
-        return outcome_probabilities(model, [x], cfg.basis)
+        return _probabilities(model, np.array([[x]]), cfg.basis)[0]
 
     scan_grid = np.linspace(cfg.bounds[0], cfg.bounds[1], cfg.grid_points)
     grid_probs = outcome_probabilities(model, scan_grid[:, None], cfg.basis)

@@ -1,0 +1,95 @@
+"""``tools/ab_pairs.py`` summary and benchmark comparison on synthetic results; no benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_pairs.py"
+SPEC = {"end_to_end": [
+    {"name": "jobs_per_s", "better": "higher", "bound": 0.2},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+]}
+
+
+@pytest.fixture(scope="module")
+def ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result(jobs_per_s, peak_rss_mb, failed=0):
+    """One run as ``clibench/run.py`` prints it."""
+    return {"correct": failed == 0, "attempted": 100, "failed": failed,
+            "metrics": {"jobs_per_s": {"value": jobs_per_s, "unit": "jobs/s"},
+                        "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}}
+
+
+def pairs(parent, change):
+    return [{"parent": result(*p), "change": result(*c)} for p, c in zip(parent, change)]
+
+
+def test_clear_gain_within_the_rss_bound(ab_pairs):
+    parent = [(70.0 + i, 44.0 + 0.01 * i) for i in range(10)]
+    change = [(105.0 + i, 45.5 + 0.01 * i) for i in range(10)]
+    s = ab_pairs.summarise(pairs(parent, change), SPEC)
+    jobs, rss = s["metrics"]["jobs_per_s"], s["metrics"]["peak_rss_mb"]
+    assert jobs["parent"]["median"] == 74.5 and jobs["change"]["median"] == 109.5
+    assert jobs["wins"] == 10 and jobs["ratio"] == pytest.approx(109.5 / 74.5)
+    assert jobs["verdict"] == "gain"
+    # 3.4 % more memory: lost every pair, but inside the 5 % bound
+    assert rss["wins"] == 0 and rss["verdict"] == "ok"
+    assert s["failed_share"] == {"parent": 0.0, "change": 0.0}
+    lines = ab_pairs.report(s)
+    assert lines[1].split()[0] == "jobs_per_s" and lines[1].endswith("gain")
+    assert " 10/10 " in lines[1] and " 0/10 " in lines[2]
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_iqr(ab_pairs):
+    parent = [(70.0 + i, 44.0) for i in range(10)]
+    # medians 6 apart, beyond the parent's IQR of 5.5, but the change wins only 8 of 10
+    change = [(78.0 + i, 44.0) for i in range(8)] + [(60.0, 44.0), (61.0, 44.0)]
+    jobs = ab_pairs.summarise(pairs(parent, change), SPEC)["metrics"]["jobs_per_s"]
+    assert jobs["wins"] == 8 and jobs["verdict"] == "ok"
+    # wins every pair, but by less than the parent's IQR
+    change = [(70.5 + i, 44.0) for i in range(10)]
+    jobs = ab_pairs.summarise(pairs(parent, change), SPEC)["metrics"]["jobs_per_s"]
+    assert jobs["wins"] == 10 and jobs["verdict"] == "ok"
+    # ties count for neither side
+    jobs = ab_pairs.summarise(pairs(parent, parent), SPEC)["metrics"]["jobs_per_s"]
+    assert jobs["wins"] == 0 and jobs["ratio"] == 1.0
+
+
+def test_worse_and_unresolved_verdicts(ab_pairs):
+    parent = [(100.0, 44.0 + 0.01 * i) for i in range(10)]
+    change = [(100.0, 46.5 + 0.01 * i) for i in range(10)]  # +5.7 % memory
+    assert ab_pairs.summarise(pairs(parent, change), SPEC)["metrics"]["peak_rss_mb"]["verdict"] == "WORSE"
+    # the parent's own runs spread wider than the 20 % bound: a 10 % loss is unresolved
+    parent = [(v, 44.0) for v in (60.0, 80.0, 100.0, 120.0, 140.0) * 2]
+    change = [(0.9 * v, 44.0) for v, _ in parent]
+    s = ab_pairs.summarise(pairs(parent, change), SPEC)
+    assert s["metrics"]["jobs_per_s"]["verdict"] == "unresolved"
+    assert ab_pairs.report(s)[1].endswith("unresolved")
+
+
+def test_failed_share_per_side(ab_pairs):
+    runs = pairs([(70.0, 44.0)] * 2, [(70.0, 44.0)] * 2)
+    runs[1]["change"] = result(70.0, 44.0, failed=3)
+    assert ab_pairs.summarise(runs, SPEC)["failed_share"] == {"parent": 0.0, "change": 0.015}
+
+
+def test_benchmark_differences(ab_pairs, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "clibench" / "__pycache__").mkdir(parents=True)
+        (root / "clibench" / "run.py").write_text("print(1)\n")
+        (root / "BENCHMARK.json").write_text("{}\n")
+    (a / "clibench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"\0")
+    assert ab_pairs.benchmark_differences(a, b) == []
+    (b / "clibench" / "run.py").write_text("print(2)\n")
+    (b / "clibench" / "extra.py").write_text("")
+    (b / "BENCHMARK.json").write_text('{"run_seconds": 5}\n')
+    assert ab_pairs.benchmark_differences(a, b) == [
+        "clibench/extra.py", "BENCHMARK.json", "clibench/run.py"]

@@ -174,6 +174,16 @@ def test_decompose_rejects_malformed_entries(tmp_path, capsys, entry):
     assert "matrix entry (0, 0) must be an [re, im] pair" in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("matrix, shape", [([], "(0,)"), ([[[1, 0], [0, 0]]], "(1, 2)")])
+def test_decompose_rejects_nonsquare_file(tmp_path, capsys, matrix, shape):
+    # a config error naming the shape, not a numerical failure of the synthesis
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"matrix": matrix}))
+    code, out, err = run(capsys, ["decompose", "--unitary", str(ufile)])
+    assert code == 2 and out == ""
+    assert f"non-empty square matrix, got shape {shape}" in err and err.count("\n") == 1, err
+
+
 def test_decompose_preset_json(tmp_path, capsys):
     out_path = tmp_path / "ring.json"
     code, _, _ = run(

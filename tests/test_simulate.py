@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qconstel import estimation, simulate
-from qconstel.estimation import outcome_probabilities, pair_model, qfim, ring_model
+from qconstel.circuit import netlist_unitary, preset_circuit
+from qconstel.estimation import outcome_probabilities, pair_model, qfim, ring_model, spectral_qfim
+from qconstel.linalg import haar_unitary
 from qconstel.simulate import (
     EstimationError,
     StudyConfig,
@@ -48,6 +50,11 @@ def test_sample_validation():
         sample_outcomes([np.nan, 1.0], 10, 1)
     with pytest.raises(ValueError):
         sample_outcomes([1.0], 0, 0)
+    # the draw would truncate a fractional count
+    for m in (10.5, 10.0, True):
+        with pytest.raises(ValueError, match="photon count must be an integer"):
+            sample_outcomes([1.0], m, 0)
+    assert sample_outcomes([1.0], np.int64(10), 0).tolist() == [10]
     # tiny negatives within tolerance are clipped
     counts = sample_outcomes([1.0 + 5e-10, -5e-10], 10, 0)
     assert counts.tolist() == [10, 0]
@@ -209,6 +216,38 @@ def test_study_config_validation():
     for bounds in ((0.1, np.inf), (0.5, 0.1)):
         with pytest.raises(ValueError, match="invalid bounds"):
             mle_1d(np.array([64, 36]), pair_prob_fn(), bounds)
+    # photon counts, trials and seed are integers: rng.multinomial(1000.7, p) draws
+    # 1000 photons while the CRB would use 1000.7
+    base = dict(model=model, truth=0.3, photon_counts=(10,), trials=5, seed=0,
+                bounds=(0.1, 1.0), basis=model.qft_basis)
+    for field, value in (("photon_counts", (1000.7,)), ("photon_counts", (10, True)),
+                         ("photon_counts", ()), ("trials", 5.0), ("trials", True),
+                         ("seed", 1.5), ("seed", False), ("grid_points", 2.5)):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            StudyConfig(**{**base, field: value})
+    cfg = StudyConfig(**{**base, "photon_counts": (np.int64(10),), "trials": np.int64(5),
+                         "seed": np.int64(0)})
+    # configs compare by identity: comparing their basis arrays has no truth value
+    assert cfg == cfg and cfg != StudyConfig(**base)
+
+
+def test_study_config_checks_the_basis_at_construction():
+    model = pair_model(1.0)
+    base = dict(model=model, truth=0.3, photon_counts=(500,), trials=5, seed=0,
+                bounds=(1e-3, np.pi / 2 - 1e-3))
+    for basis, message in ((np.ones((2, 3)), "square"), (np.ones((2, 2)), "orthonormal"),
+                           (np.array([[1.0, 0.0], [0.0, np.nan]]), "orthonormal"),
+                           (np.eye(4), "2 modes")):
+        with pytest.raises(ValueError, match=message):
+            StudyConfig(**base, basis=basis)
+    # the study keeps a read-only copy: a later write to the caller's array cannot reach it
+    basis = haar_unitary(2, np.random.default_rng(1))
+    cfg = StudyConfig(**base, basis=basis)
+    before = crb_study(cfg)
+    basis[:] = np.eye(2)
+    assert not cfg.basis.flags.writeable
+    after = crb_study(cfg)
+    assert np.array_equal(before.blocks[0].estimates, after.blocks[0].estimates)
 
 
 def test_report_serialization_shapes():
@@ -220,32 +259,113 @@ def test_report_serialization_shapes():
     assert len(d["blocks"][0]["estimates"]) == 10
 
 
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def study_basis(model, name):
+    if name == "qft":
+        return model.qft_basis
+    if name == "direct":
+        return np.eye(model.dim)
+    if name == "haar":
+        return haar_unitary(model.dim, np.random.default_rng(model.dim))
+    return netlist_unitary(preset_circuit("ring", model.dim)).conj().T  # as CLI --basis netlist
+
+
+def public_route_study(cfg, basis):
+    """crb_study's arithmetic, driven through the public, checked outcome_probabilities.
+
+    ``basis`` is the caller's array, not the config's checked copy.  Returns
+    the QFI and per block the estimates and the estimator failure messages.
+    """
+    model = cfg.model
+    p_true = outcome_probabilities(model, [cfg.truth], basis)
+    grid = np.linspace(cfg.bounds[0], cfg.bounds[1], cfg.grid_points)
+    grid_probs = outcome_probabilities(model, grid[:, None], basis)
+
+    def prob_fn(x):
+        return outcome_probabilities(model, [x], basis)
+
+    blocks = []
+    for b, m in enumerate(cfg.photon_counts):
+        estimates, failures = [], []
+        for t in range(cfg.trials):
+            counts = sample_outcomes(p_true, m, trial_seed(cfg.seed, b, t))
+            try:
+                estimates.append(mle_1d(counts, prob_fn, cfg.bounds, cfg.grid_points, grid_probs))
+            except EstimationError as exc:
+                failures.append(str(exc))
+        blocks.append((m, np.asarray(estimates), failures))
+    return float(spectral_qfim(model, [cfg.truth])[0, 0]), blocks
+
+
+@pytest.mark.parametrize("n, basis_name", [
+    (2, "qft"), (2, "direct"), (2, "haar"),
+    (5, "qft"), (5, "direct"), (5, "haar"),
+    (8, "qft"), (8, "direct"), (8, "haar"), (8, "netlist"),
+])
+def test_crb_study_is_bit_identical_to_the_public_probability_route(n, basis_name):
+    model = ring_model(n, 1.0)  # n = 2 is the pair
+    hi = (np.pi / 2 if n == 2 else np.pi) - 1e-3
+    basis = study_basis(model, basis_name)
+    cfg = StudyConfig(model=model, truth=0.3, photon_counts=(1000, 10000), trials=6, seed=3,
+                      bounds=(1e-3, hi), basis=basis)
+    qfi, blocks = public_route_study(cfg, basis)
+    failed = [(m, f) for m, _, f in blocks if f]
+    if failed:  # direct detection: every outcome has probability 1/n at every r
+        m, failures = failed[0]
+        with pytest.raises(StudyError) as exc:
+            crb_study(cfg)
+        assert str(exc.value) == (f"{len(failures)}/{cfg.trials} estimator failures at M={m}: "
+                                  + "; ".join(failures[:3]))
+        return
+    report = crb_study(cfg)
+    assert np.array_equal(report.qfi, qfi)
+    for block, (m, estimates, _) in zip(report.blocks, blocks, strict=True):
+        mse = float(np.mean((estimates - cfg.truth) ** 2))
+        crb = 1.0 / (m * qfi)
+        assert np.array_equal(block.estimates, estimates)
+        assert (block.mse, block.crb, block.ratio) == (mse, crb, mse / crb)
+
+
+def test_crb_study_checks_the_basis_once_per_study(monkeypatch):
+    calls = collections.Counter()
+    monkeypatch.setattr(estimation, "unitarity_defect",
+                        counting(calls, "unitarity_defect", estimation.unitarity_defect))
+    model = ring_model(8, 1.0)
+    seen = []
+    for trials in (4, 40):
+        calls.clear()
+        crb_study(StudyConfig(model=model, truth=0.3, photon_counts=(1000,), trials=trials,
+                              seed=2, bounds=(1e-3, np.pi - 1e-3), basis=model.qft_basis))
+        seen.append(calls["unitarity_defect"])
+    assert seen[0] == seen[1] > 0
+
+
 def test_crb_study_hot_path_builds_no_density_matrix(monkeypatch):
     # the study takes its probabilities and QFI from the orbit-phase tensor:
     # no constellation, density matrix or eigensolver call on its path
     model = ring_model(8, 1.0)
     calls = collections.Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     for name in ("make_ring", "density_matrix", "eig_hermitian"):
-        monkeypatch.setattr(estimation, name, counted(name, getattr(estimation, name)))
-    monkeypatch.setattr(simulate, "outcome_probabilities",
-                        counted("outcome_probabilities", simulate.outcome_probabilities))
+        monkeypatch.setattr(estimation, name, counting(calls, name, getattr(estimation, name)))
+    monkeypatch.setattr(simulate, "outcome_probabilities", counting(
+        calls, "outcome_probabilities", simulate.outcome_probabilities))
     golden = simulate._golden_section
     monkeypatch.setattr(simulate, "_golden_section",
-                        lambda f, a, b, tol: golden(counted("golden", f), a, b, tol))
+                        lambda f, a, b, tol: golden(counting(calls, "golden", f), a, b, tol))
     cfg = StudyConfig(model=model, truth=0.3, photon_counts=(1000, 10000), trials=4, seed=2,
                       bounds=(1e-3, np.pi - 1e-3), basis=model.qft_basis)
     crb_study(cfg)
     assert calls["make_ring"] == calls["density_matrix"] == calls["eig_hermitian"] == 0
-    # the true distribution and the whole scan grid, then one call per refinement step
+    # the public, checked call gives the true distribution and the whole scan grid;
+    # the refinement steps run on the unchecked kernel
     assert calls["golden"] > 0
-    assert calls["outcome_probabilities"] <= 2 + calls["golden"]
+    assert calls["outcome_probabilities"] == 2
     # the counters see the rho route when it runs
     qfim(model, [0.3])
     assert calls["make_ring"] > 0 and calls["density_matrix"] > 0 and calls["eig_hermitian"] > 0
