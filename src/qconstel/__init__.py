@@ -64,8 +64,8 @@ from .circuit import (
     Beamsplitter,
     InterferometerNetlist,
     PhaseShifter,
+    fourier_circuit,
     netlist_unitary,
-    preset_circuit,
     reck_decompose,
     relabeling_distance,
 )
@@ -95,6 +95,7 @@ __all__ = [
     "density_matrix",
     "drho",
     "eig_hermitian",
+    "fourier_circuit",
     "haar_unitary",
     "hermiticity_defect",
     "make_pair",
@@ -107,7 +108,6 @@ __all__ = [
     "outcome_probabilities",
     "overlap",
     "pair_model",
-    "preset_circuit",
     "qfim",
     "qft_matrix",
     "reck_decompose",

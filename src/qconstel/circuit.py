@@ -143,33 +143,27 @@ def reck_decompose(u: np.ndarray) -> InterferometerNetlist:
     return InterferometerNetlist(n_modes=n, elements=tuple(elements), output_phases=phases)
 
 
-def preset_circuit(kind: str, n: int | None = None) -> InterferometerNetlist:
-    """Hand-laid measurement circuits for the symmetric constellations.
+def fourier_circuit(group: AbelianGroup) -> InterferometerNetlist:
+    """Netlist of the group Fourier transform ``qft_matrix(group)``.
 
-    ``pair``: one 50:50 beamsplitter (the Hadamard mix).  ``rect``: the
-    four-beamsplitter, two-layer Walsh mesh.  ``ring``: a triangular mesh
-    realizing the cyclic-group Fourier transform on n modes.
+    When every cyclic factor is 2 (the pair is Z_2, the rectangle Z_2 x Z_2),
+    the transform is a tensor power of the 50:50 mix: one layer of
+    ``Beamsplitter(m, m + s, pi/4)`` per factor, strides s = 1, 2, 4, ... in
+    that order, pairing the modes m with ``m & s == 0``.  That is
+    (n/2) log2 n beamsplitters, no output phases, and exactly ``qft_matrix``
+    with no output relabeling.  Any other group gets
+    ``reck_decompose(qft_matrix(group))``.
     """
-    if kind == "pair":
-        if n not in (None, 2):
-            raise ValueError("the pair circuit has exactly 2 modes")
-        return InterferometerNetlist(2, (Beamsplitter(0, 1, np.pi / 4),))
-    if kind == "rect":
-        if n not in (None, 4):
-            raise ValueError("the rectangle circuit has exactly 4 modes")
-        half = np.pi / 4
-        layers = (
-            Beamsplitter(0, 1, half),
-            Beamsplitter(2, 3, half),
-            Beamsplitter(0, 2, half),
-            Beamsplitter(1, 3, half),
-        )
-        return InterferometerNetlist(4, layers)
-    if kind == "ring":
-        if n is None or n < 2:
-            raise ValueError("ring circuit needs the number of modes n >= 2")
-        return reck_decompose(qft_matrix(AbelianGroup((n,))))
-    raise ValueError(f"unknown preset: {kind!r}")
+    if any(f != 2 for f in group.factors):
+        return reck_decompose(qft_matrix(group))
+    n = group.order
+    layers = tuple(
+        Beamsplitter(m, m + s, np.pi / 4)
+        for s in (1 << b for b in range(len(group.factors)))
+        for m in range(n)
+        if not m & s
+    )
+    return InterferometerNetlist(n, layers)
 
 
 def relabeling_distance(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -245,22 +239,6 @@ def to_json_dict(net: InterferometerNetlist) -> dict:
         "elements": els,
         "output_phases": list(net.output_phases),
     }
-
-
-def from_json_dict(data: dict) -> InterferometerNetlist:
-    elements = []
-    for el in data["elements"]:
-        if el["type"] == "bs":
-            elements.append(Beamsplitter(el["i"], el["j"], el["mixing"], el["phase"]))
-        elif el["type"] == "ps":
-            elements.append(PhaseShifter(el["mode"], el["phase"]))
-        else:
-            raise ValueError(f"unknown element type {el['type']!r}")
-    return InterferometerNetlist(
-        n_modes=data["modes"],
-        elements=tuple(elements),
-        output_phases=tuple(data.get("output_phases", ())),
-    )
 
 
 def _complex_entry(entry, i: int, j: int) -> complex:

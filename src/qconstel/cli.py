@@ -35,10 +35,10 @@ except ImportError:
 import numpy as np
 
 from .circuit import (
+    fourier_circuit,
     from_text,
     load_unitary,
     netlist_unitary,
-    preset_circuit,
     reck_decompose,
     relabeling_distance,
     to_json_dict,
@@ -49,7 +49,6 @@ from .estimation import (
     analytic_qfi,
     orbit_states,
     outcome_probabilities,
-    pair_model,
     qfim,
     rectangle_model,
     ring_model,
@@ -114,7 +113,9 @@ SETTINGS = {
     },
     "output": {
         "path": Setting(str, "", help="output file path"),
-        "format": Setting(str, "csv", ("csv", "json", "text")),
+        "format": Setting(str, "csv", ("csv", "json", "text"),
+                          help="output file format; decompose writes the netlist text for csv "
+                               "and text, the other subcommands take csv or json only"),
     },
 }
 
@@ -180,24 +181,28 @@ def config_hash(cfg: dict) -> str:
 
 
 def build_model(cfg: dict) -> tuple[ModelFamily, np.ndarray, np.ndarray]:
-    """Model family, evaluation point, and analytic QFIM from the config."""
+    """Model family, evaluation point, and analytic QFIM from the config.
+
+    ``pair`` is the two-source ring: both kinds build ``ring_model(n, p,
+    phase, psf_phase)``, with (n, phase, psf_phase) = (2, ``theta``,
+    ``psf_angle``) for ``pair`` and (``n``, ``phase``, ``psf_phase``) for
+    ``ring``.  At n = 2 the closed form is ``pair_off_axis`` at that
+    orientation, whichever kind names it; larger rings take ``ring``.
+    """
     m = cfg["model"]
-    kind = m["kind"]
     try:
-        if kind == "pair":
-            model = pair_model(m["p"], m["theta"], m["psf_angle"])
-            values = np.array([m["r"]])
-            ana = np.array(
-                [[analytic_qfi("pair_off_axis", p=m["p"], theta=m["theta"], theta0=m["psf_angle"])]]
-            )
-        elif kind == "rect":
+        if m["kind"] == "rect":
             model = rectangle_model(m["px"], m["py"])
             values = np.array([m["x0"], m["y0"]])
             ana = analytic_qfi("rectangle", p_x=m["px"], p_y=m["py"])
         else:
-            model = ring_model(m["n"], m["p"], m["phase"], m["psf_phase"])
+            n, phase, psf_phase = ((2, m["theta"], m["psf_angle"]) if m["kind"] == "pair"
+                                   else (m["n"], m["phase"], m["psf_phase"]))
+            model = ring_model(n, m["p"], phase, psf_phase)
             values = np.array([m["r"]])
-            ana = np.array([[analytic_qfi("ring", n=m["n"], p=m["p"])]])
+            qfi = (analytic_qfi("pair_off_axis", p=m["p"], theta=phase, theta0=psf_phase)
+                   if n == 2 else analytic_qfi("ring", n=n, p=m["p"]))
+            ana = np.array([[qfi]])
         model.check_values(values, closed=True)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -353,7 +358,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict, h: str) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     report = crb_study(study)
-    header = ["M", "trials", "mse", "crb", "ratio"]
+    header = ["M", "trials", "failures", "mse", "crb", "ratio"]
     rows = report.rows()
     print_table(h, header, rows)
     print(f"qfi = {report.qfi:.17g}")
@@ -374,7 +379,7 @@ def cmd_decompose(args: argparse.Namespace, cfg: dict, h: str) -> int:
         residual = unitary_distance(netlist_unitary(net), target)
     else:
         model = build_model(cfg)[0]
-        net = preset_circuit(cfg["model"]["kind"], model.dim)
+        net = fourier_circuit(model.group)
         residual, _perm = relabeling_distance(netlist_unitary(net), qft_matrix(model.group))
     text = to_text(net)
     print(f"# config {h}")
@@ -467,6 +472,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
+        if cfg["output"]["format"] == "text" and args.command != "decompose":
+            raise ConfigError(f"{args.command} writes csv or json, not text")
         return args.func(args, cfg, config_hash(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -200,7 +200,7 @@ class StudyReport:
     blocks: tuple[BlockResult, ...]
 
     def rows(self) -> list[tuple]:
-        return [(b.photons, b.trials, b.mse, b.crb, b.ratio) for b in self.blocks]
+        return [(b.photons, b.trials, b.failures, b.mse, b.crb, b.ratio) for b in self.blocks]
 
     def to_dict(self) -> dict:
         return {

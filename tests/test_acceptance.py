@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from qconstel.circuit import netlist_unitary, preset_circuit, reck_decompose, relabeling_distance
+from qconstel.circuit import fourier_circuit, netlist_unitary, reck_decompose, relabeling_distance
 from qconstel.estimation import (
     classical_fi,
     orbit_states,
@@ -249,15 +249,12 @@ def test_criterion_09_circuit_synthesis():
             net = reck_decompose(u)
             bs_bound_ok &= net.beamsplitter_count <= n * (n - 1) // 2
             worst_rt = max(worst_rt, unitary_distance(netlist_unitary(net), u))
-    pair_net = preset_circuit("pair")
-    presets = [
-        (pair_net, qft_matrix(pair_model(1.0).group)),
-        (preset_circuit("rect"), qft_matrix(rectangle_model(1.0, 1.0).group)),
-    ] + [
-        (preset_circuit("ring", n), qft_matrix(ring_model(n, 1.0).group)) for n in range(2, 9)
-    ]
+    models = [pair_model(1.0), rectangle_model(1.0, 1.0)]
+    models += [ring_model(n, 1.0) for n in range(2, 9)]
+    pair_net = fourier_circuit(models[0].group)
     worst_preset = max(
-        relabeling_distance(netlist_unitary(net), target)[0] for net, target in presets
+        relabeling_distance(netlist_unitary(fourier_circuit(m.group)), qft_matrix(m.group))[0]
+        for m in models
     )
     one_bs = pair_net.beamsplitter_count == 1
     ok = worst_rt <= 1e-9 and worst_preset <= 1e-9 and one_bs and bs_bound_ok

@@ -5,10 +5,9 @@ from qconstel.circuit import (
     Beamsplitter,
     InterferometerNetlist,
     PhaseShifter,
-    from_json_dict,
+    fourier_circuit,
     from_text,
     netlist_unitary,
-    preset_circuit,
     reck_decompose,
     relabeling_distance,
     to_json_dict,
@@ -153,33 +152,52 @@ def test_reck_of_netlist_roundtrip():
 
 
 def test_preset_pair():
-    net = preset_circuit("pair")
-    assert net.beamsplitter_count == 1
+    net = fourier_circuit(pair_model(1.0).group)
+    assert net == InterferometerNetlist(2, (Beamsplitter(0, 1, np.pi / 4),))
     assert unitary_distance(netlist_unitary(net), qft_matrix(AbelianGroup((2,)))) <= 1e-12
-    with pytest.raises(ValueError):
-        preset_circuit("pair", 3)
 
 
 def test_preset_rect_walsh_two_layers():
-    net = preset_circuit("rect")
-    assert net.beamsplitter_count == 4
-    pairs = [(el.i, el.j) for el in net.elements]
-    assert pairs[:2] == [(0, 1), (2, 3)]  # first layer
-    assert pairs[2:] == [(0, 2), (1, 3)]  # second layer
+    net = fourier_circuit(rectangle_model(1.0, 1.0).group)
+    half = np.pi / 4
+    walsh_mesh = (Beamsplitter(0, 1, half), Beamsplitter(2, 3, half),  # first layer
+                  Beamsplitter(0, 2, half), Beamsplitter(1, 3, half))  # second layer
+    assert net == InterferometerNetlist(4, walsh_mesh)
     walsh = qft_matrix(AbelianGroup((2, 2)))
     assert unitary_distance(netlist_unitary(net), walsh) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_fourier_circuit_of_z2_power_is_the_walsh_transform(k):
+    group = AbelianGroup((2,) * k)
+    net = fourier_circuit(group)
+    assert net.beamsplitter_count == len(net.elements) == group.order // 2 * k
+    assert net.output_phases == ()
+    assert np.max(np.abs(netlist_unitary(net) - qft_matrix(group))) <= 1e-12
+
+
+def check_fourier_circuit(group):
+    net = fourier_circuit(group)
+    n = group.order
+    dist, _perm = relabeling_distance(netlist_unitary(net), qft_matrix(group))
+    assert dist <= 1e-12
+    assert net.beamsplitter_count <= n * (n - 1) // 2
+    if n >= 3:
+        assert to_text(net) == to_text(reck_decompose(qft_matrix(group)))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
 def test_preset_ring_matches_qft(n):
-    net = preset_circuit("ring", n)
-    target = qft_matrix(AbelianGroup((n,)))
-    dist, _perm = relabeling_distance(netlist_unitary(net), target)
-    assert dist <= 1e-9
+    check_fourier_circuit(AbelianGroup((n,)))
+
+
+@pytest.mark.parametrize("factors", [(2, 3), (2, 4)])
+def test_fourier_circuit_of_mixed_products(factors):
+    check_fourier_circuit(AbelianGroup(factors))
 
 
 def test_preset_ring4_contains_quarter_phases():
-    net = preset_circuit("ring", 4)
+    net = fourier_circuit(ring_model(4, 1.0).group)
     phases = [el.phase for el in net.elements if isinstance(el, Beamsplitter)]
     phases += [el.phase for el in net.elements if isinstance(el, PhaseShifter)]
     phases += list(net.output_phases)
@@ -190,13 +208,13 @@ def test_preset_ring4_contains_quarter_phases():
 
 def test_preset_measurement_distributions_match_qft():
     cases = [
-        (preset_circuit("pair"), pair_model(1.0), [0.4]),
-        (preset_circuit("rect"), rectangle_model(1.0, 0.5), [0.5, 0.7]),
-        (preset_circuit("ring", 4), ring_model(4, 1.0), [0.8]),
-        (preset_circuit("ring", 5), ring_model(5, 1.0), [0.6]),
+        (pair_model(1.0), [0.4]),
+        (rectangle_model(1.0, 0.5), [0.5, 0.7]),
+        (ring_model(4, 1.0), [0.8]),
+        (ring_model(5, 1.0), [0.6]),
     ]
-    for net, model, point in cases:
-        u = netlist_unitary(net)
+    for model, point in cases:
+        u = netlist_unitary(fourier_circuit(model.group))
         dist, perm = relabeling_distance(u, qft_matrix(model.group))
         assert dist <= 1e-9
         q_net = outcome_probabilities(model, point, u.conj().T)
@@ -246,12 +264,16 @@ def test_from_text_diagnostics():
         from_text("BS 0 1 0.5 0.0\nPS 0 nan\n")
 
 
-def test_json_serialization_roundtrip():
-    net = preset_circuit("ring", 3)
-    data = to_json_dict(net)
-    back = from_json_dict(data)
-    assert unitary_distance(netlist_unitary(back), netlist_unitary(net)) <= 1e-12
-    assert data["modes"] == 3
+def test_json_dict_records_the_netlist():
+    net = InterferometerNetlist(
+        3, (Beamsplitter(0, 2, 0.3, -1.1), PhaseShifter(1, 0.25)), output_phases=(0.5, 0.0, -2.0))
+    assert to_json_dict(net) == {
+        "modes": 3,
+        "elements": [{"type": "bs", "i": 0, "j": 2, "mixing": 0.3, "phase": -1.1},
+                     {"type": "ps", "mode": 1, "phase": 0.25}],
+        "output_phases": [0.5, 0.0, -2.0],
+    }
+    assert to_json_dict(fourier_circuit(AbelianGroup((2, 2))))["output_phases"] == []
 
 
 def test_netlist_unitary_always_unitary():

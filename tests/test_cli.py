@@ -8,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qconstel.circuit import from_text, netlist_unitary, to_text, preset_circuit
-from qconstel.cli import SETTINGS, build_parser, config_hash, main, resolve_config
 import qconstel
+from qconstel import cli
+from qconstel.circuit import fourier_circuit, from_text, netlist_unitary, to_text
+from qconstel.cli import SETTINGS, build_parser, config_hash, main, resolve_config
+from qconstel.estimation import pair_model
 from qconstel.linalg import unitary_distance
+from qconstel.simulate import BlockResult, StudyReport
 
 
 def run(capsys, argv):
@@ -35,6 +38,16 @@ def test_qfi_check_pass_and_fail(capsys):
     )
     assert code == 4
     assert "self-check failed" in err
+
+
+def test_qfi_two_source_ring_takes_the_pair_closed_form(capsys):
+    # the closed form follows the orientation whichever kind names the two sources
+    outs = {}
+    for kind, angles in (("pair", ["--theta", "0.5"]), ("ring", ["--n", "2", "--phase", "0.5"])):
+        code, outs[kind], err = run(capsys, ["qfi", "--kind", kind, *angles, "--check", "1e-6"])
+        assert code == 0, err
+    assert outs["ring"].splitlines()[1:] == outs["pair"].splitlines()[1:]
+    assert "3.0806046117362795" in outs["ring"]
 
 
 def test_qfi_csv_and_json_outputs(tmp_path, capsys):
@@ -96,10 +109,26 @@ def test_simulate_csv_format(tmp_path, capsys):
     )
     assert code == 0
     lines = out_path.read_text().splitlines()
-    assert lines[1] == "M,trials,mse,crb,ratio"
+    assert lines[1] == "M,trials,failures,mse,crb,ratio"
     assert len(lines) == 4
     first = lines[2].split(",")
-    assert first[0] == "300" and first[1] == "20"
+    assert first[:3] == ["300", "20", "0"]
+
+
+def test_simulate_reports_estimator_failures(tmp_path, capsys, monkeypatch):
+    block = BlockResult(photons=1000, trials=150, estimates=np.full(149, 0.3), failures=1,
+                        mse=0.25, crb=0.5, ratio=0.5)
+    report = StudyReport(qfi=4.0, blocks=(block,))
+    assert report.rows() == [(1000, 150, 1, 0.25, 0.5, 0.5)]
+    monkeypatch.setattr(cli, "crb_study", lambda study: report)
+    out_path = tmp_path / "study.csv"
+    code, out, _ = run(capsys, ["simulate", "--kind", "pair", "--out", str(out_path)])
+    assert code == 0
+    assert out_path.read_text().splitlines()[1:] == ["M,trials,failures,mse,crb,ratio",
+                                                     "1000,150,1,0.25,0.5,0.5"]
+    table = [line.split() for line in out.splitlines()[1:3]]
+    assert table == [["M", "trials", "failures", "mse", "crb", "ratio"],
+                     ["1000", "150", "1", "0.25", "0.5", "0.5"]]
 
 
 def test_simulate_two_source_ring_is_the_pair(tmp_path, capsys):
@@ -116,7 +145,7 @@ def test_simulate_two_source_ring_is_the_pair(tmp_path, capsys):
         rows[kind] = out_path.read_text().splitlines()
     assert rows["ring"][0] != rows["pair"][0]  # the config hash line
     assert rows["ring"][1:] == rows["pair"][1:]
-    assert float(rows["ring"][2].split(",")[4]) < 2.0
+    assert float(rows["ring"][2].split(",")[5]) < 2.0
 
 
 def test_simulate_direct_detection_exit_3(capsys):
@@ -131,7 +160,7 @@ def test_simulate_direct_detection_exit_3(capsys):
 
 def test_simulate_netlist_basis(tmp_path, capsys):
     netfile = tmp_path / "pair.net"
-    netfile.write_text(to_text(preset_circuit("pair")) or "BS 0 1 0.78539816339744828 0\n")
+    netfile.write_text(to_text(fourier_circuit(pair_model(1.0).group)))
     code, out, _ = run(
         capsys,
         ["simulate", "--kind", "pair", "--r", "0.3", "--photons", "400", "--trials", "10",
@@ -182,6 +211,35 @@ def test_decompose_rejects_nonsquare_file(tmp_path, capsys, matrix, shape):
     code, out, err = run(capsys, ["decompose", "--unitary", str(ufile)])
     assert code == 2 and out == ""
     assert f"non-empty square matrix, got shape {shape}" in err and err.count("\n") == 1, err
+
+
+def test_decompose_two_source_ring_is_the_pair_circuit(capsys):
+    code, pair, _ = run(capsys, ["decompose", "--kind", "pair"])
+    assert code == 0
+    code, ring, _ = run(capsys, ["decompose", "--kind", "ring", "--n", "2"])
+    assert code == 0
+    assert ring.splitlines()[1:] == pair.splitlines()[1:]  # all but the config hash
+    assert pair.splitlines()[1:3] == ["BS 0 1 0.78539816339744828 0",
+                                      "# elements: 1  beamsplitters: 1"]
+
+
+@pytest.mark.parametrize("command", ["qfi", "eigen", "simulate", "sweep"])
+def test_text_format_is_refused_outside_decompose(tmp_path, capsys, command):
+    out = tmp_path / "out.txt"
+    code, stdout, err = run(capsys, [command, "--format", "text", "--out", str(out)])
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"config error: {command} writes csv or json, not text\n"
+
+
+def test_decompose_writes_netlist_text_for_csv_and_text(tmp_path, capsys):
+    outs = []
+    for fmt in ("csv", "text"):
+        out = tmp_path / f"ring4.{fmt}"
+        assert run(capsys, ["decompose", "--kind", "ring", "--n", "4", "--format", fmt,
+                            "--out", str(out)])[0] == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("BS ")
 
 
 def test_decompose_preset_json(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qconstel import estimation, simulate
-from qconstel.circuit import netlist_unitary, preset_circuit
+from qconstel.circuit import fourier_circuit, netlist_unitary
 from qconstel.estimation import outcome_probabilities, pair_model, qfim, ring_model, spectral_qfim
 from qconstel.linalg import haar_unitary
 from qconstel.simulate import (
@@ -253,7 +253,7 @@ def test_study_config_checks_the_basis_at_construction():
 def test_report_serialization_shapes():
     report = crb_study(quick_pair_study(trials=10, photons=(300,)))
     rows = report.rows()
-    assert len(rows) == 1 and len(rows[0]) == 5
+    assert len(rows) == 1 and len(rows[0]) == 6
     d = report.to_dict()
     assert set(d) == {"qfi", "blocks"}
     assert len(d["blocks"][0]["estimates"]) == 10
@@ -273,7 +273,7 @@ def study_basis(model, name):
         return np.eye(model.dim)
     if name == "haar":
         return haar_unitary(model.dim, np.random.default_rng(model.dim))
-    return netlist_unitary(preset_circuit("ring", model.dim)).conj().T  # as CLI --basis netlist
+    return netlist_unitary(fourier_circuit(model.group)).conj().T  # as CLI --basis netlist
 
 
 def public_route_study(cfg, basis):
