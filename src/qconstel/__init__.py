@@ -11,7 +11,6 @@ from .constellation import (
     Constellation,
     DiscretePSF,
     SymmetryError,
-    SymmetrySpec,
     apply_group_element,
     make_pair,
     make_rectangle,
@@ -86,7 +85,6 @@ __all__ = [
     "StudyError",
     "StudyReport",
     "SymmetryError",
-    "SymmetrySpec",
     "analytic_qfi",
     "apply_group_element",
     "characters",

@@ -31,18 +31,16 @@ import numpy as np
 
 from .constellation import (
     SYMMETRY_MATCH_ATOL,
-    AbelianGroup,
     Constellation,
     DiscretePSF,
     SymmetryError,
-    SymmetrySpec,
     make_rectangle,
     make_ring,
     matching_psf,
 )
 from .linalg import eig_hermitian, hermiticity_defect, unitarity_defect
 from .states import density_matrix
-from .symmetry import qft_matrix
+from .symmetry import AbelianGroup, qft_matrix
 
 SUPPORT_TOL = 1e-10
 DRHO_HERMITIAN_ATOL = 1e-9
@@ -60,7 +58,7 @@ class ModelFamily:
     coordinate-wise by v in the same group order (r scales both coordinates
     of a ring; x0 and y0 one each of a rectangle).  ``psf`` is the momentum
     comb.  The rest derives from these four fields: ``dim``, ``bounds``,
-    ``symmetry``, ``group``, ``qft_basis``, the oracle ``rho(v)`` = density
+    ``group`` (the template's), ``qft_basis``, the oracle ``rho(v)`` = density
     matrix of ``make(v)``, and the orbit-phase tensor ``phases`` D[g, j, mu].
     The phase that source g picks up on psf momentum p_j, p_j . t_g(v), is
     linear in v: phi_gj(v) = sum_mu D[g, j, mu] v_mu.  ``amplitudes`` derives
@@ -103,12 +101,8 @@ class ModelFamily:
         return ((0.0, np.inf),) * self.n_params
 
     @property
-    def symmetry(self) -> SymmetrySpec:
-        return self.template.symmetry
-
-    @property
     def group(self) -> AbelianGroup:
-        return self.symmetry.group
+        return self.template.group
 
     @cached_property
     def qft_basis(self) -> np.ndarray:
@@ -269,10 +263,12 @@ def qfim(model: ModelFamily, values, h: float | None = None) -> np.ndarray:
     return 0.5 * (f + f.T)
 
 
-def check_basis(basis: np.ndarray) -> np.ndarray:
+def check_basis(basis: np.ndarray, dim: int) -> np.ndarray:
+    """``basis`` as complex128, if it is a unitary of the model dimension ``dim``."""
     basis = np.asarray(basis, dtype=np.complex128)
-    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
-        raise ValueError(f"measurement basis must be square, got shape {basis.shape}")
+    if basis.shape != (dim, dim):
+        raise ValueError(f"measurement basis must be a square {dim}x{dim} matrix for the "
+                         f"model's {dim} modes, got shape {basis.shape}")
     defect = unitarity_defect(basis)
     if not defect <= BASIS_ORTHONORMAL_ATOL:
         raise ValueError(f"basis is not orthonormal: max |B^H B - I| = {defect:.3e}")
@@ -296,7 +292,7 @@ def outcome_probabilities(model: ModelFamily, values, basis: np.ndarray) -> np.n
     The arithmetic is the unchecked kernel ``_probabilities``, run after
     ``check_basis`` and ``check_block``.
     """
-    basis = check_basis(basis)
+    basis = check_basis(basis, model.dim)
     q = _probabilities(model, model.check_block(values), basis)
     return q if np.ndim(values) == 2 else q[0]
 
@@ -324,7 +320,7 @@ def classical_fi(model: ModelFamily, values, basis: np.ndarray) -> np.ndarray:
     with no floor: each term is at most 4 mean_g |<b_k|d psi_g>|^2, so tiny
     probabilities cannot blow up.
     """
-    basis = check_basis(basis)
+    basis = check_basis(basis, model.dim)
     psi = model.amplitudes(model.check_values(values)[None, :])  # (1, G, N)
     a, q = _orbit_weights(psi, basis)
     dpsi = -1j * np.moveaxis(model.phases, -1, 0) * psi  # (n_params, G, N)

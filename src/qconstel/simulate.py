@@ -171,10 +171,8 @@ class StudyConfig:
             raise ValueError(
                 f"truth {self.truth} outside estimator bounds {self.bounds}"
             )
-        basis = np.array(check_basis(self.basis))  # a copy the caller cannot write to
-        if basis.shape[0] != self.model.dim:
-            raise ValueError(f"basis is {basis.shape[0]}x{basis.shape[0]}, "
-                             f"but the model has {self.model.dim} modes")
+        # a copy the caller cannot write to
+        basis = np.array(check_basis(self.basis, self.model.dim))
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
 

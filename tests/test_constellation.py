@@ -1,12 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from qconstel.constellation import (
-    AbelianGroup,
     Constellation,
     DiscretePSF,
     SymmetryError,
-    SymmetrySpec,
     _check_distinct,
     apply_group_element,
     make_pair,
@@ -15,12 +15,13 @@ from qconstel.constellation import (
     matching_psf,
     validate_symmetry,
 )
+from qconstel.symmetry import AbelianGroup
 
 
 def test_make_pair_on_axis():
     c = make_pair(1.0, 0.0)
     assert np.allclose(c.points, [[1.0, 0.0], [-1.0, 0.0]])
-    assert c.symmetry.kind == "cyclic" and c.symmetry.n == 2
+    assert c.group == AbelianGroup((2,))
 
 
 def test_make_pair_axis_swap():
@@ -44,7 +45,7 @@ def test_make_pair_rejects_nonpositive_radius():
 def test_make_rectangle():
     c = make_rectangle(2.0, 1.0)
     assert np.allclose(sorted(map(tuple, c.points)), sorted([(2, 1), (2, -1), (-2, 1), (-2, -1)]))
-    validate_symmetry(c.symmetry, c.points)
+    validate_symmetry(c.group, c.points)
     with pytest.raises(ValueError):
         make_rectangle(2.0, 0.0)
 
@@ -58,12 +59,17 @@ def test_make_ring_basics():
     assert np.allclose(c4.points, [[1, 0], [0, 1], [-1, 0], [0, -1]], atol=1e-15)
 
     c3 = make_ring(3, 1.0, np.pi / 2)
-    validate_symmetry(c3.symmetry, c3.points)
+    validate_symmetry(c3.group, c3.points)
 
     with pytest.raises(ValueError):
         make_ring(1, 1.0)
     with pytest.raises(ValueError):
         make_ring(3, 0.0)
+    # a non-integral n used to build round(n) points under a group of order int(n)
+    for bad in (2.5, 4.0, "4", None):
+        with pytest.raises(ValueError, match=f"ring needs an integer n >= 2, got {bad!r}"):
+            make_ring(bad, 1.0)
+    assert make_ring(np.int64(5), 1.0).group == AbelianGroup((5,))
 
 
 def test_matching_psf_pair():
@@ -118,63 +124,63 @@ def test_psf_symmetry_matches_constellation():
         (make_ring(5, 0.9, 0.2), dict(phase=0.1)),
     ]:
         psf = matching_psf(c, 1.3, **kwargs)
-        validate_symmetry(c.symmetry, psf.momenta)
+        validate_symmetry(c.group, psf.momenta)
 
 
 def test_apply_group_element_examples():
-    spec4 = SymmetrySpec.cyclic(4)
-    assert np.allclose(apply_group_element(spec4, 1, [[1.0, 0.0]]), [[0.0, 1.0]], atol=1e-15)
+    z4 = AbelianGroup((4,))
+    assert np.allclose(apply_group_element(z4, 1, [[1.0, 0.0]]), [[0.0, 1.0]], atol=1e-15)
 
-    refl = SymmetrySpec.cyclic(2)
-    assert np.allclose(apply_group_element(refl, 1, [[0.3, -0.4]]), [[-0.3, 0.4]])
+    z2 = AbelianGroup((2,))
+    assert np.allclose(apply_group_element(z2, 1, [[0.3, -0.4]]), [[-0.3, 0.4]])
 
-    rect = SymmetrySpec.rect_reflections()
+    rect = AbelianGroup((2, 2))
     pts = np.array([[0.5, 0.25], [1.0, -1.0]])
-    for spec in (spec4, refl, rect):
-        assert np.allclose(apply_group_element(spec, 0, pts), pts)
+    for group in (z4, z2, rect):
+        assert np.allclose(apply_group_element(group, 0, pts), pts)
+    assert np.array_equal(apply_group_element(rect, 1, pts), pts * [1.0, -1.0])
+    assert np.array_equal(apply_group_element(rect, 2, pts), pts * [-1.0, 1.0])
 
-    with pytest.raises(ValueError):
-        apply_group_element(spec4, 4, pts)
-    with pytest.raises(ValueError):
-        apply_group_element(refl, -1, pts)
+    for group, bad in ((z4, 4), (z2, -1), (z2, 1.0), (rect, np.int64(4))):
+        with pytest.raises(ValueError, match="element index"):
+            apply_group_element(group, bad, pts)
+    assert np.allclose(apply_group_element(z4, np.int64(2), pts), -pts)
 
 
 def test_group_law_on_random_points():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((5, 2))
-    for spec in (SymmetrySpec.cyclic(6), SymmetrySpec.cyclic(2), SymmetrySpec.rect_reflections()):
-        for g in range(spec.order):
-            for h in range(spec.order):
-                via_two = apply_group_element(spec, g, apply_group_element(spec, h, pts))
-                direct = apply_group_element(spec, spec.group.compose(g, h), pts)
+    for group in (AbelianGroup((6,)), AbelianGroup((2,)), AbelianGroup((2, 2))):
+        for g in range(group.order):
+            for h in range(group.order):
+                via_two = apply_group_element(group, g, apply_group_element(group, h, pts))
+                direct = apply_group_element(group, int(group.table[g, h]), pts)
                 assert np.max(np.abs(via_two - direct)) <= 1e-12
 
 
 def test_composition_table():
+    # the table against the group law written out digit by digit
     for group in (AbelianGroup((5,)), AbelianGroup((2, 3)), AbelianGroup((3, 4, 2))):
-        n = group.order
+        n, d = group.order, group.digits
         for g in range(n):
             for h in range(n):
-                digits = np.add(group.element_tuple(g), group.element_tuple(h))
-                assert group.table[g, h] == group.element_index(digits) == group.compose(g, h)
-        assert not group.table.flags.writeable
-        for bad in (-1, n, 2.5):
-            with pytest.raises(ValueError, match="element index"):
-                group.compose(bad, 0)
-            with pytest.raises(ValueError, match="element index"):
-                group.compose(0, bad)
+                summed = [(a + b) % f for a, b, f in zip(d[g], d[h], group.factors)]
+                assert list(d[group.table[g, h]]) == summed
+        assert np.array_equal(group.table, group.table.T)
+        assert np.array_equal(group.table[0], np.arange(n))  # index 0 is the identity
+        assert not group.table.flags.writeable and not group.digits.flags.writeable
 
 
 def test_validate_symmetry_ring4_shift():
     c = make_ring(4, 1.0)
-    perms = validate_symmetry(c.symmetry, c.points)
+    perms = validate_symmetry(c.group, c.points)
     assert np.array_equal(perms[0], [0, 1, 2, 3])
     assert np.array_equal(perms[1], [1, 2, 3, 0])
 
 
 def test_validate_symmetry_rect_involutions():
     c = make_rectangle(1.0, 0.5)
-    perms = validate_symmetry(c.symmetry, c.points)
+    perms = validate_symmetry(c.group, c.points)
     for g in (1, 2):
         p = perms[g]
         assert np.array_equal(p[p], np.arange(4))
@@ -186,12 +192,12 @@ def test_validate_symmetry_detects_perturbation():
     pts = make_ring(4, 1.0).points.copy()
     pts[2] += 0.1
     with pytest.raises(SymmetryError):
-        validate_symmetry(SymmetrySpec.cyclic(4), pts)
+        validate_symmetry(AbelianGroup((4,)), pts)
 
 
 def test_constructors_validate():
     for c in (make_pair(1.0, 0.2), make_rectangle(0.5, 0.8), make_ring(7, 1.1, 0.3)):
-        validate_symmetry(c.symmetry, c.points)
+        validate_symmetry(c.group, c.points)
 
 
 def test_constellation_invariants():
@@ -246,17 +252,40 @@ def test_check_distinct_matches_pairwise_loop():
     assert len(Constellation(pts)) == 4
 
 
-def test_symmetry_spec_validation():
-    with pytest.raises(ValueError):
-        SymmetrySpec.cyclic(1)
-    with pytest.raises(ValueError):
-        SymmetrySpec("hexagonal")
-    assert SymmetrySpec.cyclic(5).order == 5
-    assert SymmetrySpec.rect_reflections().factors == (2, 2)
+def test_group_factor_validation():
+    # a non-integral factor used to be truncated: (2.5,) had order 2
+    for bad in ((), (1,), (0, 2), (2, -3), (2.5,), (2.0,), (2, 3.5), ("3",), (True, 2)):
+        with pytest.raises(ValueError, match="every cyclic factor must be an integer >= 2"):
+            AbelianGroup(bad)
+    group = AbelianGroup((np.int64(3), np.int32(2)))
+    assert group.factors == (3, 2) and all(type(f) is int for f in group.factors)
+    assert group.order == 6 and group.digits.shape == (6, 2)
+    assert AbelianGroup((5,)).order == 5
+
+
+@pytest.mark.parametrize("factors", [(3, 4), (2, 2, 2), (4, 2), (2, 3)])
+def test_group_without_planar_action_is_refused(factors):
+    group = AbelianGroup(factors)
+    message = rf"AbelianGroup\({re.escape(str(group.factors))}\) has no planar action"
+    pts = make_ring(4, 1.0).points
+    with pytest.raises(ValueError, match=message):
+        Constellation(pts, group)
+    with pytest.raises(ValueError, match=message):
+        apply_group_element(group, 1, pts)
+    unchecked = Constellation(pts)  # a group set past the constructor is refused too
+    object.__setattr__(unchecked, "group", group)
+    with pytest.raises(ValueError, match=message):
+        matching_psf(unchecked, 1.0)
+    with pytest.raises(ValueError, match="no symmetry group"):
+        matching_psf(Constellation(pts), 1.0)
 
 
 def test_pair_symmetry_is_the_two_source_rotation():
-    # the point inversion of a pair is the rotation by pi of cyclic(2)
-    with pytest.raises(ValueError, match="unknown symmetry kind"):
-        SymmetrySpec("reflection_1d")
-    assert make_pair(0.7, 0.3).symmetry == SymmetrySpec.cyclic(2)
+    # the point inversion of a pair is the rotation by pi of its Z_2
+    c = make_pair(0.7, 0.3)
+    assert c.group == AbelianGroup((2,)) and c.group.order == 2
+    assert np.array_equal(c.group.digits, [[0], [1]])
+    assert np.array_equal(c.group.table, [[0, 1], [1, 0]])
+    assert np.allclose(apply_group_element(c.group, 1, c.points), -c.points, atol=1e-15)
+    assert np.allclose(apply_group_element(c.group, 1, c.points), c.points[::-1], atol=1e-15)
+    assert np.array_equal(validate_symmetry(c.group, c.points), [[0, 1], [1, 0]])

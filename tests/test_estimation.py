@@ -1,3 +1,5 @@
+import functools
+import re
 import sys
 
 import numpy as np
@@ -216,7 +218,18 @@ def test_classical_fi_rejects_bad_basis():
     with pytest.raises(ValueError, match="orthonormal"):
         classical_fi(model, [0.3], np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="not orthonormal: .* = nan"):
-        check_basis(np.array([[1.0, 0.0], [0.0, np.nan]]))
+        check_basis(np.array([[1.0, 0.0], [0.0, np.nan]]), 2)
+
+
+def test_basis_of_the_wrong_size_names_both_sizes():
+    # both entry points used to fail inside numpy's matmul with a core-dimension mismatch
+    model = ring_model(4, 1.0)
+    for call in (outcome_probabilities, classical_fi):
+        for basis in (np.eye(3), np.eye(5), np.ones((4, 3)), np.ones(4)):
+            message = f"must be a square 4x4 matrix for the model's 4 modes, got shape {basis.shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(model, [0.3], basis)
+    assert np.array_equal(check_basis(np.eye(4), 4), np.eye(4))
 
 
 def test_analytic_qfi_cases():
@@ -369,6 +382,11 @@ def test_model_validation():
         model.rho([0.0])
     with pytest.raises(ValueError):
         pair_model(-1.0)
+    # a non-integral n used to reach the family check as "(3, 3) sources x psf
+    # momenta, but |G| = 2"
+    for bad in (2.5, 4.0):
+        with pytest.raises(ValueError, match=f"ring needs an integer n >= 2, got {bad}"):
+            ring_model(bad, 1.0)
     # qft_basis derives from the symmetry; it is not a constructor field
     with pytest.raises(TypeError):
         ModelFamily(("r",), model.template, model.psf, model.make, qft_basis=np.eye(2))
@@ -491,13 +509,13 @@ def test_orbit_states_match_group_action_oracle():
     # b on the base point v t_0, with no phase tensor involved; the orbit from
     # base point b is row g * b of orbit_states
     for model, point, make in two_route_models():
-        spec = model.symmetry
+        group = model.group
         t0 = make(np.ones(model.n_params)).points[0]
         for v in closed_domain_points(point):
-            for b in range(spec.order):
-                base = apply_group_element(spec, b, v * t0)
-                oracle = np.stack([source_state(model.psf, apply_group_element(spec, g, base)[0])
-                                   for g in range(spec.order)])
+            for b in range(group.order):
+                base = apply_group_element(group, b, v * t0)
+                oracle = np.stack([source_state(model.psf, apply_group_element(group, g, base)[0])
+                                   for g in range(group.order)])
                 states = orbit_states(model, v)[model.group.table[:, b]]
                 assert states.shape == oracle.shape
                 assert np.max(np.abs(states - oracle)) <= 1e-14
@@ -509,7 +527,7 @@ def test_orbit_states_guards():
             orbit_states(ring_model(4, 1.0), bad)
 
 
-def test_character_basis_builds_no_constellation_or_source_state(monkeypatch):
+def test_outcome_probabilities_build_no_constellation_or_source_state(monkeypatch):
     model = ring_model(8, 1.0)
     calls = []
     for mod in [m for name, m in sys.modules.items() if name.startswith("qconstel")]:
@@ -523,7 +541,7 @@ def test_character_basis_builds_no_constellation_or_source_state(monkeypatch):
     assert np.max(np.abs(np.sort(q) - np.sort(ring_eigenvalues(8, 1.0, 0.3)))) <= 1e-12
 
 
-def test_character_basis_does_not_recheck_symmetry(monkeypatch):
+def test_outcome_probabilities_do_not_recheck_symmetry(monkeypatch):
     # the symmetry condition is checked when the family is built, so a call
     # re-runs no point-permutation check
     models = [pair_model(1.0), rectangle_model(1.0, 0.7), ring_model(16, 1.0)]
@@ -712,3 +730,71 @@ def test_ring_spectral_zeros_sweep(n, p, log_r):
     for r in (10.0 ** log_r, 0.0):
         lam = assert_exact_near_spectral_zero(model, [r], expected)
         assert np.max(np.abs(np.sort(ring_eigenvalues(n, p, r)) - lam)) <= 1e-12
+
+
+RING_ZERO_PR_MAX = 12.0
+
+
+@functools.lru_cache(maxsize=None)
+def ring_zeros(n):
+    """p r of the zeros of ring eigenvalues |a_k|^2 in (0, RING_ZERO_PR_MAX], ascending.
+
+    a_k = (1/n) sum_m exp(2 pi i m k / n) exp(-i p r cos(2 pi m / n + phi)) at
+    ``ring_model``'s default orientation phi, where every a_k has an
+    r-independent phase.  So a_k times the conjugate phase is real, and each
+    sign change of it on a grid, away from the rounding noise of the tiny
+    a_k at small p r, brackets a zero that bisection refines.
+    """
+    phi = 0.0 if n % 2 == 0 else np.pi / (2 * n)
+    m = np.arange(n)
+    dft = np.exp(2j * np.pi * np.outer(m, m) / n) / n
+
+    def amplitudes(x):
+        return np.exp(-1j * np.multiply.outer(x, np.cos(2 * np.pi * m / n + phi))) @ dft
+
+    x = np.linspace(0.0, RING_ZERO_PR_MAX, 4001)[1:]
+    a = amplitudes(x)
+    unphase = np.exp(-1j * np.angle(a[np.argmax(np.abs(a), axis=0), m]))
+    s = a * unphase
+    assert np.max(np.abs(s.imag)) <= 1e-14  # the phase is r-independent
+    s = s.real
+    crossing = (np.signbit(s[:-1]) != np.signbit(s[1:])) & (np.abs(s[:-1] - s[1:]) > 1e-10)
+    zeros = []
+    for i, k in zip(*np.nonzero(crossing)):
+        lo, hi = x[i], x[i + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if np.signbit((amplitudes(mid)[k] * unphase[k]).real) == np.signbit(s[i, k]):
+                lo = mid
+            else:
+                hi = mid
+        zeros.append(lo)
+    return tuple(sorted(zeros))
+
+
+def test_ring_zeros_are_eigenvalue_zeros():
+    for n, near in ((3, 2.418), (5, 2.404), (8, 3.805)):
+        assert min(abs(np.array(ring_zeros(n)) - near)) <= 1e-3
+    for n in range(3, 17):
+        zeros = ring_zeros(n)
+        assert len(zeros) >= 5 and zeros[0] > 2.0
+        for x in zeros:
+            assert np.min(ring_eigenvalues(n, 1.0, x)) <= 1e-28
+
+
+@settings(max_examples=60)
+@given(st.integers(3, 16), st.integers(0, 2**16), st.sampled_from((-1.0, 1.0)),
+       st.floats(-9.0, -1.0), st.floats(0.3, 3.0))
+@example(3, 0, -1.0, -9.0, 0.3)
+@example(5, 0, 1.0, -9.0, 3.0)
+@example(8, 1, -1.0, -9.0, 1.0)
+@example(16, 2**16 - 1, 1.0, -9.0, 0.3)
+def test_ring_spectral_zeros_at_larger_pr_sweep(n, pick, side, log_delta, p):
+    # an eigenvalue |a_k|^2 vanishes at each ring zero, with no closed form;
+    # approach it from either side down to 1e-9 in p r
+    zeros = ring_zeros(n)
+    r = (zeros[pick % len(zeros)] + side * 10.0 ** log_delta) / p
+    model = ring_model(n, p)
+    lam = assert_exact_near_spectral_zero(model, [r], [[analytic_qfi("ring", n=n, p=p)]])
+    assert np.max(np.abs(np.sort(ring_eigenvalues(n, p, r)) - lam)) <= 1e-12
+    assert np.min(ring_eigenvalues(n, p, r)) <= 10.0 ** (2 * log_delta)

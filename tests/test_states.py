@@ -124,8 +124,8 @@ def test_density_matrix_invariants(c, psf_kwargs):
 def test_symmetry_covariance_of_rho(c):
     psf = matching_psf(c, 1.0)
     rho = density_matrix(c, psf)
-    perms = validate_symmetry(c.symmetry, psf.momenta)
-    for g in range(c.symmetry.order):
+    perms = validate_symmetry(c.group, psf.momenta)
+    for g in range(c.group.order):
         u = permutation_matrix(perms[g])
         assert np.max(np.abs(u @ rho @ u.T - rho)) <= 1e-10
 
@@ -135,11 +135,11 @@ def test_source_state_phase_covariance():
 
     c = make_ring(5, 0.8, 0.1)
     psf = matching_psf(c, 1.0, phase=0.25)
-    perms = validate_symmetry(c.symmetry, psf.momenta)
+    perms = validate_symmetry(c.group, psf.momenta)
     r = np.array([0.33, -0.71])
     psi = source_state(psf, r)
-    for g in range(c.symmetry.order):
-        moved = apply_group_element(c.symmetry, g, r[None, :])[0]
+    for g in range(c.group.order):
+        moved = apply_group_element(c.group, g, r[None, :])[0]
         lhs = source_state(psf, moved)
         rhs = permutation_matrix(perms[g]) @ psi
         assert np.max(np.abs(lhs - rhs)) <= 1e-12

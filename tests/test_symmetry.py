@@ -99,7 +99,7 @@ def test_identical_states_single_weight():
 def ring_setup(n, p, r):
     c = make_ring(n, r)
     psf = matching_psf(c, p)
-    perms = validate_symmetry(c.symmetry, psf.momenta)
+    perms = validate_symmetry(c.group, psf.momenta)
     states = np.stack([source_state(psf, pt) for pt in c.points])
     return c, psf, perms, states
 
@@ -153,7 +153,7 @@ def test_covariance_violation_names_element():
     swap = [0, 2, 1, 3, 4]
     with pytest.raises(SymmetryError, match="group element 1 does not carry psf momentum 0"):
         ModelFamily(model.names, model.template, DiscretePSF(model.psf.momenta[swap]), model.make)
-    template = Constellation(model.template.points[swap], model.symmetry)
+    template = Constellation(model.template.points[swap], model.group)
     with pytest.raises(SymmetryError, match="group element 1 does not carry psf momentum 0"):
         ModelFamily(model.names, template, model.psf, model.make)
     nan_psf = DiscretePSF.__new__(DiscretePSF)
@@ -179,12 +179,16 @@ def test_zero_weight_flagging_at_degenerate_point():
 
 def test_group_indexing():
     g = AbelianGroup((2, 3))
-    tuples = [g.element_tuple(k) for k in range(6)]
-    assert tuples == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    for k in range(6):
-        assert g.element_index(g.element_tuple(k)) == k
-        ginv = g.inverse(k)
-        summed = tuple((a + b) % f for a, b, f in zip(g.element_tuple(k), g.element_tuple(ginv), g.factors))
-        assert summed == (0, 0)
+    assert g.digits.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
+    assert np.array_equal(np.ravel_multi_index(g.digits.T, g.factors), np.arange(6))
+    for group in (g, AbelianGroup((5,)), AbelianGroup((2, 2)), AbelianGroup((3, 4, 2))):
+        n, d = group.order, group.digits
+        assert np.array_equal(d[0], np.zeros(len(group.factors)))  # index 0 is the identity
+        for k in range(n):
+            # the one inverse of k: its digits negate k's modulo the factors
+            inverses = np.flatnonzero(group.table[k] == 0)
+            assert len(inverses) == 1
+            assert np.all((d[k] + d[inverses[0]]) % group.factors == 0)
+            assert group.table[inverses[0], k] == 0
     with pytest.raises(ValueError):
         AbelianGroup((1,))
