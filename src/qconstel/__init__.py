@@ -12,7 +12,6 @@ from .constellation import (
     DiscretePSF,
     SymmetryError,
     apply_group_element,
-    make_pair,
     make_rectangle,
     make_ring,
     matching_psf,
@@ -26,7 +25,7 @@ from .linalg import (
     unitarity_defect,
     unitary_distance,
 )
-from .states import density_matrix, overlap, source_state
+from .states import density_matrix, source_state
 from .symmetry import (
     AbelianGroup,
     characters,
@@ -39,7 +38,6 @@ from .estimation import (
     drho,
     orbit_states,
     outcome_probabilities,
-    pair_model,
     qfim,
     rectangle_model,
     ring_amplitudes,
@@ -66,7 +64,6 @@ from .circuit import (
     fourier_circuit,
     netlist_unitary,
     reck_decompose,
-    relabeling_distance,
 )
 
 __version__ = "0.1.0"
@@ -96,7 +93,6 @@ __all__ = [
     "fourier_circuit",
     "haar_unitary",
     "hermiticity_defect",
-    "make_pair",
     "make_rectangle",
     "make_ring",
     "matching_psf",
@@ -104,13 +100,10 @@ __all__ = [
     "netlist_unitary",
     "orbit_states",
     "outcome_probabilities",
-    "overlap",
-    "pair_model",
     "qfim",
     "qft_matrix",
     "reck_decompose",
     "rectangle_model",
-    "relabeling_distance",
     "ring_amplitudes",
     "ring_eigenvalues",
     "ring_model",

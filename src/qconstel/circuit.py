@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import unitarity_defect, unitary_distance
+from .linalg import unitarity_defect
 from .symmetry import AbelianGroup, qft_matrix
 
 UNITARY_ATOL = 1e-10
@@ -164,22 +164,6 @@ def fourier_circuit(group: AbelianGroup) -> InterferometerNetlist:
         if not m & s
     )
     return InterferometerNetlist(n, layers)
-
-
-def relabeling_distance(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
-    """Distance between u and v up to global phase and an output relabeling.
-
-    Recovers the best permutation P from u v^H (valid when u ~ e^{i phi} P v)
-    and returns (unitary_distance(u, P v), permutation).  Falls back to the
-    identity relabeling when u v^H is not permutation-like.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    m = u @ v.conj().T
-    perm = np.argmax(np.abs(m), axis=1)
-    if len(set(perm.tolist())) != len(perm):
-        perm = np.arange(u.shape[0])
-    return unitary_distance(u, v[perm, :]), perm
 
 
 def to_text(net: InterferometerNetlist) -> str:

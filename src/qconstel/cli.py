@@ -40,7 +40,6 @@ from .circuit import (
     load_unitary,
     netlist_unitary,
     reck_decompose,
-    relabeling_distance,
     to_json_dict,
     to_text,
 )
@@ -81,11 +80,9 @@ SETTINGS = {
         "p": Setting(float, 1.0, help="psf momentum magnitude (pair/ring)"),
         "px": Setting(float, 1.0, help="psf x momentum (rect)"),
         "py": Setting(float, 1.0, help="psf y momentum (rect)"),
-        "n": Setting(int, 4, help="number of ring sources/modes"),
-        "theta": Setting(float, 0.0, help="pair source angle"),
-        "psf_angle": Setting(float, 0.0, help="pair psf angle"),
-        "phase": Setting(float, 0.0, help="ring constellation phase"),
-        "psf_phase": Setting(float, 0.0, help="ring psf absolute angle; the default 0.0 "
+        "n": Setting(int, 4, help="number of ring sources/modes (pair fixes n = 2)"),
+        "phase": Setting(float, 0.0, help="pair/ring angle of the first source"),
+        "psf_phase": Setting(float, 0.0, help="pair/ring psf absolute angle; the default 0.0 "
                              "aligns the psf with phase-0 sources"),
         "r": Setting(float, 0.3, help="pair/ring radius"),
         "x0": Setting(float, 0.4, help="rectangle half-side x"),
@@ -184,10 +181,9 @@ def build_model(cfg: dict) -> tuple[ModelFamily, np.ndarray, np.ndarray]:
     """Model family, evaluation point, and analytic QFIM from the config.
 
     ``pair`` is the two-source ring: both kinds build ``ring_model(n, p,
-    phase, psf_phase)``, with (n, phase, psf_phase) = (2, ``theta``,
-    ``psf_angle``) for ``pair`` and (``n``, ``phase``, ``psf_phase``) for
-    ``ring``.  At n = 2 the closed form is ``pair_off_axis`` at that
-    orientation, whichever kind names it; larger rings take ``ring``.
+    phase, psf_phase)``, with n = 2 for ``pair``.  At n = 2 the closed form
+    is ``pair_off_axis`` at that orientation, whichever kind names it;
+    larger rings take ``ring``.
     """
     m = cfg["model"]
     try:
@@ -196,11 +192,11 @@ def build_model(cfg: dict) -> tuple[ModelFamily, np.ndarray, np.ndarray]:
             values = np.array([m["x0"], m["y0"]])
             ana = analytic_qfi("rectangle", p_x=m["px"], p_y=m["py"])
         else:
-            n, phase, psf_phase = ((2, m["theta"], m["psf_angle"]) if m["kind"] == "pair"
-                                   else (m["n"], m["phase"], m["psf_phase"]))
-            model = ring_model(n, m["p"], phase, psf_phase)
+            n = 2 if m["kind"] == "pair" else m["n"]
+            model = ring_model(n, m["p"], m["phase"], m["psf_phase"])
             values = np.array([m["r"]])
-            qfi = (analytic_qfi("pair_off_axis", p=m["p"], theta=phase, theta0=psf_phase)
+            qfi = (analytic_qfi("pair_off_axis", p=m["p"], theta=m["phase"],
+                                theta0=m["psf_phase"])
                    if n == 2 else analytic_qfi("ring", n=n, p=m["p"]))
             ana = np.array([[qfi]])
         model.check_values(values, closed=True)
@@ -380,7 +376,7 @@ def cmd_decompose(args: argparse.Namespace, cfg: dict, h: str) -> int:
     else:
         model = build_model(cfg)[0]
         net = fourier_circuit(model.group)
-        residual, _perm = relabeling_distance(netlist_unitary(net), qft_matrix(model.group))
+        residual = unitary_distance(netlist_unitary(net), qft_matrix(model.group))
     text = to_text(net)
     print(f"# config {h}")
     sys.stdout.write(text)

@@ -2,9 +2,10 @@
 
 A constellation carries its symmetry group, and the group's factors fix how
 it acts on the plane.  A ring of n sources has ``AbelianGroup((n,))``, whose
-element g rotates by 2 pi g / n; the pair is the two-source ring, whose
-rotation by pi is its point inversion.  A rectangle has
-``AbelianGroup((2, 2))``, whose two digits flip the signs of x and y.
+element g rotates by 2 pi g / n; the pair is the two-source ring
+``make_ring(2, r, phase)``, whose rotation by pi is its point inversion.  A
+rectangle has ``AbelianGroup((2, 2))``, whose two digits flip the signs of
+x and y.
 """
 
 from __future__ import annotations
@@ -87,19 +88,6 @@ class DiscretePSF:
 
     def __len__(self) -> int:
         return self.momenta.shape[0]
-
-
-def make_pair(r: float, theta: float = 0.0) -> Constellation:
-    """Two sources at radius r and angles theta, theta + pi: the two-source ring.
-
-    theta = 0 places the pair on the x axis.  Its group is Z_2,
-    whose rotation by pi is the point inversion through the origin.
-    """
-    if r <= 0:
-        raise ValueError(f"pair radius must be positive, got {r}")
-    if not np.isfinite(theta):
-        raise ValueError(f"pair angle theta must be finite, got {theta}")
-    return make_ring(2, r, theta)
 
 
 def make_rectangle(x0: float, y0: float) -> Constellation:

@@ -68,7 +68,8 @@ class ModelFamily:
     Construction checks the condition under which ``qft_basis`` diagonalizes
     every rho of the family: sources and psf momenta share the group order,
     D[g, g * j, :] = D[0, j, :] for all g and j within ``SYMMETRY_MATCH_ATOL``
-    times max |D|, or SymmetryError names g and j.
+    times max |D|, or SymmetryError names g and j.  A template without a
+    group is a SymmetryError too.
     """
 
     names: tuple[str, ...]
@@ -77,6 +78,8 @@ class ModelFamily:
     make: Callable[[np.ndarray], Constellation]
 
     def __post_init__(self):
+        if self.group is None:
+            raise SymmetryError("the template constellation declares no symmetry group")
         d, table = self.phases, self.group.table
         if d.shape[:2] != table.shape:
             raise SymmetryError(f"{d.shape[:2]} sources x psf momenta, but |G| = {len(table)}")
@@ -166,14 +169,6 @@ class ModelFamily:
         return density_matrix(self.make(self.check_values(values)), self.psf)
 
 
-def pair_model(p: float, theta: float = 0.0, psf_angle: float = 0.0) -> ModelFamily:
-    """Two sources at angle theta; psf momenta +-p at psf_angle: ``ring_model(2, ...)``.
-
-    The single parameter is the source radius r.
-    """
-    return ring_model(2, p, theta, psf_angle)
-
-
 def rectangle_model(p_x: float, p_y: float) -> ModelFamily:
     """Four sources at (+-x0, +-y0); axis-aligned psf momenta (+-p_x, +-p_y).
 
@@ -199,11 +194,13 @@ def ring_model(
 ) -> ModelFamily:
     """n sources on a circle; psf is the matching n-point momentum ring.
 
-    The single parameter is the ring radius r.  ``psf_phase`` is the absolute
-    angle of the first psf momentum.  By default it is ``phase`` plus 0 for
-    even n and pi/(2n) for odd n: the orientations at which every a_k* a_k'
-    is real, so the radial QFI is the closed form 2p^2 (4p^2 at n = 2).  With
-    the psf aligned to the sources (``psf_phase=phase``), odd n fall below it.
+    The pair is n = 2: two sources at angles phase and phase + pi, psf
+    momenta +-p at psf_phase.  The single parameter is the ring radius r.
+    ``psf_phase`` is the absolute angle of the first psf momentum.  By
+    default it is ``phase`` plus 0 for even n and pi/(2n) for odd n: the
+    orientations at which every a_k* a_k' is real, so the radial QFI is the
+    closed form 2p^2 (4p^2 at n = 2).  With the psf aligned to the sources
+    (``psf_phase=phase``), odd n fall below it.
     """
     if psf_phase is None:
         psf_phase = phase + _default_ring_orientation(n)
@@ -354,14 +351,11 @@ def orbit_states(model: ModelFamily, values) -> np.ndarray:
 def analytic_qfi(case: str, **params):
     """Closed-form quantum Fisher information for the symmetric model families.
 
-    Cases: ``pair_on_axis(p)``, ``pair_off_axis(p, theta, theta0)``,
-    ``rectangle(p_x, p_y)`` (returns the 2x2 matrix), ``ring(n, p)``.  The
-    ring value holds at ``ring_model``'s default psf orientation; see
+    Cases: ``pair_off_axis(p, theta, theta0)``, ``rectangle(p_x, p_y)``
+    (returns the 2x2 matrix), ``ring(n, p)``, the pair included as n = 2.
+    The ring value holds at ``ring_model``'s default psf orientation; see
     ``ring_qfi_parseval`` for the condition.
     """
-    if case == "pair_on_axis":
-        p = params["p"]
-        return 4.0 * p * p
     if case == "pair_off_axis":
         p = params["p"]
         c = np.cos(params["theta"] - params["theta0"])

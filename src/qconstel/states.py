@@ -29,11 +29,3 @@ def density_matrix(c: Constellation, psf: DiscretePSF) -> np.ndarray:
     states = np.stack([source_state(psf, r) for r in c.points])
     return (states.T @ states.conj()) / len(c)
 
-
-def overlap(a: np.ndarray, b: np.ndarray) -> complex:
-    """Inner product <a|b> with conjugation on the first argument."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"state lengths differ: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))

@@ -10,12 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from qconstel.circuit import fourier_circuit, netlist_unitary, reck_decompose, relabeling_distance
+from qconstel.circuit import fourier_circuit, netlist_unitary, reck_decompose
 from qconstel.estimation import (
     classical_fi,
     orbit_states,
     outcome_probabilities,
-    pair_model,
     qfim,
     rectangle_model,
     ring_model,
@@ -34,21 +33,21 @@ def report(num: int, ok: bool, detail: str) -> str:
 
 @pytest.fixture(scope="module", autouse=True)
 def warmup():
-    qfim(pair_model(1.0), [0.3])
+    qfim(ring_model(2, 1.0), [0.3])
     reck_decompose(np.eye(3, dtype=complex))
 
 
 PAIR_RADII = np.linspace(0.1, 1.45, 10)
 
 
-def test_criterion_01_pair_on_axis_qfi():
+def test_criterion_01_on_axis_pair_qfi():
     for p in (0.5, 1.0, 2.0):
         for r in PAIR_RADII:
             assert min(abs(p * r - k * np.pi / 2) for k in range(1, 4)) >= 0.05
     start = time.perf_counter()
     worst = 0.0
     for p in (0.5, 1.0, 2.0):
-        model = pair_model(p)
+        model = ring_model(2, p)
         expected = 4.0 * p * p
         for r in PAIR_RADII:
             got = qfim(model, [r])[0, 0]
@@ -62,7 +61,7 @@ def test_criterion_01_pair_on_axis_qfi():
 def test_criterion_02_pair_eigenvalues_two_routes():
     worst_eig = worst_char = worst_cross = 0.0
     for p, r in [(1.0, 0.3), (1.0, 0.7), (1.0, 1.2), (2.0, 0.55), (0.5, 1.1)]:
-        model = pair_model(p)
+        model = ring_model(2, p)
         expected = np.sort([np.cos(p * r) ** 2, np.sin(p * r) ** 2])
         w, _ = eig_hermitian(model.rho([r]))
         weights = np.sort(outcome_probabilities(model, [r], model.qft_basis))
@@ -86,7 +85,7 @@ def test_criterion_03_off_axis_qfi():
     worst = 0.0
     for theta in angles:
         for theta0 in angles:
-            model = pair_model(1.0, theta, theta0)
+            model = ring_model(2, 1.0, theta, theta0)
             expected = 4.0 * np.cos(theta - theta0) ** 2
             for r in radii:
                 got = qfim(model, [r])[0, 0]
@@ -172,8 +171,8 @@ def section4_models():
     global ALL_MODELS
     if ALL_MODELS is None:
         ALL_MODELS = [
-            ("pair", pair_model(1.0), [0.4]),
-            ("pair_off_axis", pair_model(1.0, 0.4, 0.15), [0.6]),
+            ("pair", ring_model(2, 1.0), [0.4]),
+            ("pair_off_axis", ring_model(2, 1.0, 0.4, 0.15), [0.6]),
             ("rectangle", rectangle_model(1.0, 0.5), [0.5, 0.7]),
         ] + [(f"ring{n}", ring_model(n, 1.0), [0.7]) for n in range(2, 9)]
     return ALL_MODELS
@@ -216,7 +215,7 @@ def test_criterion_07_eigenbasis_optimality_and_dominance():
 
 def test_criterion_08_crb_attainment():
     start = time.perf_counter()
-    pair = pair_model(1.0)
+    pair = ring_model(2, 1.0)
     pair_cfg = StudyConfig(
         model=pair, truth=0.3, photon_counts=(10_000,), trials=200, seed=7,
         bounds=(1e-3, np.pi / 2 - 1e-3), basis=pair.qft_basis,
@@ -249,11 +248,11 @@ def test_criterion_09_circuit_synthesis():
             net = reck_decompose(u)
             bs_bound_ok &= net.beamsplitter_count <= n * (n - 1) // 2
             worst_rt = max(worst_rt, unitary_distance(netlist_unitary(net), u))
-    models = [pair_model(1.0), rectangle_model(1.0, 1.0)]
+    models = [ring_model(2, 1.0), rectangle_model(1.0, 1.0)]
     models += [ring_model(n, 1.0) for n in range(2, 9)]
     pair_net = fourier_circuit(models[0].group)
     worst_preset = max(
-        relabeling_distance(netlist_unitary(fourier_circuit(m.group)), qft_matrix(m.group))[0]
+        unitary_distance(netlist_unitary(fourier_circuit(m.group)), qft_matrix(m.group))
         for m in models
     )
     one_bs = pair_net.beamsplitter_count == 1

@@ -9,11 +9,10 @@ from qconstel.circuit import (
     from_text,
     netlist_unitary,
     reck_decompose,
-    relabeling_distance,
     to_json_dict,
     to_text,
 )
-from qconstel.estimation import outcome_probabilities, pair_model, rectangle_model, ring_model
+from qconstel.estimation import outcome_probabilities, rectangle_model, ring_model
 from qconstel.linalg import haar_unitary, unitarity_defect, unitary_distance
 from qconstel.symmetry import AbelianGroup, qft_matrix
 
@@ -152,7 +151,7 @@ def test_reck_of_netlist_roundtrip():
 
 
 def test_preset_pair():
-    net = fourier_circuit(pair_model(1.0).group)
+    net = fourier_circuit(ring_model(2, 1.0).group)
     assert net == InterferometerNetlist(2, (Beamsplitter(0, 1, np.pi / 4),))
     assert unitary_distance(netlist_unitary(net), qft_matrix(AbelianGroup((2,)))) <= 1e-12
 
@@ -179,8 +178,7 @@ def test_fourier_circuit_of_z2_power_is_the_walsh_transform(k):
 def check_fourier_circuit(group):
     net = fourier_circuit(group)
     n = group.order
-    dist, _perm = relabeling_distance(netlist_unitary(net), qft_matrix(group))
-    assert dist <= 1e-12
+    assert unitary_distance(netlist_unitary(net), qft_matrix(group)) <= 1e-12
     assert net.beamsplitter_count <= n * (n - 1) // 2
     if n >= 3:
         assert to_text(net) == to_text(reck_decompose(qft_matrix(group)))
@@ -208,31 +206,18 @@ def test_preset_ring4_contains_quarter_phases():
 
 def test_preset_measurement_distributions_match_qft():
     cases = [
-        (pair_model(1.0), [0.4]),
+        (ring_model(2, 1.0), [0.4]),
         (rectangle_model(1.0, 0.5), [0.5, 0.7]),
         (ring_model(4, 1.0), [0.8]),
         (ring_model(5, 1.0), [0.6]),
     ]
     for model, point in cases:
         u = netlist_unitary(fourier_circuit(model.group))
-        dist, perm = relabeling_distance(u, qft_matrix(model.group))
-        assert dist <= 1e-9
+        assert unitary_distance(u, qft_matrix(model.group)) <= 1e-9
         q_net = outcome_probabilities(model, point, u.conj().T)
         q_qft = outcome_probabilities(model, point, model.qft_basis)
         assert np.max(np.abs(np.sort(q_net) - np.sort(q_qft))) <= 1e-10
-        assert np.max(np.abs(q_net[np.argsort(perm)] - q_qft)) <= 1e-10
-
-
-def test_relabeling_distance_recovers_permutation():
-    rng = np.random.default_rng(2)
-    u = haar_unitary(5, rng)
-    perm = rng.permutation(5)
-    p = np.zeros((5, 5))
-    p[np.arange(5), perm] = 1.0
-    shuffled = np.exp(0.7j) * p @ u
-    dist, found = relabeling_distance(shuffled, u)
-    assert dist <= 1e-10
-    assert np.array_equal(found, perm)
+        assert np.max(np.abs(q_net - q_qft)) <= 1e-10
 
 
 def test_text_serialization_roundtrip():

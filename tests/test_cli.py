@@ -12,7 +12,7 @@ import qconstel
 from qconstel import cli
 from qconstel.circuit import fourier_circuit, from_text, netlist_unitary, to_text
 from qconstel.cli import SETTINGS, build_parser, config_hash, main, resolve_config
-from qconstel.estimation import pair_model
+from qconstel.estimation import ring_model
 from qconstel.linalg import unitary_distance
 from qconstel.simulate import BlockResult, StudyReport
 
@@ -43,11 +43,39 @@ def test_qfi_check_pass_and_fail(capsys):
 def test_qfi_two_source_ring_takes_the_pair_closed_form(capsys):
     # the closed form follows the orientation whichever kind names the two sources
     outs = {}
-    for kind, angles in (("pair", ["--theta", "0.5"]), ("ring", ["--n", "2", "--phase", "0.5"])):
+    for kind, angles in (("pair", ["--phase", "0.5"]), ("ring", ["--n", "2", "--phase", "0.5"])):
         code, outs[kind], err = run(capsys, ["qfi", "--kind", kind, *angles, "--check", "1e-6"])
         assert code == 0, err
     assert outs["ring"].splitlines()[1:] == outs["pair"].splitlines()[1:]
     assert "3.0806046117362795" in outs["ring"]
+
+
+def test_pair_builds_the_two_source_ring():
+    # --kind pair forces n = 2 and otherwise builds the model that --kind ring --n 2 builds
+    parser = build_parser()
+    for angles in ([], ["--phase", "0.7"], ["--phase", "-1.1", "--psf-phase", "0.4"]):
+        pair, ring = (cli.build_model(resolve_config(parser.parse_args(["qfi", *kind, *angles])))
+                      for kind in (["--kind", "pair", "--n", "5"], ["--kind", "ring", "--n", "2"]))
+        cfg = resolve_config(parser.parse_args(["qfi", *angles]))["model"]
+        direct = ring_model(2, 1.0, cfg["phase"], cfg["psf_phase"])
+        for model in (pair[0], ring[0]):
+            assert model.group.factors == (2,)
+            assert np.array_equal(model.phases, direct.phases)
+        assert np.array_equal(pair[1], ring[1]) and np.array_equal(pair[2], ring[2])
+
+
+def test_removed_pair_angle_settings_are_refused(tmp_path, capsys):
+    assert len(SETTINGS["model"]) == 10
+    for flag in ("--theta", "--psf-angle"):
+        with pytest.raises(SystemExit) as exc:
+            main(["qfi", "--kind", "pair", flag, "0.5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+    ini = tmp_path / "theta.ini"
+    ini.write_text("[model]\nkind = pair\ntheta = 0.5\n")
+    code, out, err = run(capsys, ["qfi", "-c", str(ini)])
+    assert code == 2 and out == ""
+    assert err == "config error: unknown key 'theta' in section [model]\n"
 
 
 def test_qfi_csv_and_json_outputs(tmp_path, capsys):
@@ -160,7 +188,7 @@ def test_simulate_direct_detection_exit_3(capsys):
 
 def test_simulate_netlist_basis(tmp_path, capsys):
     netfile = tmp_path / "pair.net"
-    netfile.write_text(to_text(fourier_circuit(pair_model(1.0).group)))
+    netfile.write_text(to_text(fourier_circuit(ring_model(2, 1.0).group)))
     code, out, _ = run(
         capsys,
         ["simulate", "--kind", "pair", "--r", "0.3", "--photons", "400", "--trials", "10",
@@ -356,8 +384,8 @@ def test_config_errors(tmp_path, capsys):
                   ["--kind", "ring", "--p", "inf"], ["--kind", "ring", "--n", "5", "--p", "nan"],
                   ["--kind", "rect", "--px", "inf"], ["--kind", "rect", "--py", "nan"],
                   # so is a non-finite angle, rejected before it reaches cos/sin
-                  ["--kind", "pair", "--theta", "inf"], ["--kind", "ring", "--phase", "inf"],
-                  ["--kind", "pair", "--psf-angle", "inf"], ["--kind", "ring", "--psf-phase", "nan"]):
+                  ["--kind", "pair", "--phase", "inf"], ["--kind", "ring", "--phase", "inf"],
+                  ["--kind", "pair", "--psf-phase", "inf"], ["--kind", "ring", "--psf-phase", "nan"]):
         code, _, err = run(capsys, ["qfi", *model])
         assert code == 2 and err.startswith("config error:") and err.count("\n") == 1, err
     # study bounds must be finite, ordered and inside the model's open domain

@@ -9,7 +9,6 @@ from qconstel.constellation import (
     SymmetryError,
     _check_distinct,
     apply_group_element,
-    make_pair,
     make_rectangle,
     make_ring,
     matching_psf,
@@ -18,28 +17,28 @@ from qconstel.constellation import (
 from qconstel.symmetry import AbelianGroup
 
 
-def test_make_pair_on_axis():
-    c = make_pair(1.0, 0.0)
+def test_two_source_ring_on_axis():
+    c = make_ring(2, 1.0, 0.0)
     assert np.allclose(c.points, [[1.0, 0.0], [-1.0, 0.0]])
     assert c.group == AbelianGroup((2,))
 
 
-def test_make_pair_axis_swap():
-    c = make_pair(1.0, np.pi / 2)
+def test_two_source_ring_axis_swap():
+    c = make_ring(2, 1.0, np.pi / 2)
     assert np.allclose(c.points, [[0.0, 1.0], [0.0, -1.0]], atol=1e-15)
 
 
-def test_make_pair_diagonal():
-    c = make_pair(2.0, np.pi / 4)
+def test_two_source_ring_diagonal():
+    c = make_ring(2, 2.0, np.pi / 4)
     s = np.sqrt(2.0)
     assert np.allclose(c.points, [[s, s], [-s, -s]])
 
 
-def test_make_pair_rejects_nonpositive_radius():
+def test_two_source_ring_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
-        make_pair(0.0)
+        make_ring(2, 0.0)
     with pytest.raises(ValueError):
-        make_pair(-1.0)
+        make_ring(2, -1.0)
 
 
 def test_make_rectangle():
@@ -52,8 +51,7 @@ def test_make_rectangle():
 
 def test_make_ring_basics():
     c2 = make_ring(2, 1.0, 0.0)
-    pair = make_pair(1.0, 0.0)
-    assert np.allclose(sorted(map(tuple, c2.points)), sorted(map(tuple, pair.points)), atol=1e-15)
+    assert np.allclose(c2.points, [[1, 0], [-1, 0]], atol=1e-15)
 
     c4 = make_ring(4, 1.0, 0.0)
     assert np.allclose(c4.points, [[1, 0], [0, 1], [-1, 0], [0, -1]], atol=1e-15)
@@ -73,9 +71,9 @@ def test_make_ring_basics():
 
 
 def test_matching_psf_pair():
-    psf = matching_psf(make_pair(0.7, 0.0), 1.0)
+    psf = matching_psf(make_ring(2, 0.7, 0.0), 1.0)
     assert np.allclose(psf.momenta, [[1.0, 0.0], [-1.0, 0.0]])
-    rotated = matching_psf(make_pair(0.7, 0.0), 2.0, phase=np.pi / 3)
+    rotated = matching_psf(make_ring(2, 0.7, 0.0), 2.0, phase=np.pi / 3)
     assert np.allclose(rotated.momenta[0], [2 * np.cos(np.pi / 3), 2 * np.sin(np.pi / 3)])
     assert np.allclose(rotated.momenta[1], -rotated.momenta[0])
 
@@ -95,10 +93,10 @@ def test_matching_psf_ring_and_rect():
     with pytest.raises(ValueError):
         matching_psf(make_rectangle(1.0, 1.0), 1.0, phase=0.2)
     with pytest.raises(ValueError):
-        matching_psf(make_pair(1.0), -1.0)
+        matching_psf(make_ring(2, 1.0), -1.0)
     # non-finite momenta are rejected, by value, before any arithmetic
     for bad in (np.inf, np.nan):
-        for c in (make_pair(1.0), make_ring(4, 0.5), make_ring(5, 0.5), make_rectangle(1.0, 1.0)):
+        for c in (make_ring(2, 1.0), make_ring(4, 0.5), make_ring(5, 0.5), make_rectangle(1.0, 1.0)):
             with pytest.raises(ValueError, match=f"finite, got {bad}"):
                 matching_psf(c, bad)
         with pytest.raises(ValueError, match=f"finite, got {bad}"):
@@ -108,18 +106,17 @@ def test_matching_psf_ring_and_rect():
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_angles_rejected_before_trigonometry(bad):
     # warnings are errors here, so a cos/sin of the bad angle would fail first
-    with pytest.raises(ValueError, match=f"pair angle theta must be finite, got {bad}"):
-        make_pair(1.0, bad)
-    with pytest.raises(ValueError, match=f"ring phase must be finite, got {bad}"):
-        make_ring(5, 1.0, bad)
-    for c in (make_pair(1.0), make_ring(4, 0.5), make_ring(5, 0.5), make_rectangle(1.0, 1.0)):
+    for n in (2, 5):
+        with pytest.raises(ValueError, match=f"ring phase must be finite, got {bad}"):
+            make_ring(n, 1.0, bad)
+    for c in (make_ring(2, 1.0), make_ring(4, 0.5), make_ring(5, 0.5), make_rectangle(1.0, 1.0)):
         with pytest.raises(ValueError, match=f"psf phase must be finite, got {bad}"):
             matching_psf(c, 1.0, phase=bad)
 
 
 def test_psf_symmetry_matches_constellation():
     for c, kwargs in [
-        (make_pair(0.8, 0.3), dict(phase=0.4)),
+        (make_ring(2, 0.8, 0.3), dict(phase=0.4)),
         (make_rectangle(1.2, 0.7), dict(p_y=0.5)),
         (make_ring(5, 0.9, 0.2), dict(phase=0.1)),
     ]:
@@ -196,7 +193,7 @@ def test_validate_symmetry_detects_perturbation():
 
 
 def test_constructors_validate():
-    for c in (make_pair(1.0, 0.2), make_rectangle(0.5, 0.8), make_ring(7, 1.1, 0.3)):
+    for c in (make_ring(2, 1.0, 0.2), make_rectangle(0.5, 0.8), make_ring(7, 1.1, 0.3)):
         validate_symmetry(c.group, c.points)
 
 
@@ -282,7 +279,7 @@ def test_group_without_planar_action_is_refused(factors):
 
 def test_pair_symmetry_is_the_two_source_rotation():
     # the point inversion of a pair is the rotation by pi of its Z_2
-    c = make_pair(0.7, 0.3)
+    c = make_ring(2, 0.7, 0.3)
     assert c.group == AbelianGroup((2,)) and c.group.order == 2
     assert np.array_equal(c.group.digits, [[0], [1]])
     assert np.array_equal(c.group.table, [[0, 1], [1, 0]])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qconstel.constellation import apply_group_element, make_pair, make_rectangle, make_ring
+from qconstel.constellation import apply_group_element, make_rectangle, make_ring
 from qconstel.estimation import (
     ModelFamily,
     analytic_qfi,
@@ -16,7 +16,6 @@ from qconstel.estimation import (
     drho,
     orbit_states,
     outcome_probabilities,
-    pair_model,
     qfim,
     rectangle_model,
     ring_amplitudes,
@@ -51,7 +50,7 @@ def test_drho_matches_symbolic_oracle():
         p = rng.uniform(0.5, 2.0)
         theta = rng.uniform(0, np.pi / 2)
         r = rng.uniform(0.1, 1.2)
-        model = pair_model(p, theta)
+        model = ring_model(2, p, theta, 0.0)
         num = drho(model, [r], 0)
         assert np.max(np.abs(num - pair_drho_oracle(p, theta, r))) <= 1e-6
         assert hermiticity_defect(num) <= 1e-9
@@ -60,7 +59,7 @@ def test_drho_matches_symbolic_oracle():
 
 def test_drho_eigenvalue_derivative_on_diagonal():
     p, r = 1.0, 0.4
-    model = pair_model(p)
+    model = ring_model(2, p)
     d = drho(model, [r], 0)
     plus = np.ones(2) / np.sqrt(2)
     minus = np.array([1, -1]) / np.sqrt(2)
@@ -71,7 +70,7 @@ def test_drho_eigenvalue_derivative_on_diagonal():
 
 
 def test_drho_domain_guard():
-    model = pair_model(1.0)
+    model = ring_model(2, 1.0)
     with pytest.raises(ValueError):
         drho(model, [1e-9], 0)
     with pytest.raises(ValueError):
@@ -116,9 +115,9 @@ def test_sld_rejects_nonhermitian():
         sld(rho, np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
-def test_qfim_pair_on_axis():
+def test_qfim_on_axis_pair():
     for p in (0.5, 1.0, 2.0):
-        model = pair_model(p)
+        model = ring_model(2, p)
         for r in (0.2, 0.8, 1.3):
             if abs(p * r - np.pi / 2) < 0.05:
                 continue
@@ -169,7 +168,7 @@ def test_finite_difference_richardson():
 
 def test_classical_fi_eigenbasis_attains_qfim():
     rng = np.random.default_rng(2)
-    models = [pair_model(1.0), pair_model(1.0, 0.4, 0.1), ring_model(4, 1.0), ring_model(5, 1.0)]
+    models = [ring_model(2, 1.0), ring_model(2, 1.0, 0.4, 0.1), ring_model(4, 1.0), ring_model(5, 1.0)]
     for model in models:
         for _ in range(3):
             r = rng.uniform(0.15, 1.2)
@@ -183,8 +182,8 @@ def test_classical_fi_eigenbasis_attains_qfim():
 
 def test_direct_detection_gives_zero_fi():
     for model, point in [
-        (pair_model(1.0), [0.4]),
-        (pair_model(1.0, 0.3, 0.2), [0.4]),
+        (ring_model(2, 1.0), [0.4]),
+        (ring_model(2, 1.0, 0.3, 0.2), [0.4]),
         (rectangle_model(1.0, 0.5), [0.5, 0.7]),
         (ring_model(5, 1.0), [0.6]),
     ]:
@@ -194,7 +193,7 @@ def test_direct_detection_gives_zero_fi():
 
 def test_random_basis_dominated_by_qfim():
     rng = np.random.default_rng(3)
-    for model, point in [(pair_model(1.0), [0.4]), (ring_model(4, 1.0), [0.8])]:
+    for model, point in [(ring_model(2, 1.0), [0.4]), (ring_model(4, 1.0), [0.8])]:
         fq = qfim(model, point)
         for _ in range(20):
             basis = haar_unitary(model.dim, rng)
@@ -214,7 +213,7 @@ def test_probability_conservation():
 
 
 def test_classical_fi_rejects_bad_basis():
-    model = pair_model(1.0)
+    model = ring_model(2, 1.0)
     with pytest.raises(ValueError, match="orthonormal"):
         classical_fi(model, [0.3], np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="not orthonormal: .* = nan"):
@@ -233,8 +232,7 @@ def test_basis_of_the_wrong_size_names_both_sizes():
 
 
 def test_analytic_qfi_cases():
-    assert analytic_qfi("pair_on_axis", p=1.0) == 4.0
-    assert analytic_qfi("pair_on_axis", p=2.0) == 16.0
+    assert analytic_qfi("ring", n=2, p=2.0) == 16.0
     assert abs(analytic_qfi("pair_off_axis", p=1.0, theta=np.pi / 2, theta0=0.0)) <= 1e-30
     assert np.allclose(analytic_qfi("rectangle", p_x=1.0, p_y=0.5), np.diag([4.0, 1.0]))
     assert analytic_qfi("ring", n=2, p=1.0) == 4.0
@@ -245,7 +243,7 @@ def test_analytic_qfi_cases():
 
 def test_off_axis_qfim_formula():
     for theta, theta0 in [(0.3, 0.0), (0.7, 0.25), (1.2, 0.9)]:
-        model = pair_model(1.0, theta, theta0)
+        model = ring_model(2, 1.0, theta, theta0)
         f = qfim(model, [0.5])[0, 0]
         expected = analytic_qfi("pair_off_axis", p=1.0, theta=theta, theta0=theta0)
         assert abs(f - expected) <= 1e-5
@@ -357,7 +355,7 @@ def test_character_basis_keeps_tiny_weights_and_a_unitary_basis():
 
 def test_orbit_states_match_model_density():
     for model, point in [
-        (pair_model(1.0, 0.2, 0.1), [0.5]),
+        (ring_model(2, 1.0, 0.2, 0.1), [0.5]),
         (rectangle_model(1.0, 0.7), [0.4, 0.6]),
         (ring_model(6, 1.0, 0.3, 0.2), [0.8]),
         (ring_model(5, 1.3, -2.1), [0.45]),
@@ -373,7 +371,7 @@ def test_orbit_states_accept_domain_closure():
 
 
 def test_model_validation():
-    model = pair_model(1.0)
+    model = ring_model(2, 1.0)
     with pytest.raises(ValueError):
         model.rho([0.3, 0.4])
     with pytest.raises(ValueError):
@@ -381,7 +379,7 @@ def test_model_validation():
     with pytest.raises(ValueError):
         model.rho([0.0])
     with pytest.raises(ValueError):
-        pair_model(-1.0)
+        ring_model(2, -1.0)
     # a non-integral n used to reach the family check as "(3, 3) sources x psf
     # momenta, but |G| = 2"
     for bad in (2.5, 4.0):
@@ -394,21 +392,6 @@ def test_model_validation():
         assert np.array_equal(m.qft_basis, qft_matrix(m.group).conj().T)
 
 
-def test_pair_model_is_the_two_source_ring():
-    rng = np.random.default_rng(21)
-    for _ in range(6):
-        p, theta, r = rng.uniform(0.5, 2.0), rng.uniform(-np.pi, np.pi), rng.uniform(0.1, 1.2)
-        for psi in (theta, rng.uniform(-np.pi, np.pi)):  # aligned and off-axis psf
-            pair, ring = pair_model(p, theta, psi), ring_model(2, p, theta, psi)
-            assert np.array_equal(pair.phases, ring.phases)
-            assert np.array_equal(pair.rho([r]), ring.rho([r]))
-            for basis in (pair.qft_basis, np.eye(2), haar_unitary(2, rng)):
-                assert np.array_equal(outcome_probabilities(pair, [r], basis),
-                                      outcome_probabilities(ring, [r], basis))
-            assert np.array_equal(spectral_qfim(pair, [r]), spectral_qfim(ring, [r]))
-            assert np.array_equal(qfim(pair, [r]), qfim(ring, [r]))
-
-
 # ---------------------------------------------------------------- orbit-phase route vs rho route
 
 
@@ -416,7 +399,7 @@ def two_route_models():
     """(model, point, make) for every family: off-axis pair, rectangle, rings n = 2..16
     at the default and at the aligned psf orientation."""
     cases = [
-        (pair_model(1.3, 0.4, 0.25), [0.37], lambda v: make_pair(v[0], 0.4)),
+        (ring_model(2, 1.3, 0.4, 0.25), [0.37], lambda v: make_ring(2, v[0], 0.4)),
         (rectangle_model(1.1, 0.6), [0.45, 0.7], lambda v: make_rectangle(v[0], v[1])),
     ]
     for n in range(2, 17):
@@ -494,7 +477,7 @@ def test_spectral_qfim_holds_at_a_rank_change():
     # at p r -> pi/2 one pair eigenvalue vanishes; the exact derivative keeps
     # sum (d lambda)^2 / lambda at its continuous limit 4 p^2
     for delta in (1e-3, 1e-5, 1e-7, 1e-10):
-        assert abs(spectral_qfim(pair_model(1.0), [np.pi / 2 - delta])[0, 0] - 4.0) <= 1e-9
+        assert abs(spectral_qfim(ring_model(2, 1.0), [np.pi / 2 - delta])[0, 0] - 4.0) <= 1e-9
 
 
 def closed_domain_points(point):
@@ -531,7 +514,7 @@ def test_outcome_probabilities_build_no_constellation_or_source_state(monkeypatc
     model = ring_model(8, 1.0)
     calls = []
     for mod in [m for name, m in sys.modules.items() if name.startswith("qconstel")]:
-        for fname in ("source_state", "make_pair", "make_rectangle", "make_ring"):
+        for fname in ("source_state", "make_rectangle", "make_ring"):
             if hasattr(mod, fname):
                 orig = getattr(mod, fname)
                 monkeypatch.setattr(mod, fname,
@@ -544,7 +527,7 @@ def test_outcome_probabilities_build_no_constellation_or_source_state(monkeypatc
 def test_outcome_probabilities_do_not_recheck_symmetry(monkeypatch):
     # the symmetry condition is checked when the family is built, so a call
     # re-runs no point-permutation check
-    models = [pair_model(1.0), rectangle_model(1.0, 0.7), ring_model(16, 1.0)]
+    models = [ring_model(2, 1.0), rectangle_model(1.0, 0.7), ring_model(16, 1.0)]
     calls = []
     for mod in [m for name, m in sys.modules.items() if name.startswith("qconstel")]:
         if hasattr(mod, "validate_symmetry"):
@@ -621,7 +604,7 @@ two_route_cases = st.tuples(
 def test_two_routes_agree_sweep(case):
     n, p, r, orientation, seed = case
     ring = ring_model(n, p, 0.0, orientation)
-    pair = pair_model(p, 0.0, orientation)
+    pair = ring_model(2, p, 0.0, orientation)
     basis = haar_unitary(n, np.random.default_rng(seed))
     for model, b in ((ring, ring.qft_basis), (ring, basis), (pair, np.eye(2))):
         q = outcome_probabilities(model, [r], b)
@@ -659,7 +642,7 @@ def test_character_basis_reads_qft_basis_sweep(case):
     if kind == 0:
         model, point = rectangle_model(p1, p2), [v1, v2]
     elif kind == 1:
-        model, point = pair_model(p1, a1, a2), [v1]
+        model, point = ring_model(2, p1, a1, a2), [v1]
     else:
         model, point = ring_model(kind, p1, a1, a2), [v1]
     for i, v in enumerate(closed_domain_points(point)):  # the interior point first
@@ -701,7 +684,7 @@ def test_pair_spectral_zeros_sweep(offset, p):
     # one pair eigenvalue, cos^2(p r) or sin^2(p r), vanishes at p r = k pi / 2
     k, side, log_delta = offset
     r = (k * np.pi / 2 + side * 10.0 ** log_delta) / p
-    assert_exact_near_spectral_zero(pair_model(p), [r], [[analytic_qfi("pair_on_axis", p=p)]])
+    assert_exact_near_spectral_zero(ring_model(2, p), [r], [[analytic_qfi("ring", n=2, p=p)]])
 
 
 @settings(max_examples=60)

@@ -19,10 +19,13 @@ def pool_digest():
     return module
 
 
-def record(template, parsed, angles=False, problems=()):
+def record(template, parsed, angles=False, problems=(), config_hash="0123456789ab"):
     """One member record as ``digest`` writes it, hashed from its parsed output."""
-    sha = hashlib.sha256(json.dumps(parsed).encode()).hexdigest()
+    text = json.dumps(parsed).encode()
+    sha, masked = (hashlib.sha256(b"# config " + h + b"\n" + text).hexdigest()
+                   for h in (config_hash.encode(), b"-"))
     return {"template": template, "code": 0, "stdout_sha256": sha, "out_sha256": sha,
+            "stdout_masked_sha256": masked, "out_masked_sha256": masked,
             "stderr": "", "angles": angles, "parsed": parsed, "problems": list(problems)}
 
 
@@ -54,6 +57,35 @@ def test_moved_numbers_print_their_drift(pool_digest, capsys):
     assert "differs circuit/haar4/idx=0: stdout_sha256, out_sha256; drift 2e-09" in out
     assert "0 identical, 2 differ, 0 failing checks" in out
     assert "sweep/ring16-eigvals: 1 differ, largest drift 3e-14" in out
+
+
+def test_members_that_differ_only_in_their_config_hash_are_counted_apart(pool_digest, capsys):
+    b = sample_digest()
+    members = b["members"]
+    rows = {"rows": [[0.5, 0.25, 0.75]]}
+    members["sweep/ring16-eigvals/idx=0"] = record("sweep/ring16-eigvals", rows, config_hash="ba9876543210")
+    assert pool_digest.compare(sample_digest(), b) == 0
+    out = capsys.readouterr().out
+    assert "differs" not in out
+    assert "1 identical, 0 differ, 0 failing checks; 1 differ only in their config hash" in out
+    assert "sweep/ring16-eigvals: 1 differ only in their config hash" in out
+    # a content change next to a hash change still counts as a difference
+    members["sweep/ring16-eigvals/idx=0"] = record("sweep/ring16-eigvals", {"rows": [[0.5, 0.25, 0.5]]},
+                                                   config_hash="ba9876543210")
+    assert pool_digest.compare(sample_digest(), b) == 0
+    out = capsys.readouterr().out
+    assert "differs sweep/ring16-eigvals/idx=0: stdout_sha256, out_sha256; drift 0.25" in out
+    assert "1 identical, 1 differ, 0 failing checks; 0 differ only in their config hash" in out
+
+
+def test_masking_blanks_every_config_hash_form(pool_digest):
+    text = (b'# config 0123456789ab\n  r  qfi\n# config_hash=0123456789ab\n'
+            b'{\n  "config_hash": "0123456789ab",\n  "qfim": [[4.0]]\n}\n')
+    assert pool_digest._masked(text) == (b'# config -\n  r  qfi\n# config_hash=-\n'
+                                         b'{\n  "config_hash": "-",\n  "qfim": [[4.0]]\n}\n')
+    # a hash-like value under any other key or comment is content
+    other = b'# elements: 3\n{"netlist_hash": "0123456789ab"}\n'
+    assert pool_digest._masked(other) == other
 
 
 def test_failing_member_exits_one(pool_digest, capsys):

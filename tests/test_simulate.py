@@ -5,7 +5,7 @@ import pytest
 
 from qconstel import estimation, simulate
 from qconstel.circuit import fourier_circuit, netlist_unitary
-from qconstel.estimation import outcome_probabilities, pair_model, qfim, ring_model, spectral_qfim
+from qconstel.estimation import outcome_probabilities, qfim, ring_model, spectral_qfim
 from qconstel.linalg import haar_unitary
 from qconstel.simulate import (
     EstimationError,
@@ -61,7 +61,7 @@ def test_sample_validation():
 
 
 def pair_prob_fn(p=1.0):
-    model = pair_model(p)
+    model = ring_model(2, p)
     basis = model.qft_basis
 
     def fn(r):
@@ -122,7 +122,7 @@ def test_trial_seed_mixing():
 
 
 def quick_pair_study(seed=5, trials=50, photons=(500, 2000)):
-    model = pair_model(1.0)
+    model = ring_model(2, 1.0)
     return StudyConfig(
         model=model,
         truth=0.3,
@@ -174,7 +174,7 @@ def test_crb_study_ring_runs():
 
 
 def test_crb_study_direct_detection_fails_loudly():
-    model = pair_model(1.0)
+    model = ring_model(2, 1.0)
     cfg = StudyConfig(
         model=model,
         truth=0.3,
@@ -189,7 +189,7 @@ def test_crb_study_direct_detection_fails_loudly():
 
 
 def test_study_config_validation():
-    model = pair_model(1.0)
+    model = ring_model(2, 1.0)
     with pytest.raises(ValueError, match="bounds"):
         StudyConfig(model=model, truth=2.0, photon_counts=(10,), trials=5, seed=0,
                     bounds=(0.0, 1.0), basis=model.qft_basis)
@@ -232,7 +232,7 @@ def test_study_config_validation():
 
 
 def test_study_config_checks_the_basis_at_construction():
-    model = pair_model(1.0)
+    model = ring_model(2, 1.0)
     base = dict(model=model, truth=0.3, photon_counts=(500,), trials=5, seed=0,
                 bounds=(1e-3, np.pi / 2 - 1e-3))
     for basis, message in ((np.ones((2, 3)), "square"), (np.ones((2, 2)), "orthonormal"),

@@ -4,14 +4,13 @@ import pytest
 from qconstel.constellation import (
     Constellation,
     DiscretePSF,
-    make_pair,
     make_rectangle,
     make_ring,
     matching_psf,
     validate_symmetry,
 )
 from qconstel.linalg import hermiticity_defect
-from qconstel.states import density_matrix, overlap, source_state
+from qconstel.states import density_matrix, source_state
 
 
 def permutation_matrix(perm):
@@ -20,7 +19,7 @@ def permutation_matrix(perm):
 
 
 def pair_psf(p=1.0):
-    return matching_psf(make_pair(1.0), p)
+    return matching_psf(make_ring(2, 1.0), p)
 
 
 def test_source_state_pair():
@@ -52,7 +51,7 @@ def test_source_state_rejects_empty_psf():
 
 def test_pair_density_eigenvalues():
     p, r = 1.0, 0.3
-    rho = density_matrix(make_pair(r), pair_psf(p))
+    rho = density_matrix(make_ring(2, r), pair_psf(p))
     w = np.linalg.eigvalsh(rho)
     assert np.allclose(np.sort(w), np.sort([np.sin(p * r) ** 2, np.cos(p * r) ** 2]), atol=1e-12)
 
@@ -81,8 +80,8 @@ def test_overlap_pair_cos():
     psf = pair_psf(p)
     psi1 = source_state(psf, (r, 0.0))
     psi2 = source_state(psf, (-r, 0.0))
-    assert abs(overlap(psi1, psi2) - np.cos(2 * p * r)) <= 1e-12
-    assert abs(overlap(psi1, psi1) - 1.0) <= 1e-12
+    assert abs(np.vdot(psi1, psi2) - np.cos(2 * p * r)) <= 1e-12
+    assert abs(np.vdot(psi1, psi1) - 1.0) <= 1e-12
 
 
 def test_overlap_cauchy_schwarz():
@@ -92,18 +91,13 @@ def test_overlap_cauchy_schwarz():
         b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
-        assert abs(overlap(a, b)) <= 1.0 + 1e-12
-
-
-def test_overlap_length_mismatch():
-    with pytest.raises(ValueError):
-        overlap(np.ones(2), np.ones(3))
+        assert abs(np.vdot(a, b)) <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize(
     "c,psf_kwargs",
     [
-        (make_pair(0.6, 0.3), dict(phase=0.2)),
+        (make_ring(2, 0.6, 0.3), dict(phase=0.2)),
         (make_rectangle(0.5, 0.9), dict(p_y=0.7)),
         (make_ring(3, 0.8), {}),
         (make_ring(6, 1.2, 0.4), dict(phase=0.15)),
@@ -119,7 +113,7 @@ def test_density_matrix_invariants(c, psf_kwargs):
 
 @pytest.mark.parametrize(
     "c",
-    [make_pair(0.6, 0.3), make_rectangle(0.5, 0.9), make_ring(5, 0.8, 0.1)],
+    [make_ring(2, 0.6, 0.3), make_rectangle(0.5, 0.9), make_ring(5, 0.8, 0.1)],
 )
 def test_symmetry_covariance_of_rho(c):
     psf = matching_psf(c, 1.0)

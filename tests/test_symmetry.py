@@ -13,7 +13,6 @@ from qconstel.estimation import (
     ModelFamily,
     orbit_states,
     outcome_probabilities,
-    pair_model,
     ring_model,
 )
 from qconstel.linalg import eig_hermitian, unitarity_defect
@@ -73,7 +72,7 @@ def test_qft_unitary(group):
 
 def test_pair_eigenbasis_plus_minus():
     p, r = 1.0, 0.3
-    model = pair_model(p)
+    model = ring_model(2, p)
     vectors = model.qft_basis
     plus = np.ones(2) / np.sqrt(2)
     minus = np.array([1.0, -1.0]) / np.sqrt(2)
@@ -162,13 +161,15 @@ def test_covariance_violation_names_element():
         ModelFamily(model.names, model.template, nan_psf, model.make)
     with pytest.raises(SymmetryError, match=r"\|G\| = 5"):
         ModelFamily(model.names, model.template, matching_psf(make_ring(4, 1.0), 1.0), model.make)
+    with pytest.raises(SymmetryError, match="^the template constellation declares no symmetry group$"):
+        ModelFamily(model.names, Constellation(model.template.points), model.psf, model.make)
 
 
 def test_zero_weight_flagging_at_degenerate_point():
     # pr = pi/2 kills the trivial-character weight of the pair model
     p = 1.0
     r = np.pi / 2
-    model = pair_model(p)
+    model = ring_model(2, p)
     weights = outcome_probabilities(model, [r], model.qft_basis)
     assert weights[0] <= 1e-30
     assert abs(weights[1] - 1.0) <= 1e-15

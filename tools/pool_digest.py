@@ -18,11 +18,14 @@ are those next to this script.  Jobs run in a fresh temporary directory and
 name their inputs by relative paths, so the config hashes in the outputs do
 not depend on where the run happens.
 
-``--compare`` lists the members whose exit code, stdout or output file
-differ, and per template the largest absolute difference between the parsed
-numbers of the two outputs (netlist angles modulo 2 pi, as the reference
-check compares them).  It exits 1 if a member fails its checks in either
-digest or is missing from one.
+Each record also digests stdout and the output file with their config
+hashes masked (the ``# config`` and ``# config_hash=`` lines and the JSON
+``config_hash`` key).  ``--compare`` counts the members that differ only in
+their config hash separately, per template.  It lists the members whose exit
+code, stderr or masked stdout or output file differ, and per template the
+largest absolute difference between the parsed numbers of the two outputs
+(netlist angles modulo 2 pi, as the reference check compares them).  It
+exits 1 if a member fails its checks in either digest or is missing from one.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -45,8 +49,19 @@ from checks import check_output, extract, reference_kind  # noqa: E402
 from workloads import TEMPLATES, templates, write_inputs  # noqa: E402
 
 
+HASH_LINE = re.compile(rb"^(# config |# config_hash=)[0-9a-f]+$", re.MULTILINE)
+HASH_KEY = re.compile(rb'^(\s*"config_hash": )"[0-9a-f]+"', re.MULTILINE)
+FIELDS = ("code", "stdout_sha256", "out_sha256", "stderr")
+MASKED_FIELDS = ("code", "stdout_masked_sha256", "out_masked_sha256", "stderr")
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _masked(data: bytes) -> bytes:
+    """``data`` with its config hashes replaced by ``-``."""
+    return HASH_KEY.sub(rb'\1"-"', HASH_LINE.sub(rb"\1-", data))
 
 
 def digest(src: Path) -> dict:
@@ -81,11 +96,14 @@ def _run(cli, job, out: Path, reference: dict) -> dict:
             code = cli.main([*job.argv, "--out", str(out)])
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 1
+    text, data = stdout.getvalue().encode(), out.read_bytes() if out.exists() else None
     record = {
         "template": f"{job.key.split('/')[0]}/{job.template}",
         "code": code,
-        "stdout_sha256": _sha256(stdout.getvalue().encode()),
-        "out_sha256": _sha256(out.read_bytes()) if out.exists() else None,
+        "stdout_sha256": _sha256(text),
+        "out_sha256": None if data is None else _sha256(data),
+        "stdout_masked_sha256": _sha256(_masked(text)),
+        "out_masked_sha256": None if data is None else _sha256(_masked(data)),
         "stderr": stderr.getvalue(),
         "angles": reference_kind(job) == "netlist",
         "parsed": None,
@@ -139,13 +157,16 @@ def compare(a: dict, b: dict) -> int:
     for key in only:
         print(f"only in {'A' if key in ma else 'B'}: {key}")
     per_template: dict[str, list] = {}
+    hash_only: dict[str, int] = {}
     same = 0
     for key in sorted(set(ma) & set(mb)):
         ra, rb = ma[key], mb[key]
-        fields = ("code", "stdout_sha256", "out_sha256", "stderr")
-        changed = [f for f in fields if ra[f] != rb[f]]
+        changed = [f for f in FIELDS if ra[f] != rb[f]]
         if not changed:
             same += 1
+            continue
+        if all(f in ra and f in rb and ra[f] == rb[f] for f in MASKED_FIELDS):
+            hash_only[ra["template"]] = hash_only.get(ra["template"], 0) + 1
             continue
         d = drift(ra["parsed"], rb["parsed"], ra["angles"])
         print(f"differs {key}: {', '.join(changed)}; drift {d:.3g}")
@@ -155,9 +176,12 @@ def compare(a: dict, b: dict) -> int:
         entry[0] += 1
         entry[1] = max(entry[1], d)
     print(f"{len(ma)} members in A, {len(mb)} in B; {same} identical, "
-          f"{sum(n for n, _ in per_template.values())} differ, {failing} failing checks")
+          f"{sum(n for n, _ in per_template.values())} differ, {failing} failing checks; "
+          f"{sum(hash_only.values())} differ only in their config hash")
     for template, (n, worst) in sorted(per_template.items()):
         print(f"  {template}: {n} differ, largest drift {worst:.3g}")
+    for template, n in sorted(hash_only.items()):
+        print(f"  {template}: {n} differ only in their config hash")
     return 1 if failing or only else 0
 
 
