@@ -11,16 +11,13 @@ from .constellation import (
     Constellation,
     DiscretePSF,
     SymmetryError,
-    apply_group_element,
     make_rectangle,
     make_ring,
     matching_psf,
-    validate_symmetry,
 )
 from .linalg import (
     ConvergenceError,
     eig_hermitian,
-    haar_unitary,
     hermiticity_defect,
     unitarity_defect,
     unitary_distance,
@@ -40,11 +37,7 @@ from .estimation import (
     outcome_probabilities,
     qfim,
     rectangle_model,
-    ring_amplitudes,
-    ring_eigenvalues,
     ring_model,
-    ring_qfi_parseval,
-    ring_qfi_spectral,
     sld,
     spectral_qfim,
 )
@@ -83,7 +76,6 @@ __all__ = [
     "StudyReport",
     "SymmetryError",
     "analytic_qfi",
-    "apply_group_element",
     "characters",
     "classical_fi",
     "crb_study",
@@ -91,7 +83,6 @@ __all__ = [
     "drho",
     "eig_hermitian",
     "fourier_circuit",
-    "haar_unitary",
     "hermiticity_defect",
     "make_rectangle",
     "make_ring",
@@ -104,16 +95,11 @@ __all__ = [
     "qft_matrix",
     "reck_decompose",
     "rectangle_model",
-    "ring_amplitudes",
-    "ring_eigenvalues",
     "ring_model",
-    "ring_qfi_parseval",
-    "ring_qfi_spectral",
     "sample_outcomes",
     "sld",
     "source_state",
     "spectral_qfim",
     "unitarity_defect",
     "unitary_distance",
-    "validate_symmetry",
 ]

@@ -79,10 +79,21 @@ class InterferometerNetlist:
                 raise ValueError(f"element {el} exceeds mode count {self.n_modes}")
         if self.output_phases and len(self.output_phases) != self.n_modes:
             raise ValueError("output phase layer must cover every mode")
+        for mode, phase in enumerate(self.output_phases):
+            if not math.isfinite(phase):
+                raise ValueError(f"output phase of mode {mode} must be finite, got {phase}")
 
     @property
     def beamsplitter_count(self) -> int:
         return sum(isinstance(el, Beamsplitter) for el in self.elements)
+
+
+def _mix(rows: np.ndarray, i: int, j: int, mixing: float, phase: float) -> None:
+    """Left-multiply rows i and j in place by the beamsplitter block."""
+    c, s = math.cos(mixing), cmath.exp(1j * phase) * math.sin(mixing)
+    top = rows[i].copy()
+    rows[i] = c * top + s * rows[j]
+    rows[j] = s.conjugate() * top - c * rows[j]
 
 
 def _apply(el, rows: np.ndarray) -> None:
@@ -90,10 +101,7 @@ def _apply(el, rows: np.ndarray) -> None:
     if isinstance(el, PhaseShifter):
         rows[el.mode] *= cmath.exp(1j * el.phase)
     else:
-        c, s = math.cos(el.mixing), cmath.exp(1j * el.phase) * math.sin(el.mixing)
-        top = rows[el.i].copy()
-        rows[el.i] = c * top + s * rows[el.j]
-        rows[el.j] = s.conjugate() * top - c * rows[el.j]
+        _mix(rows, el.i, el.j, el.mixing, el.phase)
 
 
 def netlist_unitary(net: InterferometerNetlist) -> np.ndarray:
@@ -131,12 +139,12 @@ def reck_decompose(u: np.ndarray) -> InterferometerNetlist:
             b = work[i, i]
             if abs(a) <= PRUNE_TOL:
                 continue
-            mixing = np.arctan2(abs(a), abs(b))
+            mixing = float(np.arctan2(abs(a), abs(b)))
             phase = 0.0 if abs(b) == 0.0 else float(np.angle(b) - np.angle(a) - np.pi)
             phase = float((phase + np.pi) % (2.0 * np.pi) - np.pi)
-            elements.append(Beamsplitter(j, i, float(mixing), phase))
+            elements.append(Beamsplitter(j, i, mixing, phase))
             # work @ B = (B^T work^T)^T, and B^T is B with phase -f
-            _apply(Beamsplitter(j, i, float(mixing), -phase), work.T)
+            _mix(work.T, j, i, mixing, -phase)
     phases = tuple(
         0.0 if abs(a) <= PRUNE_TOL else float(a) for a in np.angle(np.diag(work))
     )

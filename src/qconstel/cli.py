@@ -163,17 +163,34 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def config_hash(cfg: dict) -> str:
-    """Hash of the scientific part of the resolved config (not output paths)."""
+def _file_sha256(path: str, error: str) -> str:
+    try:
+        with open(path, "rb") as fh:
+            return sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise ConfigError(f"{error} {path}: {exc}") from None
+
+
+def config_hash(cfg: dict, unitary: str | None = None) -> str:
+    """Hash of the scientific part of the resolved config (not output paths).
+
+    Input files enter by content: the netlist if ``measurement.basis`` is
+    ``netlist`` (else it hashes empty), and the ``decompose`` unitary.
+    """
     lines = []
     for section in sorted(cfg):
         if section == "output":
             continue
         for key in sorted(cfg[section]):
             val = cfg[section][key]
-            if isinstance(val, float):
+            if (section, key) == ("measurement", "netlist"):
+                val = (_file_sha256(val, "cannot read netlist file")
+                       if val and cfg[section]["basis"] == "netlist" else "")
+            elif isinstance(val, float):
                 val = repr(val)
             lines.append(f"{section}.{key}={val}")
+    if unitary:
+        lines.append(f"unitary={_file_sha256(unitary, 'cannot read unitary from')}")
     return sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
@@ -470,7 +487,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         if cfg["output"]["format"] == "text" and args.command != "decompose":
             raise ConfigError(f"{args.command} writes csv or json, not text")
-        return args.func(args, cfg, config_hash(cfg))
+        return args.func(args, cfg, config_hash(cfg, getattr(args, "unitary", None)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -17,11 +17,9 @@ import numpy as np
 
 from .symmetry import AbelianGroup
 
-SYMMETRY_MATCH_ATOL = 1e-9
-
 
 class SymmetryError(ValueError):
-    """A declared symmetry does not permute the given point set."""
+    """A declared symmetry does not map the given sources or momenta onto themselves."""
 
 
 def _as_points(pts) -> np.ndarray:
@@ -139,44 +137,3 @@ def matching_psf(
     if not (np.isfinite(py) and py > 0):
         raise ValueError(f"p_y must be positive and finite, got {py}")
     return DiscretePSF(np.array([[p, py], [p, -py], [-p, py], [-p, -py]]))
-
-
-def apply_group_element(group: AbelianGroup, g: int, pts) -> np.ndarray:
-    """Apply the planar orthogonal action of element g to every point."""
-    arr = _as_points(pts)
-    if not (isinstance(g, numbers.Integral) and 0 <= g < group.order):
-        raise ValueError(f"element index {g!r} out of range for |G|={group.order}")
-    digits = group.digits[g]
-    if _rotates(group):
-        a = 2.0 * np.pi * digits[0] / group.order
-        rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
-        return arr @ rot.T
-    return arr * (-1.0) ** digits
-
-
-def validate_symmetry(group: AbelianGroup, pts) -> np.ndarray:
-    """Permutation table of the group action on a point list.
-
-    The independent point-permutation check, for API users and tests.
-    Returns an integer array ``perm`` of shape (|G|, m) with
-    ``apply_group_element(group, g, pts)[i] == pts[perm[g, i]]`` within
-    ``SYMMETRY_MATCH_ATOL`` per coordinate.  Raises SymmetryError naming the offending
-    group element and point if the action fails to permute the set.
-    """
-    arr = _as_points(pts)
-    m = arr.shape[0]
-    perms = np.empty((group.order, m), dtype=np.intp)
-    for g in range(group.order):
-        moved = apply_group_element(group, g, arr)
-        taken = np.zeros(m, dtype=bool)
-        for i in range(m):
-            hit = np.nonzero(np.all(np.abs(arr - moved[i]) <= SYMMETRY_MATCH_ATOL, axis=1))[0]
-            hit = [j for j in hit if not taken[j]]
-            if not hit:
-                raise SymmetryError(
-                    f"group element {g} maps point {i} to "
-                    f"({moved[i, 0]:.6g}, {moved[i, 1]:.6g}), which matches no point"
-                )
-            perms[g, i] = hit[0]
-            taken[hit[0]] = True
-    return perms

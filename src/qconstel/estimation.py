@@ -16,13 +16,12 @@ Two routes lead to the same quantities, and each checks the other:
   ``qfim``: the density matrix of the constellation built at v, its
   finite-difference derivative, the SLD and the QFIM) runs general machinery
   and is the independent oracle.  The CLI's ``qfi`` and ``sweep`` print its
-  value against the closed forms, and the tests compare it with both the
-  closed forms and the orbit-phase route.
+  value against the closed forms, and the tests compare it with the closed
+  forms, the orbit-phase route and the ring FFT route of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -30,7 +29,6 @@ from typing import Callable
 import numpy as np
 
 from .constellation import (
-    SYMMETRY_MATCH_ATOL,
     Constellation,
     DiscretePSF,
     SymmetryError,
@@ -43,6 +41,7 @@ from .states import density_matrix
 from .symmetry import AbelianGroup, qft_matrix
 
 SUPPORT_TOL = 1e-10
+SYMMETRY_MATCH_ATOL = 1e-9
 DRHO_HERMITIAN_ATOL = 1e-9
 BASIS_ORTHONORMAL_ATOL = 1e-10
 BLOCK_ROWS = 16  # parameter points per amplitude block in outcome_probabilities
@@ -182,9 +181,10 @@ def rectangle_model(p_x: float, p_y: float) -> ModelFamily:
 def _default_ring_orientation(n: int) -> float:
     """PSF angle minus source angle at which the ring's 2p^2 closed form holds.
 
-    The eigenvalue route meets the Parseval sum exactly when the orientation
-    is pi/2 mod pi/n: 0 for even n, pi/(2n) for odd n.  A parity branch, not
-    the float (pi/2) % (pi/n), which lands just below pi/n at some n.
+    The QFI meets the Parseval sum over the ring's Fourier amplitudes a_k
+    exactly when every a_k* a_k' is real: at pi/2 mod pi/n, 0 for even n and
+    pi/(2n) for odd n.  A parity branch, not the float (pi/2) % (pi/n),
+    which lands just below pi/n at some n.
     """
     return 0.0 if n % 2 == 0 else np.pi / (2.0 * n)
 
@@ -197,9 +197,9 @@ def ring_model(
     The pair is n = 2: two sources at angles phase and phase + pi, psf
     momenta +-p at psf_phase.  The single parameter is the ring radius r.
     ``psf_phase`` is the absolute angle of the first psf momentum.  By
-    default it is ``phase`` plus 0 for even n and pi/(2n) for odd n: the
-    orientations at which every a_k* a_k' is real, so the radial QFI is the
-    closed form 2p^2 (4p^2 at n = 2).  With the psf aligned to the sources
+    default it is ``phase`` plus ``_default_ring_orientation(n)``, 0 for even
+    n and pi/(2n) for odd n, where the radial QFI is the closed form 2p^2
+    (4p^2 at n = 2).  With the psf aligned to the sources
     (``psf_phase=phase``), odd n fall below it.
     """
     if psf_phase is None:
@@ -354,7 +354,7 @@ def analytic_qfi(case: str, **params):
     Cases: ``pair_off_axis(p, theta, theta0)``, ``rectangle(p_x, p_y)``
     (returns the 2x2 matrix), ``ring(n, p)``, the pair included as n = 2.
     The ring value holds at ``ring_model``'s default psf orientation; see
-    ``ring_qfi_parseval`` for the condition.
+    ``_default_ring_orientation`` for the condition.
     """
     if case == "pair_off_axis":
         p = params["p"]
@@ -367,63 +367,3 @@ def analytic_qfi(case: str, **params):
         n, p = params["n"], params["p"]
         return 4.0 * p * p if n == 2 else 2.0 * p * p
     raise ValueError(f"unknown analytic case: {case!r}")
-
-
-def _check_ring_args(n: int, p: float, r: float, orientation: float | None) -> None:
-    if not (isinstance(n, numbers.Integral) and n >= 2):
-        raise ValueError(f"ring needs an integer n >= 2, got {n!r}")
-    if not (np.isfinite(p) and p > 0):
-        raise ValueError(f"psf magnitude p must be positive and finite, got {p}")
-    if not (np.isfinite(r) and r >= 0):
-        raise ValueError(f"radius r must be nonnegative and finite, got {r}")
-    if not (orientation is None or np.isfinite(orientation)):
-        raise ValueError(f"orientation must be finite, got {orientation}")
-
-
-def ring_amplitudes(
-    n: int, p: float, r: float, orientation: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier amplitudes a_k of the ring model and their radial derivatives.
-
-    a_k = (1/n) sum_m exp(2 pi i m k / n) exp(-i p r cos(2 pi m / n + phi));
-    the eigenvalues of the ring density matrix are |a_k|^2.  ``orientation``
-    phi is the psf angle minus the source angle; it defaults to
-    ``ring_model``'s default (0 for even n, pi/(2n) for odd n).
-    """
-    _check_ring_args(n, p, r, orientation)
-    phi = _default_ring_orientation(n) if orientation is None else orientation
-    c = np.cos(2.0 * np.pi * np.arange(n) / n + phi)
-    f = np.exp(-1j * p * r * c)
-    return np.fft.ifft(f), np.fft.ifft(-1j * p * c * f)
-
-
-def ring_eigenvalues(n: int, p: float, r: float, orientation: float | None = None) -> np.ndarray:
-    """Eigenvalues of the ring density matrix, indexed by Fourier label k."""
-    a, _ = ring_amplitudes(n, p, r, orientation)
-    return np.abs(a) ** 2
-
-
-def ring_qfi_spectral(n: int, p: float, r: float, orientation: float | None = None) -> float:
-    """Radial QFI from the eigenvalue route: sum_k (d lambda_k)^2 / lambda_k.
-
-    Only exactly vanishing eigenvalues are skipped.  Each term is at most
-    4 |a_k'|^2, so tiny eigenvalues cannot blow up, while a cutoff at
-    ``SUPPORT_TOL`` drops about 1e-7 of 2p^2 at n = 9, p r = 0.25.
-    """
-    a, ap = ring_amplitudes(n, p, r, orientation)
-    lam = np.abs(a) ** 2
-    dlam = 2.0 * np.real(a.conj() * ap)
-    keep = lam > 0.0
-    return float(np.sum(dlam[keep] ** 2 / lam[keep]))
-
-
-def ring_qfi_parseval(n: int, p: float, r: float, orientation: float | None = None) -> float:
-    """Radial QFI upper bound from the Parseval route: sum_k 4 |a_k'|^2.
-
-    The sum is 2p^2 (4p^2 at n = 2) at every orientation phi.  It coincides
-    with the eigenvalue route exactly when every a_k* a_k' is real, that is
-    when phi = pi/2 (mod pi/n): by Jacobi-Anger every a_k then has an
-    r-independent phase.
-    """
-    _, ap = ring_amplitudes(n, p, r, orientation)
-    return float(np.sum(4.0 * np.abs(ap) ** 2))

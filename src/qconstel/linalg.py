@@ -119,11 +119,3 @@ def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float, fl
             x2 = a + invphi * (b - a)
             f2 = f(x2)
     return a, b, min(f1, f2)
-
-
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random n x n unitary (QR of a complex Ginibre matrix)."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))

@@ -1,0 +1,133 @@
+"""Reference implementations that only the tests use.
+
+Each one is written apart from the library code it checks, so a comparison
+with it is a comparison of two routes:
+
+- the point-permutation check (``apply_group_element``,
+  ``validate_symmetry``) works out the planar action of a group from its
+  factors, where the library builds its symmetric families from phase
+  tensors;
+- the ring Fourier route (``ring_amplitudes`` and the eigenvalues and radial
+  QFI read from them) transforms the source ring with an FFT, where the
+  library projects the orbit states onto ``qft_basis``;
+- ``haar_unitary`` samples measurement bases and test unitaries.
+
+Arguments come from the tests, so the only input check is the element index
+of ``apply_group_element``, which numpy indexing would otherwise wrap.
+"""
+
+from __future__ import annotations
+
+import numbers
+
+import numpy as np
+
+from qconstel.constellation import SymmetryError
+from qconstel.symmetry import AbelianGroup
+
+POINT_MATCH_ATOL = 1e-9
+
+
+def apply_group_element(group: AbelianGroup, g: int, pts) -> np.ndarray:
+    """Apply the planar orthogonal action of element g to every row of ``pts``.
+
+    A single cyclic factor (n,) rotates by 2 pi / n per step; (2, 2) flips
+    the sign of y with its last digit and of x with its first.  Any other
+    group has no planar action, and ValueError names it.
+    """
+    if not (isinstance(g, numbers.Integral) and 0 <= g < group.order):
+        raise ValueError(f"element index {g!r} out of range for |G|={group.order}")
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    digits = group.digits[g]
+    if len(group.factors) == 1:
+        a = 2.0 * np.pi * digits[0] / group.factors[0]
+        rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+        return pts @ rot.T
+    if group.factors == (2, 2):
+        return pts * (-1.0) ** digits
+    raise ValueError(f"AbelianGroup({group.factors}) has no planar action")
+
+
+def validate_symmetry(group: AbelianGroup, pts) -> np.ndarray:
+    """Permutation table of the group action on a point list.
+
+    Returns an integer array ``perm`` of shape (|G|, m) with
+    ``apply_group_element(group, g, pts)[i] == pts[perm[g, i]]`` within
+    ``POINT_MATCH_ATOL`` per coordinate.  Raises SymmetryError naming the
+    offending group element and point if the action fails to permute the set.
+    """
+    arr = np.asarray(pts, dtype=float)
+    m = arr.shape[0]
+    perms = np.empty((group.order, m), dtype=np.intp)
+    for g in range(group.order):
+        moved = apply_group_element(group, g, arr)
+        taken = np.zeros(m, dtype=bool)
+        for i in range(m):
+            hit = np.nonzero(np.all(np.abs(arr - moved[i]) <= POINT_MATCH_ATOL, axis=1))[0]
+            hit = [j for j in hit if not taken[j]]
+            if not hit:
+                raise SymmetryError(
+                    f"group element {g} maps point {i} to "
+                    f"({moved[i, 0]:.6g}, {moved[i, 1]:.6g}), which matches no point"
+                )
+            perms[g, i] = hit[0]
+            taken[hit[0]] = True
+    return perms
+
+
+def ring_amplitudes(
+    n: int, p: float, r: float, orientation: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier amplitudes a_k of the ring model and their radial derivatives.
+
+    a_k = (1/n) sum_m exp(2 pi i m k / n) exp(-i p r cos(2 pi m / n + phi));
+    the eigenvalues of the ring density matrix are |a_k|^2.  ``orientation``
+    phi is the psf angle minus the source angle.  It defaults to 0 for even
+    n and pi/(2n) for odd n, the orientations at which every a_k* a_k' is
+    real, so that the eigenvalue route meets the Parseval sum.
+    """
+    if orientation is None:
+        orientation = 0.0 if n % 2 == 0 else np.pi / (2.0 * n)
+    c = np.cos(2.0 * np.pi * np.arange(n) / n + orientation)
+    f = np.exp(-1j * p * r * c)
+    return np.fft.ifft(f), np.fft.ifft(-1j * p * c * f)
+
+
+def ring_eigenvalues(n: int, p: float, r: float, orientation: float | None = None) -> np.ndarray:
+    """Eigenvalues of the ring density matrix, indexed by Fourier label k."""
+    a, _ = ring_amplitudes(n, p, r, orientation)
+    return np.abs(a) ** 2
+
+
+def ring_qfi_spectral(n: int, p: float, r: float, orientation: float | None = None) -> float:
+    """Radial QFI from the eigenvalue route: sum_k (d lambda_k)^2 / lambda_k.
+
+    Only exactly vanishing eigenvalues are skipped.  Each term is at most
+    4 |a_k'|^2, so tiny eigenvalues cannot blow up, while a cutoff at 1e-10
+    drops about 1e-7 of 2p^2 at n = 9, p r = 0.25.
+    """
+    a, ap = ring_amplitudes(n, p, r, orientation)
+    lam = np.abs(a) ** 2
+    dlam = 2.0 * np.real(a.conj() * ap)
+    keep = lam > 0.0
+    return float(np.sum(dlam[keep] ** 2 / lam[keep]))
+
+
+def ring_qfi_parseval(n: int, p: float, r: float, orientation: float | None = None) -> float:
+    """Radial QFI upper bound from the Parseval route: sum_k 4 |a_k'|^2.
+
+    The sum is 2p^2 (4p^2 at n = 2) at every orientation phi.  It coincides
+    with the eigenvalue route exactly when every a_k* a_k' is real, that is
+    when phi = pi/2 (mod pi/n): by Jacobi-Anger every a_k then has an
+    r-independent phase.
+    """
+    _, ap = ring_amplitudes(n, p, r, orientation)
+    return float(np.sum(4.0 * np.abs(ap) ** 2))
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random n x n unitary (QR of a complex Ginibre matrix)."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))

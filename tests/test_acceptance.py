@@ -18,11 +18,12 @@ from qconstel.estimation import (
     qfim,
     rectangle_model,
     ring_model,
-    ring_qfi_parseval,
 )
-from qconstel.linalg import eig_hermitian, haar_unitary, unitary_distance
+from qconstel.linalg import eig_hermitian, unitary_distance
 from qconstel.simulate import StudyConfig, crb_study
 from qconstel.symmetry import qft_matrix
+
+from oracles import haar_unitary, ring_qfi_parseval
 
 
 def report(num: int, ok: bool, detail: str) -> str:

@@ -13,8 +13,10 @@ from qconstel.circuit import (
     to_text,
 )
 from qconstel.estimation import outcome_probabilities, rectangle_model, ring_model
-from qconstel.linalg import haar_unitary, unitarity_defect, unitary_distance
+from qconstel.linalg import unitarity_defect, unitary_distance
 from qconstel.symmetry import AbelianGroup, qft_matrix
+
+from oracles import haar_unitary
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -74,6 +76,9 @@ def test_element_validation():
             Beamsplitter(0, 1, 0.3, bad)
         with pytest.raises(ValueError, match="phaseshifter phase must be finite"):
             PhaseShifter(0, bad)
+        # unchecked, a NaN phase gave a NaN row and to_text dropped it silently
+        with pytest.raises(ValueError, match=f"output phase of mode 1 must be finite, got {bad}"):
+            InterferometerNetlist(2, (Beamsplitter(0, 1, 0.3),), (0.0, bad))
     with pytest.raises(TypeError, match="unknown netlist element"):
         InterferometerNetlist(2, ((0, 1),))
 

@@ -16,6 +16,8 @@ from qconstel.estimation import ring_model
 from qconstel.linalg import unitary_distance
 from qconstel.simulate import BlockResult, StudyReport
 
+from oracles import haar_unitary
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -197,11 +199,42 @@ def test_simulate_netlist_basis(tmp_path, capsys):
     assert code == 0
 
 
-def test_decompose_roundtrip_through_file(tmp_path, capsys):
-    rng = np.random.default_rng(0)
-    from qconstel.linalg import haar_unitary
+def test_config_hash_names_input_files_by_content(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("a.net").write_text(to_text(fourier_circuit(ring_model(4, 1.0).group)))
+    Path("b.net").write_bytes(Path("a.net").read_bytes())
+    study = ["simulate", "--kind", "ring", "--r", "0.3", "--photons", "100", "--trials", "2",
+             "--basis", "netlist", "--netlist"]
 
-    u = haar_unitary(4, rng)
+    def first_line(argv):
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        return out.splitlines()[0]
+
+    same = {first_line(study + [path]) for path in ("a.net", "./a.net", "b.net",
+                                                     str(tmp_path / "b.net"))}
+    assert len(same) == 1
+    with open("b.net", "a", encoding="utf-8") as fh:  # edited in place: same path, new content
+        fh.write("PS 0 0\n")
+    assert first_line(study + ["b.net"]) not in same
+    # a netlist path without basis = netlist is not an input
+    eigen = study[:-2] + ["eigenbasis"]
+    assert first_line(eigen) == first_line(eigen + ["--netlist", "missing.net"])
+
+    rng = np.random.default_rng(5)
+    for name in ("u.json", "v.json"):
+        Path(name).write_text(json.dumps([[[z.real, z.imag] for z in row]
+                                          for row in haar_unitary(3, rng)]))
+    hashes = {first_line(["decompose", "--unitary", name]) for name in ("u.json", "v.json")}
+    assert len(hashes) == 2 and first_line(["decompose"]) not in hashes
+    for argv in (study + ["missing.net"], ["decompose", "--unitary", "missing.json"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, err
+        assert err.startswith("config error: cannot read") and "missing" in err
+
+
+def test_decompose_roundtrip_through_file(tmp_path, capsys):
+    u = haar_unitary(4, np.random.default_rng(0))
     ufile = tmp_path / "u.json"
     ufile.write_text(json.dumps({"matrix": [[[z.real, z.imag] for z in row] for row in u]}))
     netfile = tmp_path / "net.txt"

@@ -8,13 +8,13 @@ from qconstel.constellation import (
     DiscretePSF,
     SymmetryError,
     _check_distinct,
-    apply_group_element,
     make_rectangle,
     make_ring,
     matching_psf,
-    validate_symmetry,
 )
 from qconstel.symmetry import AbelianGroup
+
+from oracles import apply_group_element, validate_symmetry
 
 
 def test_two_source_ring_on_axis():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qconstel.constellation import apply_group_element, make_rectangle, make_ring
+from qconstel.constellation import make_rectangle, make_ring
 from qconstel.estimation import (
     ModelFamily,
     analytic_qfi,
@@ -18,17 +18,22 @@ from qconstel.estimation import (
     outcome_probabilities,
     qfim,
     rectangle_model,
-    ring_amplitudes,
-    ring_eigenvalues,
     ring_model,
-    ring_qfi_parseval,
-    ring_qfi_spectral,
     sld,
     spectral_qfim,
 )
-from qconstel.linalg import haar_unitary, hermiticity_defect, unitarity_defect
+from qconstel.linalg import hermiticity_defect, unitarity_defect
 from qconstel.states import source_state
 from qconstel.symmetry import qft_matrix
+
+from oracles import (
+    apply_group_element,
+    haar_unitary,
+    ring_amplitudes,
+    ring_eigenvalues,
+    ring_qfi_parseval,
+    ring_qfi_spectral,
+)
 
 
 def pair_drho_oracle(p, theta, r):
@@ -263,29 +268,6 @@ def test_ring_eigenvalues_basics():
         assert np.allclose(np.sort(lam2), np.sort([np.cos(p * r) ** 2, np.sin(p * r) ** 2]), atol=1e-12)
 
     assert abs(ring_eigenvalues(7, 1.0, 0.6).sum() - 1.0) <= 1e-10
-
-    with pytest.raises(ValueError):
-        ring_eigenvalues(1, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        ring_eigenvalues(4, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        ring_eigenvalues(4, 1.0, -0.5)
-
-
-def test_ring_helpers_reject_bad_input():
-    # unchecked, nan p, r or orientation give a QFI of 0.0, inf gives numpy
-    # warnings and n = 4.5 gives five eigenvalues
-    bad = [
-        ((4, np.nan, 0.3), "p"), ((4, np.inf, 0.3), "p"), ((4, 0.0, 0.3), "p"),
-        ((4, 1.0, np.nan), "r"), ((4, 1.0, np.inf), "r"), ((4, 1.0, -0.1), "r"),
-        ((4.5, 1.0, 0.3), "n"), ((1, 1.0, 0.3), "n"),
-        ((4, 1.0, 0.3, np.inf), "orientation"), ((5, 1.0, 0.3, -np.inf), "orientation"),
-        ((4, 1.0, 0.3, np.nan), "orientation"),
-    ]
-    for helper in (ring_amplitudes, ring_eigenvalues, ring_qfi_spectral, ring_qfi_parseval):
-        for args, name in bad:
-            with pytest.raises(ValueError, match=rf"\b{name} (must|>=)"):
-                helper(*args)
 
 
 def test_ring_eigenvalues_match_density_matrix():
@@ -525,18 +507,17 @@ def test_outcome_probabilities_build_no_constellation_or_source_state(monkeypatc
 
 
 def test_outcome_probabilities_do_not_recheck_symmetry(monkeypatch):
-    # the symmetry condition is checked when the family is built, so a call
-    # re-runs no point-permutation check
+    # the symmetry condition is checked when the family is built, in
+    # ModelFamily.__post_init__, so a call re-runs no symmetry check
     models = [ring_model(2, 1.0), rectangle_model(1.0, 0.7), ring_model(16, 1.0)]
     calls = []
-    for mod in [m for name, m in sys.modules.items() if name.startswith("qconstel")]:
-        if hasattr(mod, "validate_symmetry"):
-            orig = mod.validate_symmetry
-            monkeypatch.setattr(mod, "validate_symmetry",
-                                lambda *a, _f=orig, **k: calls.append(1) or _f(*a, **k))
+    orig = ModelFamily.__post_init__
+    monkeypatch.setattr(ModelFamily, "__post_init__", lambda self: calls.append(1) or orig(self))
     for model in models:
         outcome_probabilities(model, [0.4] * model.n_params, model.qft_basis)
     assert calls == []
+    ring_model(4, 1.0)  # the counter sees the check where it runs
+    assert calls == [1]
 
 
 def finite_difference_fi(model, point, basis):

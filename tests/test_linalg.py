@@ -7,11 +7,12 @@ from qconstel.linalg import (
     ConvergenceError,
     _golden_section,
     eig_hermitian,
-    haar_unitary,
     hermiticity_defect,
     unitarity_defect,
     unitary_distance,
 )
+
+from oracles import haar_unitary
 
 
 def random_hermitian(n, rng):

@@ -6,7 +6,6 @@ import pytest
 from qconstel import estimation, simulate
 from qconstel.circuit import fourier_circuit, netlist_unitary
 from qconstel.estimation import outcome_probabilities, qfim, ring_model, spectral_qfim
-from qconstel.linalg import haar_unitary
 from qconstel.simulate import (
     EstimationError,
     StudyConfig,
@@ -16,6 +15,8 @@ from qconstel.simulate import (
     sample_outcomes,
     trial_seed,
 )
+
+from oracles import haar_unitary
 
 
 def test_sample_degenerate_distribution():

@@ -7,10 +7,11 @@ from qconstel.constellation import (
     make_rectangle,
     make_ring,
     matching_psf,
-    validate_symmetry,
 )
 from qconstel.linalg import hermiticity_defect
 from qconstel.states import density_matrix, source_state
+
+from oracles import apply_group_element, validate_symmetry
 
 
 def permutation_matrix(perm):
@@ -125,8 +126,6 @@ def test_symmetry_covariance_of_rho(c):
 
 
 def test_source_state_phase_covariance():
-    from qconstel.constellation import apply_group_element
-
     c = make_ring(5, 0.8, 0.1)
     psf = matching_psf(c, 1.0, phase=0.25)
     perms = validate_symmetry(c.group, psf.momenta)

@@ -7,7 +7,6 @@ from qconstel.constellation import (
     SymmetryError,
     make_ring,
     matching_psf,
-    validate_symmetry,
 )
 from qconstel.estimation import (
     ModelFamily,
@@ -18,6 +17,8 @@ from qconstel.estimation import (
 from qconstel.linalg import eig_hermitian, unitarity_defect
 from qconstel.states import source_state
 from qconstel.symmetry import AbelianGroup, characters, qft_matrix
+
+from oracles import validate_symmetry
 
 Z2 = AbelianGroup((2,))
 Z4 = AbelianGroup((4,))
