@@ -7,14 +7,7 @@ information, simulates photon-counting estimation, and synthesizes the
 optimal measurement as a beamsplitter/phaseshifter netlist.
 """
 
-from .constellation import (
-    Constellation,
-    DiscretePSF,
-    SymmetryError,
-    make_rectangle,
-    make_ring,
-    matching_psf,
-)
+from .constellation import SymmetryError, make_rectangle, make_ring
 from .linalg import (
     ConvergenceError,
     eig_hermitian,
@@ -64,9 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroup",
     "Beamsplitter",
-    "Constellation",
     "ConvergenceError",
-    "DiscretePSF",
     "EstimationError",
     "InterferometerNetlist",
     "ModelFamily",
@@ -86,7 +77,6 @@ __all__ = [
     "hermiticity_defect",
     "make_rectangle",
     "make_ring",
-    "matching_psf",
     "mle_1d",
     "netlist_unitary",
     "orbit_states",

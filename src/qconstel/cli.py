@@ -1,16 +1,12 @@
 """Batch command-line front end.
 
 Subcommands: ``qfi``, ``eigen``, ``simulate``, ``decompose``, ``sweep``.
-Settings come from an INI config file (section.key) overridden by flags;
-machine-readable CSV/JSON outputs are byte-reproducible and carry a hash
-of the resolved scientific config.
-
-``SETTINGS`` is the one place a setting is declared (section, key, type,
-default, choices, help); flags, INI types, defaults and choice checks derive
-from it.  The flag of key ``k`` is ``--k`` with ``_`` spelled ``-``, except
-``output.path``, which is ``--out``.  Every subcommand reads the ``model`` and
-``output`` sections, ``simulate`` also ``measurement`` and ``study``, and
-``sweep`` also ``sweep``; each takes flags for the sections it reads.
+Settings come from an INI config file (section.key) overridden by flags, as
+``config.SETTINGS`` declares them; machine-readable CSV/JSON outputs are
+byte-reproducible and carry a hash of the resolved scientific config.
+Every subcommand reads the ``model`` and ``output`` sections, ``simulate``
+also ``measurement`` and ``study``, and ``sweep`` also ``sweep``; each takes
+flags for the sections it reads.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 self-check
 violation (``--check``).
@@ -19,18 +15,9 @@ violation (``--check``).
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import json
 import sys
-from typing import NamedTuple
-try:  # builtin SHA-256 first: importing hashlib loads OpenSSL just to hash the config
-    from _sha2 import sha256  # CPython 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # CPython 3.10-3.11
-    except ImportError:
-        from hashlib import sha256
 
 import numpy as np
 
@@ -43,6 +30,7 @@ from .circuit import (
     to_json_dict,
     to_text,
 )
+from .config import SETTINGS, ConfigError, config_hash, read_netlist, resolve_config
 from .estimation import (
     ModelFamily,
     analytic_qfi,
@@ -57,141 +45,8 @@ from .simulate import EstimationError, StudyConfig, StudyError, crb_study
 from .symmetry import qft_matrix
 
 
-class ConfigError(ValueError):
-    """Invalid or inconsistent run configuration."""
-
-
 class CheckFailure(RuntimeError):
     """A --check threshold was violated."""
-
-
-class Setting(NamedTuple):
-    """Type (INI and flag), default, allowed values (None: any) and ``--help`` text."""
-
-    type: type
-    default: object
-    choices: tuple[str, ...] | None = None
-    help: str | None = None
-
-
-SETTINGS = {
-    "model": {
-        "kind": Setting(str, "pair", ("pair", "rect", "ring")),
-        "p": Setting(float, 1.0, help="psf momentum magnitude (pair/ring)"),
-        "px": Setting(float, 1.0, help="psf x momentum (rect)"),
-        "py": Setting(float, 1.0, help="psf y momentum (rect)"),
-        "n": Setting(int, 4, help="number of ring sources/modes (pair fixes n = 2)"),
-        "phase": Setting(float, 0.0, help="pair/ring angle of the first source"),
-        "psf_phase": Setting(float, 0.0, help="pair/ring psf absolute angle; the default 0.0 "
-                             "aligns the psf with phase-0 sources"),
-        "r": Setting(float, 0.3, help="pair/ring radius"),
-        "x0": Setting(float, 0.4, help="rectangle half-side x"),
-        "y0": Setting(float, 0.4, help="rectangle half-side y"),
-    },
-    "measurement": {
-        "basis": Setting(str, "eigenbasis", ("eigenbasis", "direct", "netlist")),
-        "netlist": Setting(str, "", help="netlist file for basis=netlist"),
-    },
-    "sweep": {
-        "parameter": Setting(str, "", help="swept parameter name"),
-        "start": Setting(float, 0.1),
-        "stop": Setting(float, 1.2),
-        "count": Setting(int, 25),
-        "quantity": Setting(str, "qfi", ("qfi", "eigenvalues")),
-    },
-    "study": {
-        "photons": Setting(str, "10000", help="comma-separated photon counts"),
-        "trials": Setting(int, 200),
-        "seed": Setting(int, 7),
-        "bounds": Setting(str, "", help="estimator search interval 'lo,hi'; by default from 1e-3 "
-                                        "to pi/(2p) - 1e-3 for two sources and to pi/p - 1e-3 "
-                                        "for larger rings"),
-        "grid": Setting(int, 256, help="MLE scan grid points"),
-    },
-    "output": {
-        "path": Setting(str, "", help="output file path"),
-        "format": Setting(str, "csv", ("csv", "json", "text"),
-                          help="output file format; decompose writes the netlist text for csv "
-                               "and text, the other subcommands take csv or json only"),
-    },
-}
-
-
-def _read_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        read = parser.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {' '.join(str(exc).split())}") from None
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    out: dict = {}
-    for section in parser.sections():
-        if section not in SETTINGS:
-            raise ConfigError(f"unknown config section [{section}]")
-        keys = SETTINGS[section]
-        out[section] = {}
-        for key, raw in parser.items(section):
-            if key not in keys:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            type_ = keys[key].type
-            try:
-                out[section][key] = type_(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"bad value for {section}.{key}: {raw!r} (expected {type_.__name__})"
-                ) from None
-    return out
-
-
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults <- config file <- command-line flags, with choices checked."""
-    cfg = {s: {k: v.default for k, v in keys.items()} for s, keys in SETTINGS.items()}
-    if getattr(args, "config", None):
-        for section, values in _read_config_file(args.config).items():
-            cfg[section].update(values)
-    for section, keys in SETTINGS.items():
-        for key, setting in keys.items():
-            val = getattr(args, key, None)
-            if val is not None:
-                cfg[section][key] = val
-            if setting.choices and cfg[section][key] not in setting.choices:
-                raise ConfigError(
-                    f"{section}.{key} must be one of {', '.join(setting.choices)}, "
-                    f"got {cfg[section][key]!r}"
-                )
-    return cfg
-
-
-def _file_sha256(path: str, error: str) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return sha256(fh.read()).hexdigest()
-    except OSError as exc:
-        raise ConfigError(f"{error} {path}: {exc}") from None
-
-
-def config_hash(cfg: dict, unitary: str | None = None) -> str:
-    """Hash of the scientific part of the resolved config (not output paths).
-
-    Input files enter by content: the netlist if ``measurement.basis`` is
-    ``netlist`` (else it hashes empty), and the ``decompose`` unitary.
-    """
-    lines = []
-    for section in sorted(cfg):
-        if section == "output":
-            continue
-        for key in sorted(cfg[section]):
-            val = cfg[section][key]
-            if (section, key) == ("measurement", "netlist"):
-                val = (_file_sha256(val, "cannot read netlist file")
-                       if val and cfg[section]["basis"] == "netlist" else "")
-            elif isinstance(val, float):
-                val = repr(val)
-            lines.append(f"{section}.{key}={val}")
-    if unitary:
-        lines.append(f"unitary={_file_sha256(unitary, 'cannot read unitary from')}")
-    return sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
 def build_model(cfg: dict) -> tuple[ModelFamily, np.ndarray, np.ndarray]:
@@ -230,19 +85,19 @@ def _require(check, values: np.ndarray) -> None:
         raise ConfigError(str(exc)) from None
 
 
-def measurement_basis(cfg: dict, model: ModelFamily) -> np.ndarray:
+def measurement_basis(cfg: dict, model: ModelFamily, netlist: bytes | None) -> np.ndarray:
+    """The basis that ``measurement.basis`` names; ``netlist`` is from ``read_netlist``."""
     choice = cfg["measurement"]["basis"]
     if choice == "eigenbasis":
         return model.qft_basis
     if choice == "direct":
         return np.eye(model.dim)
-    path = cfg["measurement"]["netlist"]  # choice == "netlist"
-    if not path:
+    if netlist is None:  # choice == "netlist"
         raise ConfigError("measurement.basis=netlist needs measurement.netlist=<file>")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            net = from_text(fh.read(), n_modes=model.dim)
-    except (OSError, ValueError) as exc:
+        net = from_text(netlist.decode("utf-8"), n_modes=model.dim)
+    except ValueError as exc:
+        path = cfg["measurement"]["netlist"]
         raise ConfigError(f"cannot read netlist file {path}: {exc}") from None
     return netlist_unitary(net).conj().T
 
@@ -290,7 +145,7 @@ def _emit(cfg: dict, hash_: str, header: list[str], rows: list[tuple], payload: 
         write_csv(path, hash_, header, rows)
 
 
-def cmd_qfi(args: argparse.Namespace, cfg: dict, h: str) -> int:
+def cmd_qfi(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | None) -> int:
     model, values, ana = build_model(cfg)
     _require(model.check_values, values)
     numeric = qfim(model, values)
@@ -311,7 +166,7 @@ def cmd_qfi(args: argparse.Namespace, cfg: dict, h: str) -> int:
     return 0
 
 
-def cmd_eigen(args: argparse.Namespace, cfg: dict, h: str) -> int:
+def cmd_eigen(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | None) -> int:
     model, values, _ = build_model(cfg)
     weights = outcome_probabilities(model, values, model.qft_basis)
     # orbit-state mixture: equals the model density matrix and also covers
@@ -348,7 +203,7 @@ def _study_bounds(cfg: dict, model: ModelFamily) -> tuple[float, float]:
     return delta, np.pi / p - delta
 
 
-def cmd_simulate(args: argparse.Namespace, cfg: dict, h: str) -> int:
+def cmd_simulate(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | None) -> int:
     model, values, _ = build_model(cfg)
     if model.n_params != 1:
         raise ConfigError("simulate estimates a single scalar parameter; use pair or ring")
@@ -365,7 +220,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict, h: str) -> int:
             trials=cfg["study"]["trials"],
             seed=cfg["study"]["seed"],
             bounds=_study_bounds(cfg, model),
-            basis=measurement_basis(cfg, model),
+            basis=measurement_basis(cfg, model, netlist),
             grid_points=cfg["study"]["grid"],
         )
     except ValueError as exc:
@@ -379,7 +234,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict, h: str) -> int:
     return 0
 
 
-def cmd_decompose(args: argparse.Namespace, cfg: dict, h: str) -> int:
+def cmd_decompose(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | None) -> int:
     if args.unitary:
         try:
             target = load_unitary(args.unitary)
@@ -408,7 +263,7 @@ def cmd_decompose(args: argparse.Namespace, cfg: dict, h: str) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace, cfg: dict, h: str) -> int:
+def cmd_sweep(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | None) -> int:
     model, values, ana = build_model(cfg)
     s = cfg["sweep"]
     param = s["parameter"] or model.names[0]
@@ -487,7 +342,9 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         if cfg["output"]["format"] == "text" and args.command != "decompose":
             raise ConfigError(f"{args.command} writes csv or json, not text")
-        return args.func(args, cfg, config_hash(cfg, getattr(args, "unitary", None)))
+        netlist = read_netlist(cfg)
+        h = config_hash(cfg, getattr(args, "unitary", None), netlist)
+        return args.func(args, cfg, h, netlist)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,19 +1,22 @@
-"""Quantum and classical Fisher information for constellation models.
+"""Quantum and classical Fisher information for symmetric model families.
 
-Two routes lead to the same quantities, and each checks the other:
+A ``ModelFamily`` is its symmetry group, its unit source points and its psf
+momenta; ``ring_model`` and ``rectangle_model`` build them from
+``constellation.make_ring`` and ``make_rectangle``.  Two routes lead to the
+same quantities, and each checks the other:
 
-- The orbit-phase route works from the amplitudes psi_g(v) of the symmetric
-  families (``ModelFamily.amplitudes``).  ``outcome_probabilities`` and
+- The orbit-phase route works from the amplitudes psi_g(v) of the family
+  (``ModelFamily.amplitudes``).  ``outcome_probabilities`` and
   ``classical_fi`` read them in any measurement basis.  In ``qft_basis``,
   which diagonalizes every state of the family, the outcome probabilities
   are the eigenvalues (CLI ``eigen``, eigenvalue sweeps), and
   ``spectral_qfim`` is ``classical_fi`` there.  ``simulate.crb_study`` runs
   on ``outcome_probabilities``, its unchecked kernel ``_probabilities`` and
-  ``spectral_qfim``.  The route builds no
-  constellation or density matrix, calls no eigensolver, and differentiates
-  exactly: d psi_g = -i D[..., mu] psi_g.
+  ``spectral_qfim``.  The route builds no point set or density matrix,
+  calls no eigensolver, and differentiates exactly: d psi_g = -i D[..., mu]
+  psi_g.
 - The numeric pipeline (``ModelFamily.rho`` -> ``drho`` -> ``sld`` ->
-  ``qfim``: the density matrix of the constellation built at v, its
+  ``qfim``: the density matrix of the sources ``points * v``, its
   finite-difference derivative, the SLD and the QFIM) runs general machinery
   and is the independent oracle.  The CLI's ``qfi`` and ``sweep`` print its
   value against the closed forms, and the tests compare it with the closed
@@ -24,17 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .constellation import (
-    Constellation,
-    DiscretePSF,
     SymmetryError,
+    _as_points,
+    _check_distinct,
     make_rectangle,
     make_ring,
-    matching_psf,
 )
 from .linalg import eig_hermitian, hermiticity_defect, unitarity_defect
 from .states import density_matrix
@@ -49,36 +50,42 @@ BLOCK_ROWS = 16  # parameter points per amplitude block in outcome_probabilities
 
 @dataclass(frozen=True, eq=False)
 class ModelFamily:
-    """Symmetric family: a unit ``template`` constellation scaled by the parameters.
+    """Symmetric family: its ``group``, unit source ``points`` and psf ``momenta``.
 
     ``names`` are the parameters, each in the open interval (0, inf), whose
-    closure ``outcome_probabilities`` and ``orbit_states`` accept.
-    ``make(v)`` builds the constellation at v, the template's points scaled
-    coordinate-wise by v in the same group order (r scales both coordinates
-    of a ring; x0 and y0 one each of a rectangle).  ``psf`` is the momentum
-    comb.  The rest derives from these four fields: ``dim``, ``bounds``,
-    ``group`` (the template's), ``qft_basis``, the oracle ``rho(v)`` = density
-    matrix of ``make(v)``, and the orbit-phase tensor ``phases`` D[g, j, mu].
-    The phase that source g picks up on psf momentum p_j, p_j . t_g(v), is
-    linear in v: phi_gj(v) = sum_mu D[g, j, mu] v_mu.  ``amplitudes`` derives
-    the source states from it, in the group order of the template, and their
-    derivatives are -i D[..., mu] psi.
+    closure ``outcome_probabilities`` and ``orbit_states`` accept.  ``points``
+    is the unit source template in group order, and the sources at v are
+    ``points * v``: r scales both coordinates of a ring, x0 and y0 one each
+    of a rectangle.  ``momenta`` is the psf comb.  Both are read-only (m, 2)
+    arrays.  The rest derives from these four fields: ``dim``, ``bounds``,
+    ``qft_basis``, the oracle ``rho(v)``, the density matrix of the sources
+    at v, and the orbit-phase tensor ``phases`` D[g, j, mu].  The phase that
+    source g picks up on psf momentum p_j, p_j . t_g(v), is linear in v:
+    phi_gj(v) = sum_mu D[g, j, mu] v_mu.  ``amplitudes`` derives the source
+    states from it, in group order, and their derivatives are -i D[..., mu] psi.
 
-    Construction checks the condition under which ``qft_basis`` diagonalizes
-    every rho of the family: sources and psf momenta share the group order,
-    D[g, g * j, :] = D[0, j, :] for all g and j within ``SYMMETRY_MATCH_ATOL``
-    times max |D|, or SymmetryError names g and j.  A template without a
-    group is a SymmetryError too.
+    Construction checks the fields once: one or two parameters, finite and
+    distinct points and momenta (ValueError names which), and the condition
+    under which ``qft_basis`` diagonalizes every rho of the family: sources
+    and psf momenta share the group order, D[g, g * j, :] = D[0, j, :] for
+    all g and j within ``SYMMETRY_MATCH_ATOL`` times max |D|, or
+    SymmetryError names g and j.
     """
 
     names: tuple[str, ...]
-    template: Constellation
-    psf: DiscretePSF
-    make: Callable[[np.ndarray], Constellation]
+    group: AbelianGroup
+    points: np.ndarray
+    momenta: np.ndarray
 
     def __post_init__(self):
-        if self.group is None:
-            raise SymmetryError("the template constellation declares no symmetry group")
+        if self.n_params not in (1, 2):
+            raise ValueError(f"a family scales its points by one parameter or two, "
+                             f"got {self.names}")
+        for field, what in (("points", "source points"), ("momenta", "psf momenta")):
+            arr = _as_points(getattr(self, field), what)
+            _check_distinct(arr, what)
+            arr.flags.writeable = False
+            object.__setattr__(self, field, arr)
         d, table = self.phases, self.group.table
         if d.shape[:2] != table.shape:
             raise SymmetryError(f"{d.shape[:2]} sources x psf momenta, but |G| = {len(table)}")
@@ -96,15 +103,11 @@ class ModelFamily:
 
     @property
     def dim(self) -> int:
-        return len(self.psf)
+        return len(self.momenta)
 
     @property
     def bounds(self) -> tuple[tuple[float, float], ...]:
         return ((0.0, np.inf),) * self.n_params
-
-    @property
-    def group(self) -> AbelianGroup:
-        return self.template.group
 
     @cached_property
     def qft_basis(self) -> np.ndarray:
@@ -116,7 +119,7 @@ class ModelFamily:
     @cached_property
     def phases(self) -> np.ndarray:
         scale = np.ones((1, 2)) if self.n_params == 1 else np.eye(2)  # S[mu, c]
-        return np.einsum("mc,gc,jc->gjm", scale, self.template.points, self.psf.momenta)
+        return np.einsum("mc,gc,jc->gjm", scale, self.points, self.momenta)
 
     def check_values(self, values, closed: bool = False) -> np.ndarray:
         vals = np.atleast_1d(np.asarray(values, dtype=float))
@@ -165,17 +168,24 @@ class ModelFamily:
         return psi
 
     def rho(self, values) -> np.ndarray:
-        return density_matrix(self.make(self.check_values(values)), self.psf)
+        return density_matrix(self.points * self.check_values(values), self.momenta)
+
+
+def _psf_momentum(name: str, p: float) -> float:
+    """``p`` if it is a positive finite psf momentum; else a ValueError naming ``name``."""
+    if not (np.isfinite(p) and p > 0):
+        raise ValueError(f"{name} must be positive and finite, got {p}")
+    return p
 
 
 def rectangle_model(p_x: float, p_y: float) -> ModelFamily:
-    """Four sources at (+-x0, +-y0); axis-aligned psf momenta (+-p_x, +-p_y).
+    """Four sources at (+-x0, +-y0); the psf is ``make_rectangle(p_x, p_y)``, (+-p_x, +-p_y).
 
     Parameters are the half-sides (x0, y0).
     """
-    template = make_rectangle(1.0, 1.0)
-    psf = matching_psf(template, p_x, p_y=p_y)
-    return ModelFamily(("x0", "y0"), template, psf, lambda v: make_rectangle(v[0], v[1]))
+    momenta = make_rectangle(_psf_momentum("psf momentum magnitude", p_x),
+                             _psf_momentum("p_y", p_y))
+    return ModelFamily(("x0", "y0"), AbelianGroup((2, 2)), make_rectangle(1.0, 1.0), momenta)
 
 
 def _default_ring_orientation(n: int) -> float:
@@ -192,7 +202,7 @@ def _default_ring_orientation(n: int) -> float:
 def ring_model(
     n: int, p: float, phase: float = 0.0, psf_phase: float | None = None
 ) -> ModelFamily:
-    """n sources on a circle; psf is the matching n-point momentum ring.
+    """n sources on a circle; the psf is the momentum ring ``make_ring(n, p, psf_phase)``.
 
     The pair is n = 2: two sources at angles phase and phase + pi, psf
     momenta +-p at psf_phase.  The single parameter is the ring radius r.
@@ -204,9 +214,11 @@ def ring_model(
     """
     if psf_phase is None:
         psf_phase = phase + _default_ring_orientation(n)
-    template = make_ring(n, 1.0, phase)
-    psf = matching_psf(template, p, phase=psf_phase)
-    return ModelFamily(("r",), template, psf, lambda v: make_ring(n, v[0], phase))
+    points = make_ring(n, 1.0, phase)
+    p = _psf_momentum("psf momentum magnitude", p)
+    if not np.isfinite(psf_phase):
+        raise ValueError(f"psf phase must be finite, got {psf_phase}")
+    return ModelFamily(("r",), AbelianGroup((n,)), points, make_ring(n, p, psf_phase))
 
 
 def drho(model: ModelFamily, values, mu: int, h: float | None = None) -> np.ndarray:

@@ -1,31 +1,32 @@
-"""Single-photon momentum-qudit states and constellation density matrices."""
+"""Single-photon momentum-qudit states and the density matrix of a point set.
+
+Both take plain arrays: (N, 2) psf momenta p_j and (m, 2) source points,
+such as the ones ``constellation.make_ring`` and ``make_rectangle`` build.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .constellation import Constellation, DiscretePSF
 
+def source_state(momenta, x) -> np.ndarray:
+    """Pure state of one source at position x imaged through a delta-comb psf.
 
-def source_state(psf: DiscretePSF, r) -> np.ndarray:
-    """Pure state of one source at position r imaged through a delta-comb psf.
-
-    Amplitude on momentum basis state j is exp(-i p_j . r) / sqrt(N).
+    Amplitude on momentum basis state j is exp(-i p_j . x) / sqrt(N).
     """
-    if len(psf) == 0:
+    momenta = np.asarray(momenta, dtype=float)
+    if len(momenta) == 0:
         raise ValueError("psf has no momenta")
-    r = np.asarray(r, dtype=float).reshape(2)
-    phases = psf.momenta @ r
-    return np.exp(-1j * phases) / np.sqrt(len(psf))
+    phases = momenta @ np.asarray(x, dtype=float).reshape(2)
+    return np.exp(-1j * phases) / np.sqrt(len(momenta))
 
 
-def density_matrix(c: Constellation, psf: DiscretePSF) -> np.ndarray:
-    """Uniform mixture of the constellation's source states.
+def density_matrix(points, momenta) -> np.ndarray:
+    """Uniform mixture of the source states of ``points``.
 
     rho = (1/N_S) sum_i |psi_i><psi_i|; Hermitian with unit trace.
     """
-    if len(c) == 0:
-        raise ValueError("constellation has no sources")
-    states = np.stack([source_state(psf, r) for r in c.points])
-    return (states.T @ states.conj()) / len(c)
-
+    if len(points) == 0:
+        raise ValueError("no source points")
+    states = np.stack([source_state(momenta, x) for x in points])
+    return (states.T @ states.conj()) / len(points)

@@ -2,7 +2,7 @@
 
 Group elements and character labels are indexed 0..|G|-1 in mixed-radix
 order over the cyclic factors (first factor most significant, index 0 the
-identity / trivial character).  A constellation carries its group, and the
+identity / trivial character).  A model family carries its group, and the
 group alone fixes the measurement: the conjugate transpose of ``qft_matrix``
 is the eigenbasis ``ModelFamily.qft_basis`` of every symmetric model family.
 Column k is the eigenvector of character label k, and its eigenvalue is the

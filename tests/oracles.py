@@ -4,9 +4,11 @@ Each one is written apart from the library code it checks, so a comparison
 with it is a comparison of two routes:
 
 - the point-permutation check (``apply_group_element``,
-  ``validate_symmetry``) works out the planar action of a group from its
-  factors, where the library builds its symmetric families from phase
-  tensors;
+  ``validate_symmetry(points, group)``) works out the planar action of a
+  group from its factors, where the library builds its symmetric families
+  from a group, points and momenta and checks them through phase tensors;
+- ``psf_comb`` writes out the psf momenta of a group, where the library
+  takes them from ``make_ring`` and ``make_rectangle``;
 - the ring Fourier route (``ring_amplitudes`` and the eigenvalues and radial
   QFI read from them) transforms the source ring with an FFT, where the
   library projects the orbit states onto ``qft_basis``;
@@ -48,7 +50,7 @@ def apply_group_element(group: AbelianGroup, g: int, pts) -> np.ndarray:
     raise ValueError(f"AbelianGroup({group.factors}) has no planar action")
 
 
-def validate_symmetry(group: AbelianGroup, pts) -> np.ndarray:
+def validate_symmetry(pts, group: AbelianGroup) -> np.ndarray:
     """Permutation table of the group action on a point list.
 
     Returns an integer array ``perm`` of shape (|G|, m) with
@@ -73,6 +75,22 @@ def validate_symmetry(group: AbelianGroup, pts) -> np.ndarray:
             perms[g, i] = hit[0]
             taken[hit[0]] = True
     return perms
+
+
+def psf_comb(
+    group: AbelianGroup, p: float, phase: float = 0.0, p_y: float | None = None
+) -> np.ndarray:
+    """Psf momenta with the symmetry of ``group``, written out apart from the library.
+
+    One factor (n,): n momenta of radius p at angles phase + 2 pi k / n.
+    (2, 2): (+-p, +-p_y) in sign-flip group order, with p_y defaulting to p.
+    """
+    if len(group.factors) == 1:
+        n = group.order
+        ang = phase + 2.0 * np.pi * np.arange(n) / n
+        return p * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    py = p if p_y is None else p_y
+    return np.array([[p, py], [p, -py], [-p, py], [-p, -py]])
 
 
 def ring_amplitudes(

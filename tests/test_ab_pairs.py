@@ -20,9 +20,9 @@ def ab_pairs():
     return module
 
 
-def result(jobs_per_s, peak_rss_mb, failed=0):
+def result(jobs_per_s, peak_rss_mb, failed=0, attempted=100):
     """One run as ``clibench/run.py`` prints it."""
-    return {"correct": failed == 0, "attempted": 100, "failed": failed,
+    return {"correct": failed == 0, "attempted": attempted, "failed": failed,
             "metrics": {"jobs_per_s": {"value": jobs_per_s, "unit": "jobs/s"},
                         "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}}
 
@@ -78,6 +78,22 @@ def test_failed_share_per_side(ab_pairs):
     runs = pairs([(70.0, 44.0)] * 2, [(70.0, 44.0)] * 2)
     runs[1]["change"] = result(70.0, 44.0, failed=3)
     assert ab_pairs.summarise(runs, SPEC)["failed_share"] == {"parent": 0.0, "change": 0.015}
+
+
+def test_median_job_count_beside_peak_rss(ab_pairs):
+    # a faster change runs more jobs in the same time, and its memory rises with them
+    runs = [{"parent": result(70.0, 44.0, attempted=2100 + 10 * i),
+             "change": result(105.0, 45.8, attempted=3150 + 10 * i)} for i in range(5)]
+    runs[0]["change"] = result(105.0, 45.8, failed=5, attempted=3100)
+    s = ab_pairs.summarise(runs, SPEC)
+    assert s["median_attempted"] == {"parent": 2120, "change": 3170}
+    assert s["failed_share"]["change"] == pytest.approx(5 / (3100 + 3160 + 3170 + 3180 + 3190))
+    lines = ab_pairs.report(s)
+    assert lines[2].split()[0] == "peak_rss_mb"
+    assert lines[2].endswith("ok  (median jobs: parent 2120, change 3170)")
+    assert "median jobs" not in lines[1]
+    even = ab_pairs.summarise(pairs([(70.0, 44.0)] * 2, [(70.0, 44.0)] * 2), SPEC)
+    assert even["median_attempted"] == {"parent": 100, "change": 100}
 
 
 def test_benchmark_differences(ab_pairs, tmp_path):

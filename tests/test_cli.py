@@ -1,4 +1,6 @@
+import builtins
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -197,6 +199,37 @@ def test_simulate_netlist_basis(tmp_path, capsys):
          "--basis", "netlist", "--netlist", str(netfile)],
     )
     assert code == 0
+
+
+def test_netlist_is_read_once_per_job(tmp_path, capsys, monkeypatch):
+    # the config hash and the measurement basis come from one read of the file
+    netfile = tmp_path / "pair.net"
+    netfile.write_text(to_text(fourier_circuit(ring_model(2, 1.0).group)))
+    argv = ["simulate", "--kind", "pair", "--r", "0.3", "--photons", "400", "--trials", "10",
+            "--basis", "netlist", "--netlist", str(netfile), "--out", str(tmp_path / "out.csv")]
+    expected = run(capsys, argv)
+    expected_out = (tmp_path / "out.csv").read_bytes()
+    lines = [f"{s}.{k}={v!r}" if isinstance(v, float) else f"{s}.{k}={v}"
+             for s, keys in sorted(resolve_config(build_parser().parse_args(argv)).items())
+             if s != "output" for k, v in sorted(keys.items())]
+    lines = [f"measurement.netlist={hashlib.sha256(netfile.read_bytes()).hexdigest()}"
+             if line.startswith("measurement.netlist=") else line for line in lines]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
+    assert expected[0] == 0 and expected[1].splitlines()[0] == f"# config {digest}"
+    reads = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if Path(file) == netfile:
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    for jobs in (1, 2):
+        assert run(capsys, argv) == expected
+        assert (tmp_path / "out.csv").read_bytes() == expected_out
+        assert len(reads) == jobs
 
 
 def test_config_hash_names_input_files_by_content(tmp_path, capsys, monkeypatch):

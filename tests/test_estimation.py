@@ -23,12 +23,13 @@ from qconstel.estimation import (
     spectral_qfim,
 )
 from qconstel.linalg import hermiticity_defect, unitarity_defect
-from qconstel.states import source_state
-from qconstel.symmetry import qft_matrix
+from qconstel.states import density_matrix, source_state
+from qconstel.symmetry import AbelianGroup, qft_matrix
 
 from oracles import (
     apply_group_element,
     haar_unitary,
+    psf_comb,
     ring_amplitudes,
     ring_eigenvalues,
     ring_qfi_parseval,
@@ -298,7 +299,7 @@ def test_default_ring_orientation_meets_closed_form():
     phase, p = 0.37, 1.3
     for n in range(2, 41):
         offset = 0.0 if n % 2 == 0 else np.pi / (2 * n)
-        m0 = ring_model(n, p, phase).psf.momenta[0]
+        m0 = ring_model(n, p, phase).momenta[0]
         assert abs(np.arctan2(m0[1], m0[0]) - (phase + offset)) <= 1e-12
         expected = 4.0 * p * p if n == 2 else 2.0 * p * p
         for r in (0.25, 0.6, 1.25):
@@ -369,7 +370,7 @@ def test_model_validation():
             ring_model(bad, 1.0)
     # qft_basis derives from the symmetry; it is not a constructor field
     with pytest.raises(TypeError):
-        ModelFamily(("r",), model.template, model.psf, model.make, qft_basis=np.eye(2))
+        ModelFamily(("r",), model.group, model.points, model.momenta, qft_basis=np.eye(2))
     for m in (model, rectangle_model(1.0, 0.5), ring_model(5, 1.0)):
         assert np.array_equal(m.qft_basis, qft_matrix(m.group).conj().T)
 
@@ -413,10 +414,40 @@ def test_spectral_qfim_matches_numeric_pipeline():
         assert np.max(np.abs(f - qfim(model, point))) <= 1e-6
 
 
+rho_cases = st.tuples(
+    st.integers(1, 32),  # 1: rectangle, n >= 2: ring n
+    st.floats(0.1, 5.0),
+    st.floats(0.1, 5.0),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.floats(-np.pi, np.pi),
+    st.one_of(st.none(), st.floats(-np.pi, np.pi)),
+)
+
+
+@settings(max_examples=120)
+@given(rho_cases)
+def test_rho_scales_the_template_bit_for_bit(case):
+    # rho(v) mixes the states of points * v; it is the density matrix of the
+    # point set the builders make at v, under a psf comb written out apart
+    # from the library, to the last bit
+    kind, p1, p2, v1, v2, phase, psf_phase = case
+    if kind == 1:
+        model, v = rectangle_model(p1, p2), [v1, v2]
+        points, momenta = make_rectangle(v1, v2), psf_comb(AbelianGroup((2, 2)), p1, p_y=p2)
+    else:
+        model, v = ring_model(kind, p1, phase, psf_phase), [v1]
+        if psf_phase is None:
+            psf_phase = phase + (0.0 if kind % 2 == 0 else np.pi / (2 * kind))
+        points, momenta = make_ring(kind, v1, phase), psf_comb(AbelianGroup((kind,)), p1, psf_phase)
+    assert np.array_equal(model.points * v, points)
+    assert np.array_equal(model.rho(v), density_matrix(points, momenta))
+
+
 def test_phase_tensor_matches_constellation_points():
     for model, point, make in two_route_models():
         v = np.array(point)
-        expected = make(v).points @ model.psf.momenta.T
+        expected = make(v) @ model.momenta.T
         assert model.phases.shape == (len(make(v)), model.dim, model.n_params)
         scale = max(1.0, np.max(np.abs(expected)))
         assert np.max(np.abs(model.phases @ v - expected)) <= 1e-14 * scale
@@ -475,12 +506,12 @@ def test_orbit_states_match_group_action_oracle():
     # base point b is row g * b of orbit_states
     for model, point, make in two_route_models():
         group = model.group
-        t0 = make(np.ones(model.n_params)).points[0]
+        t0 = make(np.ones(model.n_params))[0]
         for v in closed_domain_points(point):
             for b in range(group.order):
                 base = apply_group_element(group, b, v * t0)
-                oracle = np.stack([source_state(model.psf, apply_group_element(group, g, base)[0])
-                                   for g in range(group.order)])
+                moved = [apply_group_element(group, g, base)[0] for g in range(group.order)]
+                oracle = np.stack([source_state(model.momenta, x) for x in moved])
                 states = orbit_states(model, v)[model.group.table[:, b]]
                 assert states.shape == oracle.shape
                 assert np.max(np.abs(states - oracle)) <= 1e-14
@@ -630,7 +661,7 @@ def test_character_basis_reads_qft_basis_sweep(case):
         if i == 0:
             rho = model.rho(v)
         else:  # boundary: the source-state mixture, with no phase tensor involved
-            states = np.stack([source_state(model.psf, v * t) for t in model.template.points])
+            states = np.stack([source_state(model.momenta, v * t) for t in model.points])
             rho = states.T @ states.conj() / len(states)
         lam = np.linalg.eigvalsh(rho)
         q = outcome_probabilities(model, v, model.qft_basis)

@@ -367,6 +367,8 @@ def test_crb_study_hot_path_builds_no_density_matrix(monkeypatch):
     # the refinement steps run on the unchecked kernel
     assert calls["golden"] > 0
     assert calls["outcome_probabilities"] == 2
-    # the counters see the rho route when it runs
-    qfim(model, [0.3])
-    assert calls["make_ring"] > 0 and calls["density_matrix"] > 0 and calls["eig_hermitian"] > 0
+    # the counters see the ring builder and the rho route when they run; rho scales
+    # the model's points and builds no ring
+    qfim(ring_model(8, 1.0), [0.3])
+    assert calls["make_ring"] == 2  # the family's points and psf comb
+    assert calls["density_matrix"] > 0 and calls["eig_hermitian"] > 0

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from qconstel.constellation import (
-    Constellation,
-    DiscretePSF,
-    SymmetryError,
-    make_ring,
-    matching_psf,
-)
+from qconstel.constellation import SymmetryError, make_ring
 from qconstel.estimation import (
     ModelFamily,
     orbit_states,
@@ -18,7 +12,7 @@ from qconstel.linalg import eig_hermitian, unitarity_defect
 from qconstel.states import source_state
 from qconstel.symmetry import AbelianGroup, characters, qft_matrix
 
-from oracles import validate_symmetry
+from oracles import psf_comb, validate_symmetry
 
 Z2 = AbelianGroup((2,))
 Z4 = AbelianGroup((4,))
@@ -98,9 +92,9 @@ def test_identical_states_single_weight():
 
 def ring_setup(n, p, r):
     c = make_ring(n, r)
-    psf = matching_psf(c, p)
-    perms = validate_symmetry(c.group, psf.momenta)
-    states = np.stack([source_state(psf, pt) for pt in c.points])
+    psf = psf_comb(AbelianGroup((n,)), p)
+    perms = validate_symmetry(psf, AbelianGroup((n,)))
+    states = np.stack([source_state(psf, pt) for pt in c])
     return c, psf, perms, states
 
 
@@ -150,20 +144,22 @@ def test_covariance_violation_names_element():
     # the group order; unchecked, the swapped-psf ring5 gives spectral_qfim
     # 1.9377 at r = 0.7 against the FD -> SLD oracle's 2.0000
     model = ring_model(5, 1.0)
+    names, group, points, momenta = model.names, model.group, model.points, model.momenta
     swap = [0, 2, 1, 3, 4]
     with pytest.raises(SymmetryError, match="group element 1 does not carry psf momentum 0"):
-        ModelFamily(model.names, model.template, DiscretePSF(model.psf.momenta[swap]), model.make)
-    template = Constellation(model.template.points[swap], model.group)
+        ModelFamily(names, group, points, momenta[swap])
     with pytest.raises(SymmetryError, match="group element 1 does not carry psf momentum 0"):
-        ModelFamily(model.names, template, model.psf, model.make)
-    nan_psf = DiscretePSF.__new__(DiscretePSF)
-    object.__setattr__(nan_psf, "momenta", np.where(np.arange(5)[:, None] == 3, np.nan, model.psf.momenta))
-    with pytest.raises(SymmetryError, match="deviation nan"):
-        ModelFamily(model.names, model.template, nan_psf, model.make)
+        ModelFamily(names, group, points[swap], momenta)
+    # a non-finite momentum is named before the phase tensor is formed
+    nan_momenta = np.where(np.arange(5)[:, None] == 3, np.nan, momenta)
+    with pytest.raises(ValueError, match="^psf momenta must be finite$"):
+        ModelFamily(names, group, points, nan_momenta)
     with pytest.raises(SymmetryError, match=r"\|G\| = 5"):
-        ModelFamily(model.names, model.template, matching_psf(make_ring(4, 1.0), 1.0), model.make)
-    with pytest.raises(SymmetryError, match="^the template constellation declares no symmetry group$"):
-        ModelFamily(model.names, Constellation(model.template.points), model.psf, model.make)
+        ModelFamily(names, group, points, make_ring(4, 1.0))
+    with pytest.raises(SymmetryError, match=r"\|G\| = 4"):
+        ModelFamily(names, AbelianGroup((4,)), points, momenta)
+    with pytest.raises(TypeError):  # the group is a required field
+        ModelFamily(names, points, momenta)
 
 
 def test_zero_weight_flagging_at_degenerate_point():

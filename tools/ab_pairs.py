@@ -28,7 +28,10 @@ change/parent of the medians against the metric's bound, and the verdict:
   parent run;
 - ``ok`` otherwise.
 
-It also prints each side's share of failed jobs.  It exits 1 if a run
+Beside ``peak_rss_mb`` it prints each side's median job count
+(``attempted``): clibench keeps records of every finished job, so a faster
+program runs more jobs and reads as using more memory.  It also prints each
+side's share of failed jobs.  It exits 1 if a run
 fails, if a metric reads ``WORSE``, or if the change fails a larger share
 of jobs than the parent, and 2 if the benchmarks differ.
 """
@@ -85,13 +88,14 @@ def summarise(pairs: list[dict], spec: dict) -> dict:
     ``metrics``: name -> {"value"}); ``spec`` is ``BENCHMARK.json``.  Returns
     per end-to-end metric the quartiles of both sides, the change's wins, the
     median ratio change/parent, its bound and the verdict, and per side the
-    share of failed jobs.
+    share of failed jobs and median job count.
     """
     n = len(pairs)
-    summary = {"pairs": n, "metrics": {}, "failed_share": {}}
+    summary = {"pairs": n, "metrics": {}, "failed_share": {}, "median_attempted": {}}
     for side in SIDES:
-        attempted = sum(p[side]["attempted"] for p in pairs)
-        summary["failed_share"][side] = sum(p[side]["failed"] for p in pairs) / attempted
+        attempted = [p[side]["attempted"] for p in pairs]
+        summary["failed_share"][side] = sum(p[side]["failed"] for p in pairs) / sum(attempted)
+        summary["median_attempted"][side] = statistics.median(attempted)
     for m in spec["end_to_end"]:
         name, bound, higher = m["name"], m["bound"], m["better"] == "higher"
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
@@ -124,8 +128,12 @@ def report(summary: dict) -> list[str]:
              f"{'wins':>6s} {'ratio':>7s} {'bound':>6s}  verdict"]
     for name, s in summary["metrics"].items():
         sides = ["/".join(f"{s[side][k]:.4g}" for k in ("q1", "median", "q3")) for side in SIDES]
-        lines.append(f"{name:14s} {sides[0]:>32s} {sides[1]:>32s} {s['wins']:>3d}/{n:<2d} "
-                     f"{s['ratio']:7.4f} {s['bound']:6.2f}  {s['verdict']}")
+        line = (f"{name:14s} {sides[0]:>32s} {sides[1]:>32s} {s['wins']:>3d}/{n:<2d} "
+                f"{s['ratio']:7.4f} {s['bound']:6.2f}  {s['verdict']}")
+        if name == "peak_rss_mb":
+            jobs = summary["median_attempted"]
+            line += f"  (median jobs: parent {jobs['parent']:g}, change {jobs['change']:g})"
+        lines.append(line)
     shares = summary["failed_share"]
     lines.append(f"failed share: parent {shares['parent']:.4g}, change {shares['change']:.4g}")
     return lines

@@ -26,6 +26,11 @@ code, stderr or masked stdout or output file differ, and per template the
 largest absolute difference between the parsed numbers of the two outputs
 (netlist angles modulo 2 pi, as the reference check compares them).  It
 exits 1 if a member fails its checks in either digest or is missing from one.
+
+Compare only digests made on one host.  ``decompose`` prints Reck angles to
+17 digits, and their last bits depend on which implementation
+``np.arctan2`` (and ``np.angle``) dispatch to, so digests from two hosts may
+differ where no code changed.
 """
 
 from __future__ import annotations
