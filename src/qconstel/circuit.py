@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import unitarity_defect
+from .linalg import UNITARY_ATOL, unitarity_defect
 from .symmetry import AbelianGroup, qft_matrix
 
-UNITARY_ATOL = 1e-10
 PRUNE_TOL = 1e-12
 
 
@@ -238,17 +237,31 @@ def _complex_entry(entry, i: int, j: int) -> complex:
             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)):
         raise ValueError(f"matrix entry ({i}, {j}) must be an [re, im] pair of real numbers, "
                          f"got {entry!r}")
-    return complex(entry[0], entry[1])
+    try:
+        return complex(entry[0], entry[1])
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(f"matrix entry ({i}, {j}) is out of float range") from None
 
 
-def load_unitary(path: str) -> np.ndarray:
-    """Load a complex matrix from JSON: nested rows of [re, im] pairs.
+def load_unitary(data: bytes) -> np.ndarray:
+    """Parse a complex matrix from UTF-8 JSON bytes: rows of [re, im] pairs.
 
-    Raises ValueError naming the shape unless the matrix is a non-empty n x n.
+    The rows are the document itself or its ``"matrix"`` member.  Every
+    fault raises ValueError naming it: bytes that are not UTF-8 JSON, an
+    object without ``"matrix"``, rows or entries of the wrong type, or a
+    matrix that is not a non-empty n x n.  The caller reads the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    rows = data["matrix"] if isinstance(data, dict) else data
+    # newlines as a text-mode read gives them, so JSON errors count the same characters
+    doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    if isinstance(doc, dict) and "matrix" not in doc:
+        raise ValueError('expected a JSON object with a "matrix" member')
+    rows = doc["matrix"] if isinstance(doc, dict) else doc
+    if not isinstance(rows, list):
+        raise ValueError(f"matrix must be a list of rows, got {type(rows).__name__}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"matrix row {i} must be a list of [re, im] pairs, "
+                             f"got {type(row).__name__}")
     u = np.array([[_complex_entry(e, i, j) for j, e in enumerate(row)]
                   for i, row in enumerate(rows)])
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0:

@@ -8,6 +8,11 @@ Every subcommand reads the ``model`` and ``output`` sections, ``simulate``
 also ``measurement`` and ``study``, and ``sweep`` also ``sweep``; each takes
 flags for the sections it reads.
 
+Each ``cmd_*`` computes and returns a ``Result``; it prints nothing and
+opens no file.  ``main`` does the I/O: it reads the run's input files once
+(``config.read_inputs``), prints ``# config <hash>`` and the command's
+stdout, writes the output file, and enforces ``--check``.
+
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 self-check
 violation (``--check``).
 """
@@ -18,6 +23,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from .circuit import (
     to_json_dict,
     to_text,
 )
-from .config import SETTINGS, ConfigError, config_hash, read_netlist, resolve_config
+from .config import SETTINGS, ConfigError, config_hash, read_inputs, resolve_config
 from .estimation import (
     ModelFamily,
     analytic_qfi,
@@ -47,6 +53,16 @@ from .symmetry import qft_matrix
 
 class CheckFailure(RuntimeError):
     """A --check threshold was violated."""
+
+
+class Result(NamedTuple):
+    """A command's stdout after the ``# config`` line, csv (or netlist) file body, JSON
+    payload beside ``config_hash``, and (name, largest deviation) for ``--check``."""
+
+    stdout: str
+    text: str
+    payload: dict
+    check: tuple[str, float] | None = None
 
 
 def build_model(cfg: dict) -> tuple[ModelFamily, np.ndarray, np.ndarray]:
@@ -86,7 +102,7 @@ def _require(check, values: np.ndarray) -> None:
 
 
 def measurement_basis(cfg: dict, model: ModelFamily, netlist: bytes | None) -> np.ndarray:
-    """The basis that ``measurement.basis`` names; ``netlist`` is from ``read_netlist``."""
+    """The basis that ``measurement.basis`` names; ``netlist`` is the file's bytes."""
     choice = cfg["measurement"]["basis"]
     if choice == "eigenbasis":
         return model.qft_basis
@@ -103,49 +119,20 @@ def measurement_basis(cfg: dict, model: ModelFamily, netlist: bytes | None) -> n
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
-def print_table(hash_: str, header: list[str], rows: list[tuple]) -> None:
-    print(f"# config {hash_}")
+def _table(h: str, header: list[str], rows: list[tuple], payload: dict,
+           notes: tuple[str, ...] = (), check: tuple[str, float] | None = None) -> Result:
+    """A table command's result: aligned columns and ``notes`` on stdout, and the csv."""
     cells = [header] + [[_fmt(x) for x in row] for row in rows]
     widths = [max(len(row[c]) for row in cells) for c in range(len(header))]
-    for row in cells:
-        print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    table = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells]
+    csv = [f"# config_hash={h}"] + [",".join(row) for row in cells]
+    return Result("\n".join(table + list(notes)) + "\n", "\n".join(csv) + "\n", payload, check)
 
 
-def write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file {path}: {exc}") from None
-
-
-def write_csv(path: str, hash_: str, header: list[str], rows: list[tuple]) -> None:
-    lines = [f"# config_hash={hash_}", ",".join(header)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
-    write_text(path, "\n".join(lines) + "\n")
-
-
-def write_json(path: str, hash_: str, payload: dict) -> None:
-    doc = {"config_hash": hash_, **payload}
-    write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _emit(cfg: dict, hash_: str, header: list[str], rows: list[tuple], payload: dict) -> None:
-    path = cfg["output"]["path"]
-    if not path:
-        return
-    if cfg["output"]["format"] == "json":
-        write_json(path, hash_, payload)
-    else:
-        write_csv(path, hash_, header, rows)
-
-
-def cmd_qfi(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | None) -> int:
+def cmd_qfi(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result:
     model, values, ana = build_model(cfg)
     _require(model.check_values, values)
     numeric = qfim(model, values)
@@ -157,16 +144,13 @@ def cmd_qfi(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | None) 
         for a in range(model.n_params)
         for b in range(model.n_params)
     ]
-    print_table(h, header, rows)
-    print(f"max |numeric - analytic| = {diff:.3e}")
-    _emit(cfg, h, header, rows,
-          {"qfim": numeric.tolist(), "analytic": np.asarray(ana).tolist(), "max_abs_diff": diff})
-    if args.check is not None and diff > args.check:
-        raise CheckFailure(f"max QFI deviation {diff:.3e} exceeds --check {args.check:.3e}")
-    return 0
+    payload = {"qfim": numeric.tolist(), "analytic": np.asarray(ana).tolist(),
+               "max_abs_diff": diff}
+    return _table(h, header, rows, payload, (f"max |numeric - analytic| = {diff:.3e}",),
+                  ("QFI", diff))
 
 
-def cmd_eigen(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | None) -> int:
+def cmd_eigen(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result:
     model, values, _ = build_model(cfg)
     weights = outcome_probabilities(model, values, model.qft_basis)
     # orbit-state mixture: equals the model density matrix and also covers
@@ -183,9 +167,7 @@ def cmd_eigen(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | None
         (int(k), float(weights[k]), float(matched[k]), abs(float(weights[k] - matched[k])))
         for k in range(len(weights))
     ]
-    print_table(h, header, rows)
-    _emit(cfg, h, header, rows, {"weights": weights.tolist(), "eigenvalues": evals.tolist()})
-    return 0
+    return _table(h, header, rows, {"weights": weights.tolist(), "eigenvalues": evals.tolist()})
 
 
 def _study_bounds(cfg: dict, model: ModelFamily) -> tuple[float, float]:
@@ -203,7 +185,7 @@ def _study_bounds(cfg: dict, model: ModelFamily) -> tuple[float, float]:
     return delta, np.pi / p - delta
 
 
-def cmd_simulate(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | None) -> int:
+def cmd_simulate(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result:
     model, values, _ = build_model(cfg)
     if model.n_params != 1:
         raise ConfigError("simulate estimates a single scalar parameter; use pair or ring")
@@ -220,25 +202,21 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | N
             trials=cfg["study"]["trials"],
             seed=cfg["study"]["seed"],
             bounds=_study_bounds(cfg, model),
-            basis=measurement_basis(cfg, model, netlist),
+            basis=measurement_basis(cfg, model, inputs.get("netlist")),
             grid_points=cfg["study"]["grid"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     report = crb_study(study)
     header = ["M", "trials", "failures", "mse", "crb", "ratio"]
-    rows = report.rows()
-    print_table(h, header, rows)
-    print(f"qfi = {report.qfi:.17g}")
-    _emit(cfg, h, header, rows, report.to_dict())
-    return 0
+    return _table(h, header, report.rows(), report.to_dict(), (f"qfi = {report.qfi:.17g}",))
 
 
-def cmd_decompose(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | None) -> int:
+def cmd_decompose(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result:
     if args.unitary:
         try:
-            target = load_unitary(args.unitary)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            target = load_unitary(inputs["unitary"])
+        except ValueError as exc:
             raise ConfigError(f"cannot read unitary from {args.unitary}: {exc}") from None
         try:
             net = reck_decompose(target)
@@ -250,20 +228,12 @@ def cmd_decompose(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | 
         net = fourier_circuit(model.group)
         residual = unitary_distance(netlist_unitary(net), qft_matrix(model.group))
     text = to_text(net)
-    print(f"# config {h}")
-    sys.stdout.write(text)
-    print(f"# elements: {len(net.elements)}  beamsplitters: {net.beamsplitter_count}")
-    print(f"# round-trip residual: {residual:.3e}")
-    path = cfg["output"]["path"]
-    if path:
-        if cfg["output"]["format"] == "json":
-            write_json(path, h, {"netlist": to_json_dict(net), "residual": residual})
-        else:
-            write_text(path, text)
-    return 0
+    stdout = (f"{text}# elements: {len(net.elements)}  beamsplitters: {net.beamsplitter_count}\n"
+              f"# round-trip residual: {residual:.3e}\n")
+    return Result(stdout, text, {"netlist": to_json_dict(net), "residual": residual})
 
 
-def cmd_sweep(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | None) -> int:
+def cmd_sweep(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result:
     model, values, ana = build_model(cfg)
     s = cfg["sweep"]
     param = s["parameter"] or model.names[0]
@@ -287,17 +257,14 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, h: str, netlist: bytes | None
             num = float(qfim(model, point)[idx, idx])
             an = float(np.asarray(ana)[idx, idx])
             rows.append((float(x), num, an, abs(num - an)))
-        maxdiff = max(r[3] for r in rows)
     else:
         header = [param] + [f"lambda_{k}" for k in range(model.dim)]
         _require(model.check_block, block)
         weights = outcome_probabilities(model, block, model.qft_basis)
         rows = [(float(x), *(float(w) for w in q)) for x, q in zip(grid, weights)]
-    print_table(h, header, rows)
-    _emit(cfg, h, header, rows, {"header": header, "rows": [list(r) for r in rows]})
-    if args.check is not None and maxdiff > args.check:
-        raise CheckFailure(f"max sweep deviation {maxdiff:.3e} exceeds --check {args.check:.3e}")
-    return 0
+    check = ("sweep", max(r[3] for r in rows)) if s["quantity"] == "qfi" else None
+    return _table(h, header, rows, {"header": header, "rows": [list(r) for r in rows]},
+                  check=check)
 
 
 @functools.cache
@@ -340,11 +307,27 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if cfg["output"]["format"] == "text" and args.command != "decompose":
+        out = cfg["output"]
+        if out["format"] == "text" and args.command != "decompose":
             raise ConfigError(f"{args.command} writes csv or json, not text")
-        netlist = read_netlist(cfg)
-        h = config_hash(cfg, getattr(args, "unitary", None), netlist)
-        return args.func(args, cfg, h, netlist)
+        inputs = read_inputs(cfg, getattr(args, "unitary", None))
+        h = config_hash(cfg, inputs)
+        result = args.func(args, cfg, h, inputs)
+        print(f"# config {h}")
+        sys.stdout.write(result.stdout)
+        if out["path"]:
+            text = result.text if out["format"] != "json" else (
+                json.dumps({"config_hash": h, **result.payload}, sort_keys=True, indent=2) + "\n")
+            try:
+                with open(out["path"], "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output file {out['path']}: {exc}") from None
+        tol = getattr(args, "check", None)
+        if result.check and tol is not None and result.check[1] > tol:
+            name, dev = result.check
+            raise CheckFailure(f"max {name} deviation {dev:.3e} exceeds --check {tol:.3e}")
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

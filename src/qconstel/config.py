@@ -1,11 +1,12 @@
-"""Run configuration of the command-line front end.
+"""Run configuration and input files of the command-line front end.
 
 ``SETTINGS`` is the one place a setting is declared (section, key, type,
 default, choices, help); flags, INI types, defaults and choice checks derive
 from it.  The flag of key ``k`` is ``--k`` with ``_`` spelled ``-``, except
 ``output.path``, which is ``--out``.  ``resolve_config`` layers defaults, an
-INI config file (section.key) and flags; ``config_hash`` names the resolved
-scientific config and the input files it reads by content.
+INI config file (section.key) and flags.  ``read_inputs`` reads each input
+file a run names once, and ``config_hash`` names the resolved scientific
+config and those input bytes without opening anything.
 """
 
 from __future__ import annotations
@@ -124,32 +125,34 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _read_file(path: str, error: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"{error} {path}: {exc}") from None
+def read_inputs(cfg: dict, unitary: str | None) -> dict[str, bytes]:
+    """By input name, the bytes of each file the run names, read once.
 
-
-def read_netlist(cfg: dict) -> bytes | None:
-    """The netlist file's bytes if ``measurement.basis`` is ``netlist`` and one is named.
-
-    A run reads the file once: ``config_hash`` hashes these bytes and
-    ``measurement_basis`` parses them.
+    ``netlist`` is ``measurement.netlist`` when ``measurement.basis`` is
+    ``netlist``, ``unitary`` the ``decompose --unitary`` file; an input with
+    no path is absent.  ``config_hash`` hashes the bytes, the commands parse them.
     """
-    path = cfg["measurement"]["netlist"]
-    if path and cfg["measurement"]["basis"] == "netlist":
-        return _read_file(path, "cannot read netlist file")
-    return None
+    netlist = cfg["measurement"]["netlist"] if cfg["measurement"]["basis"] == "netlist" else ""
+    inputs = {}
+    for name, path, error in (("netlist", netlist, "cannot read netlist file"),
+                              ("unitary", unitary, "cannot read unitary from")):
+        if path:
+            try:
+                with open(path, "rb") as fh:
+                    inputs[name] = fh.read()
+            except OSError as exc:
+                raise ConfigError(f"{error} {path}: {exc}") from None
+    return inputs
 
 
-def config_hash(cfg: dict, unitary: str | None = None, netlist: bytes | None = None) -> str:
+def config_hash(cfg: dict, inputs: dict[str, bytes] | None = None) -> str:
     """Hash of the scientific part of the resolved config (not output paths).
 
-    Input files enter by content: ``netlist``, the bytes ``read_netlist``
-    returns (None hashes empty), and the ``decompose`` unitary file.
+    Input files enter by content, as ``read_inputs`` returns them: the
+    netlist's hash stands for its path (empty without one), and the unitary's
+    hash is a line of its own.
     """
+    inputs = inputs or {}
     lines = []
     for section in sorted(cfg):
         if section == "output":
@@ -157,11 +160,10 @@ def config_hash(cfg: dict, unitary: str | None = None, netlist: bytes | None = N
         for key in sorted(cfg[section]):
             val = cfg[section][key]
             if (section, key) == ("measurement", "netlist"):
-                val = "" if netlist is None else sha256(netlist).hexdigest()
+                val = sha256(inputs["netlist"]).hexdigest() if "netlist" in inputs else ""
             elif isinstance(val, float):
                 val = repr(val)
             lines.append(f"{section}.{key}={val}")
-    if unitary:
-        content = _read_file(unitary, "cannot read unitary from")
-        lines.append(f"unitary={sha256(content).hexdigest()}")
+    if "unitary" in inputs:
+        lines.append(f"unitary={sha256(inputs['unitary']).hexdigest()}")
     return sha256("\n".join(lines).encode()).hexdigest()[:12]

@@ -37,14 +37,13 @@ from .constellation import (
     make_rectangle,
     make_ring,
 )
-from .linalg import eig_hermitian, hermiticity_defect, unitarity_defect
+from .linalg import UNITARY_ATOL, eig_hermitian, hermiticity_defect, unitarity_defect
 from .states import density_matrix
 from .symmetry import AbelianGroup, qft_matrix
 
 SUPPORT_TOL = 1e-10
 SYMMETRY_MATCH_ATOL = 1e-9
 DRHO_HERMITIAN_ATOL = 1e-9
-BASIS_ORTHONORMAL_ATOL = 1e-10
 BLOCK_ROWS = 16  # parameter points per amplitude block in outcome_probabilities
 
 
@@ -90,7 +89,7 @@ class ModelFamily:
         if d.shape[:2] != table.shape:
             raise SymmetryError(f"{d.shape[:2]} sources x psf momenta, but |G| = {len(table)}")
         dev = np.max(np.abs(d[np.arange(len(table))[:, None], table] - d[0]), axis=-1)
-        dev /= np.max(np.abs(d))
+        dev /= np.max(np.abs(d)) or 1.0  # all-zero D: every deviation is 0
         bad = np.argwhere(~(dev <= SYMMETRY_MATCH_ATOL))  # NaN fails too
         if len(bad):
             g, j = bad[0]
@@ -279,7 +278,7 @@ def check_basis(basis: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError(f"measurement basis must be a square {dim}x{dim} matrix for the "
                          f"model's {dim} modes, got shape {basis.shape}")
     defect = unitarity_defect(basis)
-    if not defect <= BASIS_ORTHONORMAL_ATOL:
+    if not defect <= UNITARY_ATOL:
         raise ValueError(f"basis is not orthonormal: max |B^H B - I| = {defect:.3e}")
     return basis
 

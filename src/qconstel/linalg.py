@@ -11,6 +11,7 @@ from numpy.linalg import LinAlgError, eigh
 
 HERMITIAN_RTOL = 1e-12
 RESIDUAL_FACTOR = 64.0
+UNITARY_ATOL = 1e-10  # bound on unitarity_defect for synthesis targets and measurement bases
 
 
 class ConvergenceError(RuntimeError):

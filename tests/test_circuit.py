@@ -12,8 +12,8 @@ from qconstel.circuit import (
     to_json_dict,
     to_text,
 )
-from qconstel.estimation import outcome_probabilities, rectangle_model, ring_model
-from qconstel.linalg import unitarity_defect, unitary_distance
+from qconstel.estimation import check_basis, outcome_probabilities, rectangle_model, ring_model
+from qconstel.linalg import UNITARY_ATOL, unitarity_defect, unitary_distance
 from qconstel.symmetry import AbelianGroup, qft_matrix
 
 from oracles import haar_unitary
@@ -125,6 +125,23 @@ def test_reck_rejects_nonunitary():
     u[1, 2] = np.nan
     with pytest.raises(ValueError, match="not unitary: .* = nan"):
         reck_decompose(u)
+
+
+def test_synthesis_and_measurement_bases_share_one_unitarity_bound():
+    # (1 + e) I has defect 2e + e^2: both checks accept it just inside the bound
+    # and refuse it just outside, each with its own message
+    for factor, accepted in ((0.9, True), (1.1, False)):
+        e = np.sqrt(1.0 + factor * UNITARY_ATOL) - 1.0
+        u = (1.0 + e) * np.eye(3, dtype=complex)
+        assert unitarity_defect(u) == pytest.approx(factor * UNITARY_ATOL, rel=1e-4)
+        if accepted:
+            reck_decompose(u)
+            check_basis(u, 3)
+            continue
+        with pytest.raises(ValueError, match=r"^matrix is not unitary: max \|U\^H U - I\| = "):
+            reck_decompose(u)
+        with pytest.raises(ValueError, match=r"^basis is not orthonormal: max \|B\^H B - I\| = "):
+            check_basis(u, 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])

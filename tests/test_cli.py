@@ -13,7 +13,7 @@ import pytest
 import qconstel
 from qconstel import cli
 from qconstel.circuit import fourier_circuit, from_text, netlist_unitary, to_text
-from qconstel.cli import SETTINGS, build_parser, config_hash, main, resolve_config
+from qconstel.cli import SETTINGS, build_parser, config_hash, main, read_inputs, resolve_config
 from qconstel.estimation import ring_model
 from qconstel.linalg import unitary_distance
 from qconstel.simulate import BlockResult, StudyReport
@@ -216,20 +216,44 @@ def test_netlist_is_read_once_per_job(tmp_path, capsys, monkeypatch):
              if line.startswith("measurement.netlist=") else line for line in lines]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
     assert expected[0] == 0 and expected[1].splitlines()[0] == f"# config {digest}"
+    reads = count_opens(monkeypatch)
+    for jobs in (1, 2):
+        assert run(capsys, argv) == expected
+        assert (tmp_path / "out.csv").read_bytes() == expected_out
+        assert reads.count(netfile) == jobs
+
+
+def count_opens(monkeypatch) -> list[Path]:
+    """Record the path of every ``open`` from here on."""
     reads = []
     real_open = builtins.open
 
     def counting_open(file, *args, **kwargs):
-        if Path(file) == netfile:
-            reads.append(file)
+        reads.append(Path(file))
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", counting_open)
     monkeypatch.setattr(io, "open", counting_open)
+    return reads
+
+
+def test_unitary_file_is_read_once_per_job(tmp_path, capsys, monkeypatch):
+    # the config hash and the decomposed matrix come from one read of the file
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"matrix": [[[z.real, z.imag] for z in row]
+                                            for row in haar_unitary(4, np.random.default_rng(3))]}))
+    argv = ["decompose", "--unitary", str(ufile), "--out", str(tmp_path / "out.net")]
+    expected = run(capsys, argv)
+    expected_out = (tmp_path / "out.net").read_bytes()
+    assert expected[0] == 0
+    reads = count_opens(monkeypatch)
     for jobs in (1, 2):
         assert run(capsys, argv) == expected
-        assert (tmp_path / "out.csv").read_bytes() == expected_out
-        assert len(reads) == jobs
+        assert (tmp_path / "out.net").read_bytes() == expected_out
+        assert reads.count(ufile) == jobs
+    cfg = resolve_config(build_parser().parse_args(argv))
+    h = config_hash(cfg, {"unitary": ufile.read_bytes()})
+    assert expected[1].splitlines()[0] == f"# config {h}" and h != config_hash(cfg)
 
 
 def test_config_hash_names_input_files_by_content(tmp_path, capsys, monkeypatch):
@@ -307,6 +331,21 @@ def test_decompose_rejects_nonsquare_file(tmp_path, capsys, matrix, shape):
     assert f"non-empty square matrix, got shape {shape}" in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("data, fault", [
+    (b'{"m": []}', 'expected a JSON object with a "matrix" member'),
+    (b'{"matrix": 5}', "matrix must be a list of rows, got int"),
+    (b"5", "matrix must be a list of rows, got int"),
+    (b'{"matrix": [5]}', "matrix row 0 must be a list of [re, im] pairs, got int"),
+    (b"[[[1" + b"0" * 400 + b", 0]]]", "matrix entry (0, 0) is out of float range"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["no-matrix", "matrix-int", "int", "row-int", "huge-int", "not-utf8"])
+def test_decompose_names_the_fault_in_a_malformed_file(tmp_path, capsys, data, fault):
+    ufile = tmp_path / "u.json"
+    ufile.write_bytes(data)
+    code, out, err = run(capsys, ["decompose", "--unitary", str(ufile)])
+    assert (code, out, err) == (2, "", f"config error: cannot read unitary from {ufile}: {fault}\n")
+
+
 def test_decompose_two_source_ring_is_the_pair_circuit(capsys):
     code, pair, _ = run(capsys, ["decompose", "--kind", "pair"])
     assert code == 0
@@ -346,6 +385,39 @@ def test_decompose_preset_json(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["residual"] <= 1e-9
     assert doc["netlist"]["modes"] == 4
+
+
+@pytest.mark.parametrize("argv, fmt", [
+    (["qfi", "--kind", "rect", "--check", "1e-5"], "csv"),
+    (["eigen", "--kind", "ring", "--n", "5"], "json"),
+    (["simulate", "--r", "0.3", "--photons", "100", "--trials", "3", "--basis", "netlist",
+      "--netlist", "pair.net"], "csv"),
+    (["decompose", "--unitary", "u.json"], "text"),
+    (["decompose", "--kind", "rect"], "json"),
+    (["sweep", "--kind", "ring", "--count", "3", "--check", "1e-5"], "json"),
+    (["sweep", "--quantity", "eigenvalues", "--count", "3"], "csv"),
+])
+def test_commands_compute_and_main_does_the_io(tmp_path, capsys, monkeypatch, argv, fmt):
+    # a command prints nothing and opens no file; main prints the "# config" line
+    # and the command's stdout, and writes its csv/text body or JSON payload
+    monkeypatch.chdir(tmp_path)
+    Path("pair.net").write_text(to_text(fourier_circuit(ring_model(2, 1.0).group)))
+    Path("u.json").write_text(json.dumps([[[z.real, z.imag] for z in row]
+                                          for row in haar_unitary(3, np.random.default_rng(1))]))
+    argv = argv + ["--format", fmt, "--out", "out"]
+    args = build_parser().parse_args(argv)
+    cfg = resolve_config(args)
+    inputs = read_inputs(cfg, getattr(args, "unitary", None))
+    h = config_hash(cfg, inputs)
+    with monkeypatch.context() as patch:
+        reads = count_opens(patch)
+        result = args.func(args, cfg, h, inputs)
+    assert reads == [] and capsys.readouterr() == ("", "") and not Path("out").exists()
+    assert run(capsys, argv) == (0, f"# config {h}\n{result.stdout}", "")
+    if fmt == "json":
+        assert json.loads(Path("out").read_text()) == {"config_hash": h, **result.payload}
+    else:
+        assert Path("out").read_text() == result.text
 
 
 def test_sweep_eigenvalues(tmp_path, capsys):

@@ -162,6 +162,15 @@ def test_covariance_violation_names_element():
         ModelFamily(names, points, momenta)
 
 
+def test_family_with_zero_phase_tensor_is_accepted():
+    # every source point is orthogonal to every psf momentum, so D = 0 and every
+    # symmetry deviation is 0: the family is symmetric (all its states coincide),
+    # and the check must not divide 0 by max |D| = 0 (warnings are errors here)
+    model = ModelFamily(("r",), Z2, [[1.0, 0.0], [-1.0, 0.0]], [[0.0, 1.0], [0.0, -1.0]])
+    assert not np.any(model.phases)
+    assert outcome_probabilities(model, [0.5], model.qft_basis) == pytest.approx([1.0, 0.0])
+
+
 def test_zero_weight_flagging_at_degenerate_point():
     # pr = pi/2 kills the trivial-character weight of the pair model
     p = 1.0
