@@ -16,11 +16,7 @@ from .linalg import (
     unitary_distance,
 )
 from .states import density_matrix, source_state
-from .symmetry import (
-    AbelianGroup,
-    characters,
-    qft_matrix,
-)
+from .symmetry import AbelianGroup, qft_matrix
 from .estimation import (
     ModelFamily,
     analytic_qfi,
@@ -67,7 +63,6 @@ __all__ = [
     "StudyReport",
     "SymmetryError",
     "analytic_qfi",
-    "characters",
     "classical_fi",
     "crb_study",
     "density_matrix",

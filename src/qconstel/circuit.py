@@ -248,8 +248,8 @@ def load_unitary(data: bytes) -> np.ndarray:
 
     The rows are the document itself or its ``"matrix"`` member.  Every
     fault raises ValueError naming it: bytes that are not UTF-8 JSON, an
-    object without ``"matrix"``, rows or entries of the wrong type, or a
-    matrix that is not a non-empty n x n.  The caller reads the file.
+    object without ``"matrix"``, rows or entries of the wrong type, a ragged
+    row, or a matrix that is not a non-empty n x n.  The caller reads the file.
     """
     # newlines as a text-mode read gives them, so JSON errors count the same characters
     doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
@@ -262,6 +262,8 @@ def load_unitary(data: bytes) -> np.ndarray:
         if not isinstance(row, list):
             raise ValueError(f"matrix row {i} must be a list of [re, im] pairs, "
                              f"got {type(row).__name__}")
+        if len(row) != len(rows[0]):
+            raise ValueError(f"matrix row {i} has {len(row)} entries, row 0 has {len(rows[0])}")
     u = np.array([[_complex_entry(e, i, j) for j, e in enumerate(row)]
                   for i, row in enumerate(rows)])
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0:

@@ -230,7 +230,9 @@ def cmd_decompose(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> 
     text = to_text(net)
     stdout = (f"{text}# elements: {len(net.elements)}  beamsplitters: {net.beamsplitter_count}\n"
               f"# round-trip residual: {residual:.3e}\n")
-    return Result(stdout, text, {"netlist": to_json_dict(net), "residual": residual})
+    json_out = cfg["output"]["format"] == "json"  # the only output that reads the payload
+    return Result(stdout, text, {"netlist": to_json_dict(net), "residual": residual}
+                  if json_out else {})
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result:

@@ -5,22 +5,21 @@ momenta; ``ring_model`` and ``rectangle_model`` build them from
 ``constellation.make_ring`` and ``make_rectangle``.  Two routes lead to the
 same quantities, and each checks the other:
 
-- The orbit-phase route works from the amplitudes psi_g(v) of the family
-  (``ModelFamily.amplitudes``).  ``outcome_probabilities`` and
-  ``classical_fi`` read them in any measurement basis.  In ``qft_basis``,
-  which diagonalizes every state of the family, the outcome probabilities
-  are the eigenvalues (CLI ``eigen``, eigenvalue sweeps), and
-  ``spectral_qfim`` is ``classical_fi`` there.  ``simulate.crb_study`` runs
-  on ``outcome_probabilities``, its unchecked kernel ``_probabilities`` and
-  ``spectral_qfim``.  The route builds no point set or density matrix,
-  calls no eigensolver, and differentiates exactly: d psi_g = -i D[..., mu]
-  psi_g.
+- The Fourier route.  The group transform Q (``symmetry.qft_matrix``)
+  diagonalizes every rho of the family, whose eigenvalues are lambda =
+  |a|^2 with a = Q psi_0, the transform of one source state.  A basis B
+  enters through the fixed transfer matrix W = |Q B|^2: its outcome
+  probabilities are q = lambda W, and in ``qft_basis`` q = lambda (CLI
+  ``eigen``, eigenvalue sweeps) and ``spectral_qfim`` is ``classical_fi``.
+  One kernel, ``_probabilities``, serves ``outcome_probabilities``,
+  ``classical_fi`` and ``simulate.crb_study`` in every basis; it builds no
+  point set or density matrix and calls no eigensolver.
 - The numeric pipeline (``ModelFamily.rho`` -> ``drho`` -> ``sld`` ->
   ``qfim``: the density matrix of the sources ``points * v``, its
   finite-difference derivative, the SLD and the QFIM) runs general machinery
   and is the independent oracle.  The CLI's ``qfi`` and ``sweep`` print its
   value against the closed forms, and the tests compare it with the closed
-  forms, the orbit-phase route and the ring FFT route of ``tests/oracles.py``.
+  forms, the Fourier route and the ring FFT route of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,13 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constellation import (
-    SymmetryError,
-    _as_points,
-    _check_distinct,
-    make_rectangle,
-    make_ring,
-)
+from .constellation import SymmetryError, _as_points, _check_distinct, make_rectangle, make_ring
 from .linalg import UNITARY_ATOL, eig_hermitian, hermiticity_defect, unitarity_defect
 from .states import density_matrix
 from .symmetry import AbelianGroup, qft_matrix
@@ -44,7 +37,6 @@ from .symmetry import AbelianGroup, qft_matrix
 SUPPORT_TOL = 1e-10
 SYMMETRY_MATCH_ATOL = 1e-9
 DRHO_HERMITIAN_ATOL = 1e-9
-BLOCK_ROWS = 16  # parameter points per amplitude block in outcome_probabilities
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +52,8 @@ class ModelFamily:
     ``qft_basis``, the oracle ``rho(v)``, the density matrix of the sources
     at v, and the orbit-phase tensor ``phases`` D[g, j, mu].  The phase that
     source g picks up on psf momentum p_j, p_j . t_g(v), is linear in v:
-    phi_gj(v) = sum_mu D[g, j, mu] v_mu.  ``amplitudes`` derives the source
-    states from it, in group order, and their derivatives are -i D[..., mu] psi.
+    phi_gj(v) = sum_mu D[g, j, mu] v_mu.  By the symmetry below, the state
+    exp(-i phi_0(v)) / sqrt(N) of source 0 fixes every eigenvalue of rho.
 
     Construction checks the fields once: one or two parameters, finite and
     distinct points and momenta (ValueError names which), and the condition
@@ -155,16 +147,6 @@ class ModelFamily:
         if bad.any():
             self.check_values(vals[np.argmax(bad)], closed=True)
         return vals
-
-    def amplitudes(self, block: np.ndarray) -> np.ndarray:
-        """psi[x, g, j] = exp(-i sum_mu D[g, j, mu] v[x, mu]) / sqrt(N) of a checked block.
-
-        Each row is computed on its own: a block gives the same bits as its
-        rows one at a time.
-        """
-        psi = np.exp(-1j * (self.phases * block[:, None, None, :]).sum(axis=-1))
-        psi /= np.sqrt(self.dim)
-        return psi
 
     def rho(self, values) -> np.ndarray:
         return density_matrix(self.points * self.check_values(values), self.momenta)
@@ -283,58 +265,65 @@ def check_basis(basis: np.ndarray, dim: int) -> np.ndarray:
     return basis
 
 
-def _orbit_weights(psi: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a[x, g, k] = <b_k|psi_g(v_x)> and q[x, k] = mean_g |a[x, g, k]|^2."""
-    a = psi @ basis.conj()  # one product per row, so a block repeats its rows' bits
-    return a, (a * a.conj()).real.sum(axis=1) / a.shape[1]
+def _transfer(model: ModelFamily, basis: np.ndarray) -> np.ndarray | None:
+    """W[l, k] = |(Q B)[l, k]|^2 of a checked basis B; None if B equals ``qft_basis``.
+
+    There W is the identity up to a rounding that would swamp small
+    eigenvalues.
+    """
+    if np.array_equal(basis, model.qft_basis):
+        return None
+    t = model.qft_basis.conj().T @ basis
+    return (t * t.conj()).real
+
+
+def _probabilities(model: ModelFamily, block: np.ndarray, transfer: np.ndarray | None,
+                   derivatives: bool = False) -> np.ndarray:
+    """q[x, 0] = lambda W of a checked (K, n_params) block and a ``_transfer`` W.
+
+    lambda = |a|^2, a = Q psi_0(v_x); Q sends the constant part of psi_0 =
+    (1 + expm1(-i phi_0)) / sqrt(N) to e_0 exactly, so no rounding floor
+    lies under small eigenvalues.  With ``derivatives``, q[x, 1 + mu] = d
+    lambda W, where d lambda = 2 Re(conj(a) Q (-i D[0, :, mu] psi_0)).  A
+    block repeats its rows' bits.  ``simulate.crb_study`` calls it unchecked.
+    """
+    qt = model.qft_basis.conj()  # Q^T, as Q is symmetric
+    e = np.expm1(-1j * (model.phases[0] * block[:, None, :]).sum(axis=-1)) / np.sqrt(model.dim)
+    a = e[:, None, :] @ qt  # one (1, N) product per row
+    a[:, 0, 0] += 1.0
+    q = (a * a.conj()).real
+    if derivatives:
+        da = (-1j * model.phases[0].T * (e + 1.0 / np.sqrt(model.dim))[:, None, :]) @ qt
+        q = np.concatenate([q, 2.0 * (a.conj() * da).real], axis=1)
+    return q if transfer is None else q @ transfer
 
 
 def outcome_probabilities(model: ModelFamily, values, basis: np.ndarray) -> np.ndarray:
-    """Projective-measurement outcome distribution q_k = mean_g |<b_k|psi_g>|^2.
-
-    That is <b_k| rho |b_k>, from the orbit amplitudes of ``model``.
+    """Projective-measurement outcome distribution q_k = <b_k| rho |b_k>.
 
     ``values`` is one point, giving a vector q, or a (K, n_params) block,
     giving one row per point; every point is checked against the closed
-    domain, where the probabilities are well defined.
-    The arithmetic is the unchecked kernel ``_probabilities``, run after
-    ``check_basis`` and ``check_block``.
+    domain, where the probabilities are well defined.  The arithmetic is
+    ``_probabilities``, run after ``check_basis`` and ``check_block``.
     """
     basis = check_basis(basis, model.dim)
-    q = _probabilities(model, model.check_block(values), basis)
+    q = _probabilities(model, model.check_block(values), _transfer(model, basis))[:, 0]
     return q if np.ndim(values) == 2 else q[0]
 
 
-def _probabilities(model: ModelFamily, block: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """q[x, k] of a checked (K, n_params) block in a checked complex128 basis.
-
-    The block is evaluated ``BLOCK_ROWS`` rows at a time, which bounds the
-    temporaries, and gives the same bits as its rows one by one.  Callers
-    that validated their inputs once (``simulate.StudyConfig``) call it in
-    their hot loop.
-    """
-    return np.concatenate([
-        _orbit_weights(model.amplitudes(block[i:i + BLOCK_ROWS]), basis)[1]
-        for i in range(0, len(block), BLOCK_ROWS)
-    ])
-
-
 def classical_fi(model: ModelFamily, values, basis: np.ndarray) -> np.ndarray:
-    """Classical Fisher information of the outcome distribution q_k in ``basis``.
+    """Classical Fisher information of the outcome distribution q = lambda W in ``basis``.
 
-    With a_gk = <b_k|psi_g>, q_k = mean_g |a_gk|^2, and the derivatives
-    follow exactly from d psi_g = -i D[..., mu] psi_g:
-    F = sum_{q_k > 0} d q_k d q_k^T / q_k.  Only exact zeros are skipped,
-    with no floor: each term is at most 4 mean_g |<b_k|d psi_g>|^2, so tiny
-    probabilities cannot blow up.
+    F = sum_{q_k > 0} d q_k d q_k^T / q_k, with d q = d lambda W exact.  Only
+    exact zeros are skipped, with no floor: by Cauchy-Schwarz each term is
+    at most sum_l W[l, k] (d lambda_l)^2 / lambda_l <= 4 sum_l W[l, k]
+    |d a_l|^2, so tiny probabilities cannot blow up.
     """
     basis = check_basis(basis, model.dim)
-    psi = model.amplitudes(model.check_values(values)[None, :])  # (1, G, N)
-    a, q = _orbit_weights(psi, basis)
-    dpsi = -1j * np.moveaxis(model.phases, -1, 0) * psi  # (n_params, G, N)
-    dq = np.mean(2.0 * np.real(a.conj() * (dpsi @ basis.conj())), axis=1)
-    keep = q[0] > 0.0
-    f = (dq[:, keep] / q[0, keep]) @ dq[:, keep].T
+    block = model.check_values(values)[None, :]
+    q = _probabilities(model, block, _transfer(model, basis), derivatives=True)[0]
+    keep = q[0] > 0.0  # row 0 holds q, the rows below it d q
+    f = (q[1:, keep] / q[0, keep]) @ q[1:, keep].T
     return 0.5 * (f + f.T)
 
 
@@ -354,9 +343,11 @@ def orbit_states(model: ModelFamily, values) -> np.ndarray:
     """Source states psi_g of a symmetric model, one row per group element g.
 
     Accepts the closure of the parameter domain, so degenerate boundary
-    points like zero separation are allowed.
+    points like zero separation are allowed.  The rows come straight from
+    the phase tensor, apart from the Fourier route.
     """
-    return model.amplitudes(model.check_values(values, closed=True)[None, :])[0]
+    vals = model.check_values(values, closed=True)
+    return np.exp(-1j * (model.phases * vals).sum(axis=-1)) / np.sqrt(model.dim)
 
 
 def analytic_qfi(case: str, **params):

@@ -10,6 +10,7 @@ import numpy as np
 from .estimation import (
     ModelFamily,
     _probabilities,
+    _transfer,
     check_basis,
     outcome_probabilities,
     spectral_qfim,
@@ -20,6 +21,7 @@ GRID_POINTS = 256
 REFINE_TOL = 1e-8
 FLAT_RTOL = 1e-10
 MAX_FAILURE_FRACTION = 0.01
+MAX_PHOTONS = int(np.iinfo(np.int64).max)  # the largest count the multinomial draw takes
 
 
 class EstimationError(RuntimeError):
@@ -39,14 +41,17 @@ def sample_outcomes(probabilities, m: int, seed) -> np.ndarray:
 
     Deterministic for a given seed (``numpy.random.default_rng``).
     Probabilities may be off unit sum by up to 1e-9 and are renormalized;
-    anything more negative than -1e-9 is rejected.  ``m`` must be an integer:
-    the draw would truncate a fractional count.
+    anything more negative than -1e-9 is rejected.  ``m`` must be an integer
+    in [1, ``MAX_PHOTONS``]: the draw would truncate a fractional count and
+    overflow beyond int64.
     """
     p = np.asarray(probabilities, dtype=float)
     if not _is_integer(m):
         raise ValueError(f"photon count must be an integer, got {m!r}")
     if m < 1:
         raise ValueError(f"photon count must be >= 1, got {m}")
+    if m > MAX_PHOTONS:
+        raise ValueError(f"photon count must be <= {MAX_PHOTONS} (int64), got {m}")
     if np.any(p < -1e-9):
         raise ValueError(f"negative outcome probability: min = {p.min():.3e}")
     total = p.sum()
@@ -125,9 +130,10 @@ class StudyConfig:
     """Inputs of one Cramer-Rao attainment study (single scalar parameter).
 
     Construction validates every input once, so that ``crb_study`` can run
-    its hot loop unchecked.  ``photon_counts`` (at least one), ``trials``,
-    ``seed`` and ``grid_points`` are integers (bool excluded); ``bounds`` lie
-    inside the open domain of the parameter; ``basis`` is a square unitary of
+    its hot loop unchecked.  ``photon_counts`` (at least one, each in [1,
+    ``MAX_PHOTONS``]), ``trials``, ``seed`` and ``grid_points`` are integers
+    (bool excluded); ``bounds`` lie inside the open domain of the parameter;
+    ``basis`` is a square unitary of
     the model's dimension (``estimation.check_basis``), stored as a read-only
     complex128 copy, so that a later write to the caller's array cannot
     reach the study.  Configs compare by identity, as the basis array has
@@ -159,6 +165,9 @@ class StudyConfig:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
         if any(m < 1 for m in self.photon_counts):
             raise ValueError("photon counts must be >= 1")
+        if max(self.photon_counts) > MAX_PHOTONS:
+            raise ValueError(f"photon counts must be <= {MAX_PHOTONS} (int64), "
+                             f"got {max(self.photon_counts)}")
         lo, hi = self.bounds
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError(f"bounds must be finite with lo < hi, got {self.bounds}")
@@ -236,14 +245,16 @@ def crb_study(cfg: StudyConfig) -> StudyReport:
 
     ``StudyConfig`` has validated the basis and the bounds, so the
     golden-section probes of ``mle_1d``, which all lie inside the bounds,
-    call the unchecked kernel ``estimation._probabilities``.
+    call the unchecked kernel ``estimation._probabilities`` with the basis's
+    transfer matrix, computed once per study.
     """
     model = cfg.model
     fisher = float(spectral_qfim(model, [cfg.truth])[0, 0])
     p_true = outcome_probabilities(model, [cfg.truth], cfg.basis)
+    transfer = _transfer(model, cfg.basis)
 
     def prob_fn(x):
-        return _probabilities(model, np.array([[x]]), cfg.basis)[0]
+        return _probabilities(model, np.array([[x]]), transfer)[0, 0]
 
     scan_grid = np.linspace(cfg.bounds[0], cfg.bounds[1], cfg.grid_points)
     grid_probs = outcome_probabilities(model, scan_grid[:, None], cfg.basis)

@@ -1,13 +1,13 @@
-"""Finite abelian groups, their characters and the group Fourier transform.
+"""Finite abelian groups and their Fourier transform.
 
 Group elements and character labels are indexed 0..|G|-1 in mixed-radix
 order over the cyclic factors (first factor most significant, index 0 the
 identity / trivial character).  A model family carries its group, and the
-group alone fixes the measurement: the conjugate transpose of ``qft_matrix``
-is the eigenbasis ``ModelFamily.qft_basis`` of every symmetric model family.
-Column k is the eigenvector of character label k, and its eigenvalue is the
-probability of outcome k, ``estimation.outcome_probabilities`` in that
-basis.
+group alone fixes the measurement: ``qft_matrix`` Q, the Kronecker product
+of one DFT per cyclic factor, maps every source state of a symmetric family
+onto the eigenbasis of its density matrix, and its conjugate transpose is
+``ModelFamily.qft_basis``.  The eigenvalue of label k is |(Q psi_0)_k|^2 for
+the state psi_0 of any one source (``estimation``).
 """
 
 from __future__ import annotations
@@ -57,16 +57,15 @@ class AbelianGroup:
         return table
 
 
-def characters(group: AbelianGroup) -> np.ndarray:
-    """Character table chi[lambda, g] = prod_f exp(2 pi i lambda_f g_f / N_f)."""
-    lam = group.digits.astype(float)
-    inv_orders = 1.0 / np.asarray(group.factors, dtype=float)
-    expo = (lam * inv_orders) @ lam.T
-    return np.exp(2j * np.pi * expo)
-
-
 def qft_matrix(group: AbelianGroup) -> np.ndarray:
-    """Group Fourier transform with entries chi_lambda(g^-1) / sqrt(|G|)."""
-    chi = characters(group)
-    inv = np.argmin(group.table, axis=1)  # the row of g holds its one identity at g^-1
-    return chi[:, inv] / np.sqrt(group.order)
+    """Group Fourier transform Q[lambda, g] = chi_lambda(g^-1) / sqrt(|G|).
+
+    The Kronecker product, first factor most significant, of one DFT
+    exp(-2 pi i (lambda g mod n) / n) per cyclic factor: each phase is
+    reduced below 2 pi before its exponential.
+    """
+    q = np.ones((1, 1))
+    for n in group.factors:
+        k = np.arange(n)
+        q = np.kron(q, np.exp(-2j * np.pi * (np.outer(k, k) % n) / n))
+    return q / np.sqrt(group.order)

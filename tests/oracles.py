@@ -11,7 +11,9 @@ with it is a comparison of two routes:
   takes them from ``make_ring`` and ``make_rectangle``;
 - the ring Fourier route (``ring_amplitudes`` and the eigenvalues and radial
   QFI read from them) transforms the source ring with an FFT, where the
-  library projects the orbit states onto ``qft_basis``;
+  library multiplies one source state by ``qft_matrix``;
+- the character table (``characters``) is built from the group's digits in
+  one product, where ``qft_matrix`` is a Kronecker product of per-factor DFTs;
 - ``haar_unitary`` samples measurement bases and test unitaries.
 
 Arguments come from the tests, so the only input check is the element index
@@ -75,6 +77,14 @@ def validate_symmetry(pts, group: AbelianGroup) -> np.ndarray:
             perms[g, i] = hit[0]
             taken[hit[0]] = True
     return perms
+
+
+def characters(group: AbelianGroup) -> np.ndarray:
+    """Character table chi[lambda, g] = prod_f exp(2 pi i lambda_f g_f / N_f)."""
+    lam = group.digits.astype(float)
+    inv_orders = 1.0 / np.asarray(group.factors, dtype=float)
+    expo = (lam * inv_orders) @ lam.T
+    return np.exp(2j * np.pi * expo)
 
 
 def psf_comb(

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from qconstel.circuit import (
     PhaseShifter,
     fourier_circuit,
     from_text,
+    load_unitary,
     netlist_unitary,
     reck_decompose,
     to_json_dict,
@@ -288,3 +292,13 @@ def test_netlist_unitary_always_unitary():
     for _ in range(10):
         net = InterferometerNetlist(5, random_netlist(5, rng, 6))
         assert unitarity_defect(netlist_unitary(net)) <= 1e-10
+
+
+@pytest.mark.parametrize("rows, fault", [
+    ([[[1, 0]], [[1, 0], [0, 0]]], "matrix row 1 has 2 entries, row 0 has 1"),
+    ([[[1, 0], [0, 0]], [[0, 0], [1, 0]], []], "matrix row 2 has 0 entries, row 0 has 2"),
+])
+def test_load_unitary_names_a_ragged_row(rows, fault):
+    # named before numpy sees the rows, whose own message names neither row nor lengths
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        load_unitary(json.dumps({"matrix": rows}).encode())

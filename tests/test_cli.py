@@ -124,6 +124,16 @@ def test_eigen_zero_radius(capsys):
     assert np.allclose(weights, [1, 0, 0, 0], atol=1e-12)
 
 
+@pytest.mark.parametrize("model", [["--kind", "pair"], ["--kind", "ring", "--n", "16"],
+                                   ["--kind", "rect", "--x0", "0", "--y0", "0"]])
+def test_eigen_weights_at_zero_radius_are_exact(tmp_path, capsys, model):
+    out = tmp_path / "eigen.json"
+    argv = ["eigen", *model, "--r", "0", "--format", "json", "--out", str(out)]
+    assert run(capsys, argv)[0] == 0
+    weights = json.loads(out.read_text())["weights"]
+    assert weights == [1.0] + [0.0] * (len(weights) - 1)
+
+
 def test_eigen_matches_table(capsys):
     code, out, _ = run(capsys, ["eigen", "--kind", "pair", "--p", "1", "--r", "0.4"])
     assert code == 0
@@ -338,7 +348,8 @@ def test_decompose_rejects_nonsquare_file(tmp_path, capsys, matrix, shape):
     (b'{"matrix": [5]}', "matrix row 0 must be a list of [re, im] pairs, got int"),
     (b"[[[1" + b"0" * 400 + b", 0]]]", "matrix entry (0, 0) is out of float range"),
     (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-], ids=["no-matrix", "matrix-int", "int", "row-int", "huge-int", "not-utf8"])
+    (b"[[[1, 0]], [[1, 0], [0, 0]]]", "matrix row 1 has 2 entries, row 0 has 1"),
+], ids=["no-matrix", "matrix-int", "int", "row-int", "huge-int", "not-utf8", "ragged"])
 def test_decompose_names_the_fault_in_a_malformed_file(tmp_path, capsys, data, fault):
     ufile = tmp_path / "u.json"
     ufile.write_bytes(data)
@@ -620,3 +631,52 @@ def test_settings_table_drives_ini_and_flags(tmp_path, capsys, command):
                 ini.write_text(f"[{section}]\n{key} = bogus\n")
                 code, _, err = run(capsys, [command, "-c", str(ini)])
                 assert code == 2 and f"{section}.{key}" in err, (section, key)
+
+
+def test_photon_count_beyond_int64_is_a_config_error(capsys):
+    # the multinomial draw takes int64 counts; a larger one would end in an
+    # uncaught OverflowError inside Generator.multinomial
+    code, out, err = run(capsys, ["simulate", "--kind", "pair", "--photons", "9999999999999999999"])
+    assert (code, out) == (2, "")
+    assert err == ("config error: photon counts must be <= 9223372036854775807 (int64), "
+                   "got 9999999999999999999\n")
+
+
+def test_decompose_builds_its_json_payload_only_for_json(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "to_json_dict", lambda net: calls.append(net) or {"n": 1})
+    for fmt in ("csv", "text", "json"):
+        argv = ["decompose", "--kind", "ring", "--n", "4", "--format", fmt,
+                "--out", str(tmp_path / fmt)]
+        assert run(capsys, argv)[0] == 0
+        assert len(calls) == (fmt == "json")
+    assert json.loads((tmp_path / "json").read_text())["netlist"] == {"n": 1}
+
+
+def test_cli_loads_no_lazy_numpy_module():
+    # numpy.fft and other numpy subpackages load on first use and would add
+    # memory and start-up time to every CLI process; only numpy.random joins
+    # what "import numpy" loads
+    script = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "from qconstel import cli\n"
+        "runs = [['qfi', '--kind', 'rect'], ['eigen', '--kind', 'ring', '--n', '16'],\n"
+        "        ['sweep', '--kind', 'ring', '--n', '6', '--quantity', 'eigenvalues'],\n"
+        "        ['simulate', '--kind', 'ring', '--n', '4', '--trials', '3', '--photons', '100',\n"
+        "         '--basis', 'direct'],\n"
+        "        ['simulate', '--kind', 'pair', '--trials', '3', '--photons', '100'],\n"
+        "        ['decompose', '--kind', 'ring', '--n', '5']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes = [cli.main(argv) for argv in runs]\n"
+        "print(codes)\n"
+        "print(sorted(m for m in set(sys.modules) - before\n"
+        "             if m.split('.')[0] in ('numpy', 'scipy')\n"
+        "             and not m.startswith('numpy.random')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qconstel.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 3, 0, 0]", "[]"], proc.stdout

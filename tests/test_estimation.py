@@ -493,6 +493,59 @@ def test_spectral_qfim_holds_at_a_rank_change():
         assert abs(spectral_qfim(ring_model(2, 1.0), [np.pi / 2 - delta])[0, 0] - 4.0) <= 1e-9
 
 
+closed_form_cases = st.tuples(
+    st.integers(1, 64),  # 1: rectangle, n >= 2: ring n
+    st.floats(0.1, 10.0),
+    st.floats(0.1, 10.0),
+    st.floats(-150.0, 0.0),  # log10 of p r, or of p_x x0
+    st.floats(-150.0, 0.0),  # log10 of p_y y0
+    st.floats(-np.pi, np.pi),
+)
+
+
+@settings(max_examples=200)
+@given(closed_form_cases)
+@example((64, 1.0, 1.0, -150.0, 0.0, 0.0))
+@example((1, 0.1, 10.0, -150.0, -1e-9, 0.0))
+def test_spectral_qfim_meets_the_closed_form_at_every_separation(case):
+    # the constant part of the source state goes to e_0 exactly, so no rounding
+    # floor sits under the small eigenvalues that carry the information here
+    kind, p1, p2, e1, e2, phase = case
+    if kind == 1:
+        model, point = rectangle_model(p1, p2), [10.0**e1 / p1, 10.0**e2 / p2]
+        ana = analytic_qfi("rectangle", p_x=p1, p_y=p2)
+    else:
+        model, point = ring_model(kind, p1, phase), [10.0**e1 / p1]
+        ana = np.array([[analytic_qfi("ring", n=kind, p=p1)]])
+    f = spectral_qfim(model, point)
+    assert np.max(np.abs(f - ana)) <= 1e-14 * np.max(ana)
+
+
+def test_zero_separation_weights_are_exact():
+    # every source state is the uniform one, which the transform sends to e_0 exactly
+    models = [rectangle_model(1.0, 0.6)] + [ring_model(n, 1.3) for n in range(2, 65)]
+    for model in models:
+        zero = np.zeros(model.n_params)
+        e0 = np.eye(model.dim)[0]
+        assert np.array_equal(outcome_probabilities(model, zero, model.qft_basis), e0)
+        assert np.array_equal(outcome_probabilities(model, [zero] * 3, model.qft_basis),
+                              np.tile(e0, (3, 1)))
+
+
+def test_a_copy_of_the_symmetry_basis_reads_the_eigenvalues():
+    # a basis equal to qft_basis (StudyConfig keeps such a copy) takes no transfer
+    # matrix: its rounding, 4e-33 off the diagonal for the pair, would add about
+    # 4e-33 to sin^2(p r), which is 1e-24 at p r = 1e-12
+    model = ring_model(2, 1.0)
+    copy = np.array(model.qft_basis)
+    assert copy is not model.qft_basis
+    for pr in (1e-6, 1e-12, 1e-100):
+        q = outcome_probabilities(model, [pr], copy)
+        assert np.array_equal(q, outcome_probabilities(model, [pr], model.qft_basis))
+        assert abs(q[1] - np.sin(pr) ** 2) <= 1e-15 * np.sin(pr) ** 2
+        assert np.array_equal(classical_fi(model, [pr], copy), spectral_qfim(model, [pr]))
+
+
 def closed_domain_points(point):
     """The interior point and the boundary points r = 0, or x0 = 0 and/or y0 = 0."""
     v = np.array(point, dtype=float)

@@ -61,6 +61,20 @@ def test_sample_validation():
     assert counts.tolist() == [10, 0]
 
 
+def test_photon_counts_stop_at_int64():
+    # the multinomial draw takes int64 counts; one more would overflow inside numpy
+    limit = 2**63 - 1
+    fault = rf"must be <= {limit} \(int64\), got {limit + 1}$"
+    assert sample_outcomes([1.0], limit, 0).tolist() == [limit]
+    with pytest.raises(ValueError, match="^photon count " + fault):
+        sample_outcomes([1.0], limit + 1, 0)
+    model = ring_model(2, 1.0)
+    base = dict(model=model, truth=0.3, trials=5, seed=0, bounds=(0.1, 0.5), basis=np.eye(2))
+    StudyConfig(**base, photon_counts=(10, limit))
+    with pytest.raises(ValueError, match="^photon counts " + fault):
+        StudyConfig(**base, photon_counts=(10, limit + 1))
+
+
 def pair_prob_fn(p=1.0):
     model = ring_model(2, p)
     basis = model.qft_basis

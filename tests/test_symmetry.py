@@ -10,9 +10,9 @@ from qconstel.estimation import (
 )
 from qconstel.linalg import eig_hermitian, unitarity_defect
 from qconstel.states import source_state
-from qconstel.symmetry import AbelianGroup, characters, qft_matrix
+from qconstel.symmetry import AbelianGroup, qft_matrix
 
-from oracles import psf_comb, validate_symmetry
+from oracles import characters, psf_comb, validate_symmetry
 
 Z2 = AbelianGroup((2,))
 Z4 = AbelianGroup((4,))
@@ -63,6 +63,29 @@ def test_qft_z2z2_is_walsh():
 @pytest.mark.parametrize("group", [Z2, Z4, Z2Z2, AbelianGroup((5,)), AbelianGroup((8,))])
 def test_qft_unitary(group):
     assert unitarity_defect(qft_matrix(group)) <= 1e-12
+
+
+def factor_tuples(limit):
+    """Every tuple of cyclic factors >= 2 whose product is at most ``limit``."""
+    out = []
+    for f in range(2, limit + 1):
+        out.append((f,))
+        out.extend((f,) + rest for rest in factor_tuples(limit // f))
+    return out
+
+
+def test_qft_matrix_is_the_character_transform_for_every_small_group():
+    # the Kronecker product of per-factor DFTs against chi(g^-1) / sqrt(|G|)
+    # from the character table oracle, for every factor tuple of order <= 64
+    tuples = factor_tuples(64)
+    assert len(tuples) == 440
+    for factors in tuples:
+        group = AbelianGroup(factors)
+        inverse = np.argmin(group.table, axis=1)  # the row of g holds its identity at g^-1
+        expected = characters(group)[:, inverse] / np.sqrt(group.order)
+        q = qft_matrix(group)
+        assert np.max(np.abs(q - expected)) <= 5e-14, factors
+        assert unitarity_defect(q) <= 2e-15, factors
 
 
 def test_pair_eigenbasis_plus_minus():
