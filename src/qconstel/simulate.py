@@ -133,11 +133,10 @@ class StudyConfig:
     its hot loop unchecked.  ``photon_counts`` (at least one, each in [1,
     ``MAX_PHOTONS``]), ``trials``, ``seed`` and ``grid_points`` are integers
     (bool excluded); ``bounds`` lie inside the open domain of the parameter;
-    ``basis`` is a square unitary of
-    the model's dimension (``estimation.check_basis``), stored as a read-only
-    complex128 copy, so that a later write to the caller's array cannot
-    reach the study.  Configs compare by identity, as the basis array has
-    no truth value.
+    ``basis`` is a square unitary of the model's dimension
+    (``estimation.check_basis``), stored as a read-only complex128 copy, so
+    that a later write to the caller's array cannot reach the study.
+    Configs compare by identity, as the basis array has no truth value.
     """
 
     model: ModelFamily
