@@ -36,7 +36,6 @@ from .simulate import (
     StudyError,
     StudyReport,
     crb_study,
-    mle_1d,
     sample_outcomes,
 )
 from .circuit import (
@@ -72,7 +71,6 @@ __all__ = [
     "hermiticity_defect",
     "make_rectangle",
     "make_ring",
-    "mle_1d",
     "netlist_unitary",
     "orbit_states",
     "outcome_probabilities",

@@ -285,7 +285,8 @@ def _probabilities(model: ModelFamily, block: np.ndarray, transfer: np.ndarray |
     (1 + expm1(-i phi_0)) / sqrt(N) to e_0 exactly, so no rounding floor
     lies under small eigenvalues.  With ``derivatives``, q[x, 1 + mu] = d
     lambda W, where d lambda = 2 Re(conj(a) Q (-i D[0, :, mu] psi_0)).  A
-    block repeats its rows' bits.  ``simulate.crb_study`` calls it unchecked.
+    block repeats its rows' bits.  ``simulate.crb_study`` calls it unchecked
+    for the golden-section probes of its estimator, ``simulate._mle``.
     """
     qt = model.qft_basis.conj()  # Q^T, as Q is symmetric
     e = np.expm1(-1j * (model.phases[0] * block[:, None, :]).sum(axis=-1)) / np.sqrt(model.dim)

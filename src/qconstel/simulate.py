@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,6 +36,10 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def sample_outcomes(probabilities, m: int, seed) -> np.ndarray:
     """Multinomial draw of m photons over the outcome distribution.
 
@@ -63,54 +67,21 @@ def sample_outcomes(probabilities, m: int, seed) -> np.ndarray:
     return rng.multinomial(m, p)
 
 
-def _log_likelihood(counts: np.ndarray, q: np.ndarray) -> float:
-    observed = counts > 0
-    if np.any(q[observed] <= 0.0):
-        return -np.inf
-    return float(np.sum(counts[observed] * np.log(q[observed])))
+def _mle(counts: np.ndarray, grid: np.ndarray, table: np.ndarray, probe) -> float:
+    """Maximum-likelihood estimate of the scalar parameter from one trial's counts.
 
-
-def _grid_log_likelihood(counts: np.ndarray, grid_probs: np.ndarray) -> np.ndarray:
-    observed = counts > 0
-    q = grid_probs[:, observed]
-    ll = np.full(grid_probs.shape[0], -np.inf)
-    ok = np.all(q > 0.0, axis=1)
-    ll[ok] = np.log(q[ok]) @ counts[observed]
-    return ll
-
-
-def mle_1d(
-    counts,
-    prob_fn,
-    bounds: tuple[float, float],
-    grid_points: int = GRID_POINTS,
-    grid_probs: np.ndarray | None = None,
-) -> float:
-    """Maximum-likelihood estimate of a scalar parameter from outcome counts.
-
-    A uniform grid scan over ``bounds`` locates the coarse optimum
-    (ties resolved toward the smaller parameter), then golden-section
-    refinement narrows it to ``REFINE_TOL``.
-
-    Args:
-        counts: per-outcome nonnegative counts.
-        prob_fn: parameter -> outcome probability vector.
-        bounds: (lo, hi) search interval containing the truth.
-        grid_probs: optional precomputed probability table for the scan
-            grid, row i matching ``linspace(lo, hi, grid_points)[i]``.
+    A scan of ``grid``, whose outcome probabilities are the rows of
+    ``table``, locates the coarse optimum (ties resolved toward the smaller
+    parameter); golden-section refinement of -log L between its neighbours,
+    with ``probe(x)`` the probabilities at x, narrows it to ``REFINE_TOL``.
+    The observed outcomes are found once, for the scan and every probe.
     """
-    counts = np.asarray(counts, dtype=float)
-    lo, hi = bounds
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"invalid bounds ({lo}, {hi})")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    grid = np.linspace(lo, hi, grid_points)
-    if grid_probs is None:
-        grid_probs = np.stack([prob_fn(x) for x in grid])
-    elif grid_probs.shape[0] != grid_points:
-        raise ValueError("grid_probs rows must match grid_points")
-    ll = _grid_log_likelihood(counts, grid_probs)
+    observed = counts > 0
+    n = counts[observed].astype(float)
+    q = table[:, observed]
+    ll = np.full(len(grid), -np.inf)
+    ok = np.all(q > 0.0, axis=1)
+    ll[ok] = np.log(q[ok]) @ n
     finite = np.isfinite(ll)
     if not np.any(finite):
         raise EstimationError("likelihood is zero everywhere on the search grid")
@@ -118,10 +89,14 @@ def mle_1d(
     if np.all(finite) and spread <= FLAT_RTOL * max(1.0, abs(np.max(ll))):
         raise EstimationError("flat likelihood: outcomes carry no parameter information")
 
+    def minus_log_l(x):
+        q = probe(x)[observed]
+        return np.inf if np.any(q <= 0.0) else -float(np.sum(n * np.log(q)))
+
     best = int(np.argmax(ll))  # first maximum = smaller parameter on ties
-    a, b = grid[max(best - 1, 0)], grid[min(best + 1, grid_points - 1)]
-    # minimizes -log L; ties keep the left part, the smaller parameter
-    a, b, _ = _golden_section(lambda x: -_log_likelihood(counts, prob_fn(x)), a, b, REFINE_TOL)
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    # ties keep the left part, the smaller parameter
+    a, b, _ = _golden_section(minus_log_l, a, b, REFINE_TOL)
     return 0.5 * (a + b)
 
 
@@ -129,11 +104,12 @@ def mle_1d(
 class StudyConfig:
     """Inputs of one Cramer-Rao attainment study (single scalar parameter).
 
-    Construction validates every input once, so that ``crb_study`` can run
-    its hot loop unchecked.  ``photon_counts`` (at least one, each in [1,
-    ``MAX_PHOTONS``]), ``trials``, ``seed`` and ``grid_points`` are integers
-    (bool excluded); ``bounds`` lie inside the open domain of the parameter;
-    ``basis`` is a square unitary of the model's dimension
+    Construction validates every input once; ``crb_study`` and its
+    estimator check nothing again.  ``photon_counts`` (at least one, each in
+    [1, ``MAX_PHOTONS``]), ``trials``, ``seed`` and ``grid_points`` are
+    integers, ``truth`` and both ``bounds`` real numbers (bool excluded);
+    the bounds lie inside the open domain of the parameter, and the truth
+    between them; ``basis`` is a square unitary of the model's dimension
     (``estimation.check_basis``), stored as a read-only complex128 copy, so
     that a later write to the caller's array cannot reach the study.
     Configs compare by identity, as the basis array has no truth value.
@@ -167,7 +143,12 @@ class StudyConfig:
         if max(self.photon_counts) > MAX_PHOTONS:
             raise ValueError(f"photon counts must be <= {MAX_PHOTONS} (int64), "
                              f"got {max(self.photon_counts)}")
-        lo, hi = self.bounds
+        try:
+            lo, hi = self.bounds
+        except (TypeError, ValueError):
+            raise ValueError(f"bounds must be a (lo, hi) pair, got {self.bounds!r}") from None
+        if not (_is_real(lo) and _is_real(hi)):
+            raise ValueError(f"bounds must be real numbers, got {self.bounds!r}")
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError(f"bounds must be finite with lo < hi, got {self.bounds}")
         (dlo, dhi), name = self.model.bounds[0], self.model.names[0]
@@ -175,6 +156,8 @@ class StudyConfig:
             raise ValueError(
                 f"bounds {self.bounds} must lie inside the open domain ({dlo}, {dhi}) of {name}"
             )
+        if not _is_real(self.truth):
+            raise ValueError(f"truth must be a real number, got {self.truth!r}")
         if not lo < self.truth < hi:
             raise ValueError(
                 f"truth {self.truth} outside estimator bounds {self.bounds}"
@@ -209,21 +192,9 @@ class StudyReport:
         return [(b.photons, b.trials, b.failures, b.mse, b.crb, b.ratio) for b in self.blocks]
 
     def to_dict(self) -> dict:
-        return {
-            "qfi": self.qfi,
-            "blocks": [
-                {
-                    "photons": b.photons,
-                    "trials": b.trials,
-                    "failures": b.failures,
-                    "mse": b.mse,
-                    "crb": b.crb,
-                    "ratio": b.ratio,
-                    "estimates": list(b.estimates),
-                }
-                for b in self.blocks
-            ],
-        }
+        out = asdict(self)
+        out["blocks"] = [{**b, "estimates": list(b["estimates"])} for b in out["blocks"]]
+        return out
 
 
 def trial_seed(seed: int, block: int, trial: int) -> np.random.SeedSequence:
@@ -237,26 +208,26 @@ def crb_study(cfg: StudyConfig) -> StudyReport:
     Trials are seeded independently through ``trial_seed`` so the report
     is reproducible and identical whether trials run serially or not.
     The QFI comes from ``spectral_qfim``, the eigenvalue route in the
-    model's symmetry eigenbasis, and the probabilities of the whole scan
-    grid from one block call of ``outcome_probabilities``; the study builds
-    no density matrix.  Raises StudyError if at least 1% of the trials in
-    any block fail.
+    model's symmetry eigenbasis; the study builds no density matrix.
+    Raises StudyError if at least 1% of the trials in any block fail.
 
-    ``StudyConfig`` has validated the basis and the bounds, so the
-    golden-section probes of ``mle_1d``, which all lie inside the bounds,
-    call the unchecked kernel ``estimation._probabilities`` with the basis's
-    transfer matrix, computed once per study.
+    Each trial's estimate is ``_mle``'s.  The study builds its scan grid,
+    ``grid_points`` points spanning ``bounds``, once, and takes the true
+    distribution and the grid's probability table from two checked calls
+    of ``outcome_probabilities``.  ``StudyConfig`` has validated the basis
+    and the bounds, so the golden-section probes, which all lie inside the
+    bounds, call the unchecked kernel ``estimation._probabilities`` with
+    the basis's transfer matrix, computed once per study.
     """
     model = cfg.model
     fisher = float(spectral_qfim(model, [cfg.truth])[0, 0])
     p_true = outcome_probabilities(model, [cfg.truth], cfg.basis)
+    grid = np.linspace(cfg.bounds[0], cfg.bounds[1], cfg.grid_points)
+    table = outcome_probabilities(model, grid[:, None], cfg.basis)
     transfer = _transfer(model, cfg.basis)
 
-    def prob_fn(x):
+    def probe(x):
         return _probabilities(model, np.array([[x]]), transfer)[0, 0]
-
-    scan_grid = np.linspace(cfg.bounds[0], cfg.bounds[1], cfg.grid_points)
-    grid_probs = outcome_probabilities(model, scan_grid[:, None], cfg.basis)
 
     blocks = []
     for b_idx, m in enumerate(cfg.photon_counts):
@@ -266,15 +237,7 @@ def crb_study(cfg: StudyConfig) -> StudyReport:
         for t in range(cfg.trials):
             counts = sample_outcomes(p_true, m, trial_seed(cfg.seed, b_idx, t))
             try:
-                estimates.append(
-                    mle_1d(
-                        counts,
-                        prob_fn,
-                        cfg.bounds,
-                        grid_points=cfg.grid_points,
-                        grid_probs=grid_probs,
-                    )
-                )
+                estimates.append(_mle(counts, grid, table, probe))
             except EstimationError as exc:
                 failures += 1
                 if len(messages) < 3:

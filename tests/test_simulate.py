@@ -1,7 +1,10 @@
 import collections
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconstel import estimation, simulate
 from qconstel.circuit import fourier_circuit, netlist_unitary
@@ -11,7 +14,6 @@ from qconstel.simulate import (
     StudyConfig,
     StudyError,
     crb_study,
-    mle_1d,
     sample_outcomes,
     trial_seed,
 )
@@ -85,21 +87,38 @@ def pair_prob_fn(p=1.0):
     return fn
 
 
+def mle(counts, fn, bounds, grid_points=256):
+    """simulate._mle over the scan grid crb_study builds from these bounds."""
+    grid = np.linspace(bounds[0], bounds[1], grid_points)
+    return simulate._mle(np.asarray(counts), grid, np.stack([fn(x) for x in grid]), fn)
+
+
 def test_mle_self_consistency_at_population_counts():
     p = 1.0
     r_true = np.arccos(0.8) / p  # q = (0.64, 0.36)
     fn = pair_prob_fn(p)
     for grid_points in (256, 2):
-        est = mle_1d(np.array([64, 36]), fn, (1e-3, np.pi / 2 - 1e-3), grid_points=grid_points)
+        est = mle([64, 36], fn, (1e-3, np.pi / 2 - 1e-3), grid_points=grid_points)
         assert abs(est - r_true) <= 1e-6
-    for grid_points in (1, 0, -3):
-        with pytest.raises(ValueError, match="grid_points"):
-            mle_1d(np.array([64, 36]), fn, (1e-3, np.pi / 2 - 1e-3), grid_points=grid_points)
+
+
+@settings(max_examples=120)
+@given(p=st.sampled_from([0.7, 1.0, 1.3]), m=st.sampled_from([10, 1000, 100000]),
+       data=st.data())
+def test_mle_meets_the_pair_closed_form(p, m, data):
+    # in qft_basis the pair's outcome probabilities are cos^2(p r) and sin^2(p r),
+    # so the likelihood peaks at r = arccos(sqrt(n0 / M)) / p
+    n0 = data.draw(st.integers(0, m))
+    bounds = (1e-3, np.pi / (2 * p) - 1e-3)  # the CLI's default interval for the pair
+    closed = np.arccos(np.sqrt(n0 / m)) / p
+    if not bounds[0] < closed < bounds[1]:
+        return
+    assert abs(mle([n0, m - n0], pair_prob_fn(p), bounds) - closed) <= 1e-7
 
 
 def test_mle_single_photon_argmax():
     fn = pair_prob_fn(1.0)
-    est = mle_1d(np.array([0, 1]), fn, (1e-6, np.pi / 2))
+    est = mle([0, 1], fn, (1e-6, np.pi / 2))
     assert abs(est - np.pi / 2) <= 1e-6
 
 
@@ -107,24 +126,13 @@ def test_mle_tie_breaks_toward_smaller():
     # parameter-independent distribution has a flat likelihood: rejected
     fn = lambda x: np.array([0.5, 0.5])
     with pytest.raises(EstimationError, match="flat"):
-        mle_1d(np.array([3, 7]), fn, (0.1, 0.9))
+        mle([3, 7], fn, (0.1, 0.9))
 
 
 def test_mle_all_zero_likelihood():
     fn = lambda x: np.array([1.0, 0.0])
     with pytest.raises(EstimationError, match="zero everywhere"):
-        mle_1d(np.array([0, 5]), fn, (0.1, 0.9))
-
-
-def test_mle_grid_probs_agree_with_prob_fn():
-    fn = pair_prob_fn(1.0)
-    bounds = (1e-3, np.pi / 2 - 1e-3)
-    grid = np.linspace(bounds[0], bounds[1], 256)
-    table = np.stack([fn(x) for x in grid])
-    counts = sample_outcomes(fn(0.4), 500, 11)
-    a = mle_1d(counts, fn, bounds)
-    b = mle_1d(counts, fn, bounds, grid_probs=table)
-    assert a == b
+        mle([0, 5], fn, (0.1, 0.9))
 
 
 def test_trial_seed_mixing():
@@ -228,9 +236,6 @@ def test_study_config_validation():
         with pytest.raises(ValueError, match="bounds"):
             StudyConfig(model=model, truth=0.3, photon_counts=(10,), trials=5, seed=0,
                         bounds=bounds, basis=model.qft_basis)
-    for bounds in ((0.1, np.inf), (0.5, 0.1)):
-        with pytest.raises(ValueError, match="invalid bounds"):
-            mle_1d(np.array([64, 36]), pair_prob_fn(), bounds)
     # photon counts, trials and seed are integers: rng.multinomial(1000.7, p) draws
     # 1000 photons while the CRB would use 1000.7
     base = dict(model=model, truth=0.3, photon_counts=(10,), trials=5, seed=0,
@@ -240,8 +245,19 @@ def test_study_config_validation():
                          ("seed", 1.5), ("seed", False), ("grid_points", 2.5)):
         with pytest.raises(ValueError, match=f"{field} must be"):
             StudyConfig(**{**base, field: value})
+    # truth and bounds are real scalars: an array truth failed inside the study,
+    # True ran as r = 1.0 and a string raised TypeError
+    pair, real = r"a \(lo, hi\) pair", "real numbers"
+    for field, value, fault in (("truth", np.array([0.3]), "a real number"),
+                                ("truth", True, "a real number"), ("truth", "0.3", "a real number"),
+                                ("bounds", (np.array([0.1]), 0.5), real),
+                                ("bounds", (0.1, "0.5"), real), ("bounds", (0.1, True), real),
+                                ("bounds", 0.5, pair), ("bounds", (0.1, 0.2, 0.3), pair)):
+        with pytest.raises(ValueError, match=f"^{field} must be {fault}, got"):
+            StudyConfig(**{**base, field: value})
     cfg = StudyConfig(**{**base, "photon_counts": (np.int64(10),), "trials": np.int64(5),
-                         "seed": np.int64(0)})
+                         "seed": np.int64(0), "truth": np.float64(0.3),
+                         "bounds": (np.float32(0.1), 1)})
     # configs compare by identity: comparing their basis arrays has no truth value
     assert cfg == cfg and cfg != StudyConfig(**base)
 
@@ -272,6 +288,10 @@ def test_report_serialization_shapes():
     d = report.to_dict()
     assert set(d) == {"qfi", "blocks"}
     assert len(d["blocks"][0]["estimates"]) == 10
+    # every BlockResult field, in a form the CLI's json.dumps takes
+    block = json.loads(json.dumps(d))["blocks"][0]
+    assert set(block) == {"photons", "trials", "estimates", "failures", "mse", "crb", "ratio"}
+    assert block["estimates"] == list(report.blocks[0].estimates)
 
 
 def counting(calls, name, fn):
@@ -311,7 +331,7 @@ def public_route_study(cfg, basis):
         for t in range(cfg.trials):
             counts = sample_outcomes(p_true, m, trial_seed(cfg.seed, b, t))
             try:
-                estimates.append(mle_1d(counts, prob_fn, cfg.bounds, cfg.grid_points, grid_probs))
+                estimates.append(simulate._mle(counts, grid, grid_probs, prob_fn))
             except EstimationError as exc:
                 failures.append(str(exc))
         blocks.append((m, np.asarray(estimates), failures))
