@@ -135,11 +135,15 @@ def reck_decompose(u: np.ndarray) -> InterferometerNetlist:
     for i in range(n - 1, 0, -1):
         for j in range(i):
             a = work[i, j]
-            b = work[i, i]
-            if abs(a) <= PRUNE_TOL:
+            abs_a = abs(a)
+            if abs_a <= PRUNE_TOL:
                 continue
-            mixing = float(np.arctan2(abs(a), abs(b)))
-            phase = 0.0 if abs(b) == 0.0 else float(np.angle(b) - np.angle(a) - np.pi)
+            b = work[i, i]
+            abs_b = abs(b)
+            mixing = float(np.arctan2(abs_a, abs_b))
+            # np.angle's own arithmetic, without its per-call array handling
+            phase = 0.0 if abs_b == 0.0 else float(
+                np.arctan2(b.imag, b.real) - np.arctan2(a.imag, a.real) - np.pi)
             phase = float((phase + np.pi) % (2.0 * np.pi) - np.pi)
             elements.append(Beamsplitter(j, i, mixing, phase))
             # work @ B = (B^T work^T)^T, and B^T is B with phase -f

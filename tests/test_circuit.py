@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconstel.circuit import (
     Beamsplitter,
@@ -129,6 +131,27 @@ def test_reck_rejects_nonunitary():
     u[1, 2] = np.nan
     with pytest.raises(ValueError, match="not unitary: .* = nan"):
         reck_decompose(u)
+
+
+def test_unitarity_checks_name_an_empty_matrix():
+    empty = np.zeros((0, 0), dtype=complex)
+    for check in (unitarity_defect, reck_decompose, lambda u: check_basis(u, 0)):
+        with pytest.raises(ValueError, match=r"^expected a non-empty matrix, got shape \(0, 0\)$"):
+            check(empty)
+
+
+# signed zeros, the subnormal range and its edges, infinities and nan
+SPECIAL_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1.1e-308, -1.1e-308, 2.2250738585072014e-308,
+                 1.0, -1.0, np.inf, -np.inf, np.nan]
+complex_parts = st.one_of(st.sampled_from(SPECIAL_PARTS), st.floats(allow_subnormal=True))
+
+
+@settings(max_examples=200)
+@given(complex_parts, complex_parts)
+def test_reck_phase_arithmetic_is_np_angle_bit_for_bit(re_part, im_part):
+    # reck_decompose takes each rotation's phases as arctan2(z.imag, z.real)
+    z = np.complex128(complex(re_part, im_part))
+    assert np.arctan2(z.imag, z.real).tobytes() == np.angle(z).tobytes()
 
 
 def test_synthesis_and_measurement_bases_share_one_unitarity_bound():

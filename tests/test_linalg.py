@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qconstel.circuit import netlist_unitary, reck_decompose
 from qconstel.linalg import (
     ConvergenceError,
     _golden_section,
@@ -12,7 +13,7 @@ from qconstel.linalg import (
     unitary_distance,
 )
 
-from oracles import haar_unitary
+from oracles import haar_unitary, unitary_distance_scan
 
 
 def random_hermitian(n, rng):
@@ -194,7 +195,7 @@ def test_unitary_distance_identity_vs_swap():
     # fine-grid oracle: min over phase of max-entry |I - e^{i phi} X|
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     phis = np.linspace(0, 2 * np.pi, 100001)
-    oracle = min(np.max(np.abs(np.eye(2) - np.exp(1j * f) * x)) for f in phis)
+    oracle = np.abs(np.eye(2) - np.exp(1j * phis)[:, None, None] * x).max(axis=(1, 2)).min()
     assert abs(oracle - 1.0) <= 1e-9
     assert abs(unitary_distance(np.eye(2), x) - 1.0) <= 1e-9
 
@@ -204,7 +205,8 @@ def test_unitary_distance_detects_difference():
     u = haar_unitary(3, rng)
     v = haar_unitary(3, rng)
     d = unitary_distance(u, v)
-    fine = min(np.max(np.abs(u - np.exp(1j * f) * v)) for f in np.linspace(0, 2 * np.pi, 20001))
+    phis = np.linspace(0, 2 * np.pi, 20001)
+    fine = np.abs(u - np.exp(1j * phis)[:, None, None] * v).max(axis=(1, 2)).min()
     assert d <= fine + 1e-9
     assert d > 0.01
 
@@ -219,3 +221,39 @@ def test_golden_section_keeps_left_part_on_ties():
 def test_unitary_distance_shape_mismatch():
     with pytest.raises(ValueError):
         unitary_distance(np.eye(2), np.eye(3))
+
+
+def scan_cases():
+    """Matrix pairs on which ``unitary_distance`` must give the scan oracle's bits."""
+    rng = np.random.default_rng(23)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # tr(swap^H I) = 0: no trace phase joins the grid
+    cases = [(np.eye(2), swap), (np.zeros((3, 3)), np.zeros((3, 3))),
+             (np.zeros((4, 4)), haar_unitary(4, rng))]
+    for n in range(2, 17):
+        u, v = haar_unitary(n, rng), haar_unitary(n, rng)
+        cases.append((u, v))
+        cases.append((netlist_unitary(reck_decompose(u)), u))
+        # a phase between grid points (either sign) and one on the grid
+        for theta in (rng.uniform(-np.pi, np.pi), 2.0 * np.pi * n / 1024):
+            cases.append((np.exp(1j * theta) * u, u))
+    return cases
+
+
+def test_unitary_distance_is_the_scan_oracle_bit_for_bit():
+    for u, v in scan_cases():
+        assert unitary_distance(u, v) == unitary_distance_scan(u, v), u.shape
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_unitary_distance_names_a_non_finite_entry(bad):
+    u = np.eye(3, dtype=complex)
+    u[1, 2] = bad
+    for args in ((u, np.eye(3)), (np.eye(3), u)):
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            unitary_distance(*args)
+
+
+def test_unitary_distance_names_an_empty_matrix():
+    with pytest.raises(ValueError, match=r"^expected non-empty matrices, got shape \(0, 0\)$"):
+        unitary_distance(np.zeros((0, 0)), np.zeros((0, 0)))
