@@ -36,7 +36,6 @@ from .simulate import (
     StudyError,
     StudyReport,
     crb_study,
-    sample_outcomes,
 )
 from .circuit import (
     Beamsplitter,
@@ -79,7 +78,6 @@ __all__ = [
     "reck_decompose",
     "rectangle_model",
     "ring_model",
-    "sample_outcomes",
     "sld",
     "source_state",
     "spectral_qfim",

@@ -123,9 +123,7 @@ def reck_decompose(u: np.ndarray) -> InterferometerNetlist:
     when the input is not unitary within 1e-10 (or has a non-finite entry).
     """
     u = np.array(u, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    defect = unitarity_defect(u)
+    defect = unitarity_defect(u)  # ValueError for a non-square or empty matrix
     if not defect <= UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary: max |U^H U - I| = {defect:.3e}")
 

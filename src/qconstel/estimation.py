@@ -226,7 +226,7 @@ def sld(rho: np.ndarray, drho_mu: np.ndarray) -> np.ndarray:
     lambda_m + lambda_n > SUPPORT_TOL; rank deficiency is handled by
     dropping the unsupported terms.
     """
-    defect = hermiticity_defect(np.asarray(drho_mu))
+    defect = hermiticity_defect(drho_mu)
     if not defect <= DRHO_HERMITIAN_ATOL:
         raise ValueError(f"drho is not Hermitian: max |A - A^H| = {defect:.3e}")
     w, v = eig_hermitian(rho)

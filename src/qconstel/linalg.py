@@ -18,13 +18,23 @@ class ConvergenceError(RuntimeError):
     """Eigensolver failed or returned eigenpairs that do not satisfy H V = V W."""
 
 
+def _square(a) -> np.ndarray:
+    """``a`` as an array, if it is a square 2-D matrix; else a ValueError naming its shape."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation |A - A^H|."""
+    """Largest entrywise deviation |A - A^H|; ValueError for a non-square matrix."""
+    a = _square(a)
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Largest entrywise deviation |U^H U - I|; ValueError for an empty matrix."""
+    """Largest entrywise deviation |U^H U - I|; ValueError for a non-square or empty matrix."""
+    u = _square(u)
     if u.size == 0:
         raise ValueError(f"expected a non-empty matrix, got shape {u.shape}")
     n = u.shape[0]
@@ -46,9 +56,7 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ConvergenceError: LAPACK failed, or the residual ||H V - V W||_F
             exceeds 64 n eps ||H||_F (never returns silent garbage).
     """
-    a = np.array(h, dtype=np.complex128, order="C")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = _square(np.array(h, dtype=np.complex128, order="C"))
     if not np.all(np.isfinite(a.view(np.float64))):
         raise ValueError("matrix has non-finite entries")
     scale = float(np.linalg.norm(a))

@@ -40,33 +40,6 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def sample_outcomes(probabilities, m: int, seed) -> np.ndarray:
-    """Multinomial draw of m photons over the outcome distribution.
-
-    Deterministic for a given seed (``numpy.random.default_rng``).
-    Probabilities may be off unit sum by up to 1e-9 and are renormalized;
-    anything more negative than -1e-9 is rejected.  ``m`` must be an integer
-    in [1, ``MAX_PHOTONS``]: the draw would truncate a fractional count and
-    overflow beyond int64.
-    """
-    p = np.asarray(probabilities, dtype=float)
-    if not _is_integer(m):
-        raise ValueError(f"photon count must be an integer, got {m!r}")
-    if m < 1:
-        raise ValueError(f"photon count must be >= 1, got {m}")
-    if m > MAX_PHOTONS:
-        raise ValueError(f"photon count must be <= {MAX_PHOTONS} (int64), got {m}")
-    if np.any(p < -1e-9):
-        raise ValueError(f"negative outcome probability: min = {p.min():.3e}")
-    total = p.sum()
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-9")
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(m, p)
-
-
 def _mle(counts: np.ndarray, grid: np.ndarray, table: np.ndarray, probe) -> float:
     """Maximum-likelihood estimate of the scalar parameter from one trial's counts.
 
@@ -110,8 +83,10 @@ class StudyConfig:
     integers, ``truth`` and both ``bounds`` real numbers (bool excluded);
     the bounds lie inside the open domain of the parameter, and the truth
     between them; ``basis`` is a square unitary of the model's dimension
-    (``estimation.check_basis``), stored as a read-only complex128 copy, so
-    that a later write to the caller's array cannot reach the study.
+    within ``linalg.UNITARY_ATOL`` (``estimation.check_basis``), so that its
+    outcome probabilities are non-negative and sum to 1 within N times that
+    bound for N modes.  The basis is stored as a read-only complex128 copy,
+    so that a later write to the caller's array cannot reach the study.
     Configs compare by identity, as the basis array has no truth value.
     """
 
@@ -213,17 +188,22 @@ def crb_study(cfg: StudyConfig) -> StudyReport:
 
     Each trial's estimate is ``_mle``'s.  The study builds its scan grid,
     ``grid_points`` points spanning ``bounds``, once, and takes the true
-    distribution and the grid's probability table from two checked calls
-    of ``outcome_probabilities``.  ``StudyConfig`` has validated the basis
-    and the bounds, so the golden-section probes, which all lie inside the
-    bounds, call the unchecked kernel ``estimation._probabilities`` with
-    the basis's transfer matrix, computed once per study.
+    distribution (row 0) and the grid's probability table (the rows below)
+    from one checked call of ``outcome_probabilities``.  It normalizes the
+    true distribution once, and every trial draws its counts from it by
+    ``numpy.random.default_rng(trial_seed(...)).multinomial``.
+    ``StudyConfig`` has validated the photon counts, the basis and the
+    bounds, so no trial checks them again, and the golden-section probes,
+    which all lie inside the bounds, call the unchecked kernel
+    ``estimation._probabilities`` with the basis's transfer matrix,
+    computed once per study.
     """
     model = cfg.model
     fisher = float(spectral_qfim(model, [cfg.truth])[0, 0])
-    p_true = outcome_probabilities(model, [cfg.truth], cfg.basis)
     grid = np.linspace(cfg.bounds[0], cfg.bounds[1], cfg.grid_points)
-    table = outcome_probabilities(model, grid[:, None], cfg.basis)
+    q = outcome_probabilities(model, np.append(cfg.truth, grid)[:, None], cfg.basis)
+    # q = lambda W >= 0, and a basis within UNITARY_ATOL puts |sum q - 1| <= N UNITARY_ATOL
+    p_true, table = q[0] / q[0].sum(), q[1:]
     transfer = _transfer(model, cfg.basis)
 
     def probe(x):
@@ -235,7 +215,7 @@ def crb_study(cfg: StudyConfig) -> StudyReport:
         failures = 0
         messages = []
         for t in range(cfg.trials):
-            counts = sample_outcomes(p_true, m, trial_seed(cfg.seed, b_idx, t))
+            counts = np.random.default_rng(trial_seed(cfg.seed, b_idx, t)).multinomial(m, p_true)
             try:
                 estimates.append(_mle(counts, grid, table, probe))
             except EstimationError as exc:

@@ -18,6 +18,10 @@ with it is a comparison of two routes:
 - ``unitary_distance_scan`` is ``unitary_distance`` as it was written before
   its phase factors were taken in one array call: one ``np.exp`` and one
   ``np.max`` per scanned phase.  Its results must match bit for bit.
+- ``sample_outcomes`` is the checked multinomial draw that ``crb_study``
+  made per trial before it normalized the true distribution once per
+  study; the public-route study draws through it, so the study's counts
+  are compared with the old arithmetic.
 
 Arguments come from the tests, so the only input check is the element index
 of ``apply_group_element``, which numpy indexing would otherwise wrap.
@@ -31,6 +35,7 @@ import numpy as np
 
 from qconstel.constellation import SymmetryError
 from qconstel.linalg import _golden_section
+from qconstel.simulate import MAX_PHOTONS, _is_integer
 from qconstel.symmetry import AbelianGroup
 
 POINT_MATCH_ATOL = 1e-9
@@ -191,3 +196,30 @@ def unitary_distance_scan(u: np.ndarray, v: np.ndarray) -> float:
     lo, hi = grid[best] - 2.0 * np.pi / 1024, grid[best] + 2.0 * np.pi / 1024
     refined = _golden_section(lambda phi: _max_abs_diff(u, v, phi), lo, hi, 1e-12)[2]
     return min(vals[best], refined)
+
+
+def sample_outcomes(probabilities, m: int, seed) -> np.ndarray:
+    """Multinomial draw of m photons over the outcome distribution.
+
+    Deterministic for a given seed (``numpy.random.default_rng``).
+    Probabilities may be off unit sum by up to 1e-9 and are renormalized;
+    anything more negative than -1e-9 is rejected.  ``m`` must be an integer
+    in [1, ``MAX_PHOTONS``]: the draw would truncate a fractional count and
+    overflow beyond int64.
+    """
+    p = np.asarray(probabilities, dtype=float)
+    if not _is_integer(m):
+        raise ValueError(f"photon count must be an integer, got {m!r}")
+    if m < 1:
+        raise ValueError(f"photon count must be >= 1, got {m}")
+    if m > MAX_PHOTONS:
+        raise ValueError(f"photon count must be <= {MAX_PHOTONS} (int64), got {m}")
+    if np.any(p < -1e-9):
+        raise ValueError(f"negative outcome probability: min = {p.min():.3e}")
+    total = p.sum()
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-9")
+    p = np.clip(p, 0.0, None)
+    p = p / p.sum()
+    rng = np.random.default_rng(seed)
+    return rng.multinomial(m, p)

@@ -87,6 +87,27 @@ def test_bad_shapes_and_values_rejected():
         eig_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+DEFECTS = (unitarity_defect, hermiticity_defect)
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_defects_name_a_non_square_matrix(defect):
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        defect(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_defects_take_a_nested_list(defect):
+    assert defect([[1.0, 0.0], [0.0, 1.0]]) == 0.0
+    assert defect([[0.0, 1.0], [0.0, 0.0]]) == 1.0
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_defects_name_a_vector(defect):
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(3,\)$"):
+        defect(np.zeros(3))
+
+
 def test_zero_matrix():
     w, v = eig_hermitian(np.zeros((4, 4)))
     assert np.all(w == 0.0)
