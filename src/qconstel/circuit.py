@@ -240,9 +240,13 @@ def _complex_entry(entry, i: int, j: int) -> complex:
         raise ValueError(f"matrix entry ({i}, {j}) must be an [re, im] pair of real numbers, "
                          f"got {entry!r}")
     try:
-        return complex(entry[0], entry[1])
+        z = complex(entry[0], entry[1])
     except OverflowError:  # an integer too large for a float
         raise ValueError(f"matrix entry ({i}, {j}) is out of float range") from None
+    for x in (z.real, z.imag):  # JSON's NaN and Infinity, or a float literal past 1.8e308
+        if not math.isfinite(x):
+            raise ValueError(f"matrix entry ({i}, {j}) must be finite, got {x}")
+    return z
 
 
 def load_unitary(data: bytes) -> np.ndarray:
@@ -251,10 +255,15 @@ def load_unitary(data: bytes) -> np.ndarray:
     The rows are the document itself or its ``"matrix"`` member.  Every
     fault raises ValueError naming it: bytes that are not UTF-8 JSON, an
     object without ``"matrix"``, rows or entries of the wrong type, a ragged
-    row, or a matrix that is not a non-empty n x n.  The caller reads the file.
+    row, a non-finite entry, a document nested past the recursion limit, or a
+    matrix that is not a non-empty n x n.  The caller reads the file.
     """
     # newlines as a text-mode read gives them, so JSON errors count the same characters
-    doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
     if isinstance(doc, dict) and "matrix" not in doc:
         raise ValueError('expected a JSON object with a "matrix" member')
     rows = doc["matrix"] if isinstance(doc, dict) else doc

@@ -12,6 +12,9 @@ from numpy.linalg import LinAlgError, eigh
 HERMITIAN_RTOL = 1e-12
 RESIDUAL_FACTOR = 64.0
 UNITARY_ATOL = 1e-10  # bound on unitarity_defect for synthesis targets and measurement bases
+# entries per block of unitary_distance's phase scan: each temporary stays at
+# <= 64 KB, in cache and below glibc's 128 KB mmap threshold
+SCAN_BLOCK = 4096
 
 
 class ConvergenceError(RuntimeError):
@@ -91,9 +94,11 @@ def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
     Computes min over phi of max |u - e^{i phi} v| entrywise.  The scan
     evaluates the 1,024 phases 2 pi k / 1024, k = 0 ... 1023, in that order,
     then arg tr(v^H u) when that trace is nonzero; the first minimum wins
-    ties.  A golden section on the bracket +-2 pi / 1024 around that phase
-    refines it down to width 1e-12, and the result is the smaller of the
-    scanned and the refined value.  So it is zero (to ~1e-12) iff
+    ties.  The phases run in blocks of at most 4,096 matrix entries
+    (``SCAN_BLOCK``), which gives exactly the bits of a loop over one phase
+    at a time.  A golden section on the bracket +-2 pi / 1024 around that
+    phase refines it down to width 1e-12, and the result is the smaller of
+    the scanned and the refined value.  So it is zero (to ~1e-12) iff
     ``u == exp(i phi) v`` for some real phi.
 
     Raises:
@@ -115,12 +120,16 @@ def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
     tr = np.trace(v.conj().T @ u)
     if abs(tr) > 0:
         grid = np.append(grid, np.angle(tr))
-    # elementwise the same exp as _max_abs_diff's, taken for all phases at once
-    vals = [float(np.abs(u - c * v).max()) for c in np.exp(1j * grid)]
+    # elementwise the same exp as _max_abs_diff's, taken for all phases at once;
+    # each entry's |u - c v| and each phase's max are those of a lone phase
+    c = np.exp(1j * grid)
+    rows = max(1, SCAN_BLOCK // u.size)
+    vals = np.concatenate([np.abs(u - c[k:k + rows, None, None] * v).max(axis=(1, 2))
+                           for k in range(0, c.size, rows)])
     best = int(np.argmin(vals))
     lo, hi = grid[best] - 2.0 * np.pi / 1024, grid[best] + 2.0 * np.pi / 1024
     refined = _golden_section(lambda phi: _max_abs_diff(u, v, phi), lo, hi, 1e-12)[2]
-    return min(vals[best], refined)
+    return min(float(vals[best]), refined)
 
 
 def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float, float]:

@@ -90,10 +90,38 @@ def test_median_job_count_beside_peak_rss(ab_pairs):
     assert s["failed_share"]["change"] == pytest.approx(5 / (3100 + 3160 + 3170 + 3180 + 3190))
     lines = ab_pairs.report(s)
     assert lines[2].split()[0] == "peak_rss_mb"
-    assert lines[2].endswith("ok  (median jobs: parent 2120, change 3170)")
+    assert lines[2].endswith("ok  (median jobs: parent 2120, change 3170; fit: "
+                             f"{s['rss_fit']['kb_per_job']:+.3g} KB/job, change "
+                             f"{s['rss_fit']['change_mb']:+.3g} MB)")
     assert "median jobs" not in lines[1]
     even = ab_pairs.summarise(pairs([(70.0, 44.0)] * 2, [(70.0, 44.0)] * 2), SPEC)
     assert even["median_attempted"] == {"parent": 100, "change": 100}
+
+
+def test_rss_fit_separates_job_count_from_the_change(ab_pairs):
+    # peak_rss_mb = a + b * attempted + c * [change], with b in MB per job
+    a, b, c = 40.0, 0.78 / 1024, 0.05
+    runs = [{side: result(100.0, a + b * jobs + c * (side == "change"), attempted=jobs)
+             for side, jobs in (("parent", 3600 + 40 * i), ("change", 6400 + 90 * (i % 3)))}
+            for i in range(8)]
+    s = ab_pairs.summarise(runs, SPEC)
+    assert s["rss_fit"] == pytest.approx({"kb_per_job": 0.78, "change_mb": c})
+    assert ab_pairs.report(s)[2].endswith("fit: +0.78 KB/job, change +0.05 MB)")
+    # more jobs alone: the change pays nothing at an equal job count
+    runs = [{side: result(100.0, a + b * jobs, attempted=jobs)
+             for side, jobs in (("parent", 3600 + 40 * i), ("change", 6400 - 40 * i))}
+            for i in range(5)]
+    fit = ab_pairs.summarise(runs, SPEC)["rss_fit"]
+    assert fit["kb_per_job"] == pytest.approx(0.78) and fit["change_mb"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_rss_fit_is_not_available_when_rank_deficient(ab_pairs):
+    # one job count per side: the count and the side cannot be told apart
+    runs = [{"parent": result(70.0, 44.0 + 0.01 * i, attempted=2000),
+             "change": result(105.0, 45.0, attempted=3000)} for i in range(4)]
+    s = ab_pairs.summarise(runs, SPEC)
+    assert s["rss_fit"] is None
+    assert ab_pairs.report(s)[2].endswith("; fit: n/a)")
 
 
 def test_benchmark_differences(ab_pairs, tmp_path):

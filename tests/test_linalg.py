@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,12 +260,37 @@ def scan_cases():
         # a phase between grid points (either sign) and one on the grid
         for theta in (rng.uniform(-np.pi, np.pi), 2.0 * np.pi * n / 1024):
             cases.append((np.exp(1j * theta) * u, u))
+    # across the scan's 4,096-entry blocks: 14 phases a block and a partial last
+    # block (17), 3 a block (33), 1 a block (64), and one phase over 4,096 (65)
+    for n in (17, 33, 64, 65):
+        u, v = haar_unitary(n, rng), haar_unitary(n, rng)
+        cases.append((u, v))
+        cases.append((netlist_unitary(reck_decompose(u)), u))
+    # large entries (at 1e155, tr(v^H u) would overflow), small ones, and
+    # subnormal ones
+    for scale in (1e154, 1e-300, 1e-310):
+        u, v = haar_unitary(5, rng), haar_unitary(5, rng)
+        cases.append((scale * u, scale * v))
     return cases
 
 
 def test_unitary_distance_is_the_scan_oracle_bit_for_bit():
     for u, v in scan_cases():
         assert unitary_distance(u, v) == unitary_distance_scan(u, v), u.shape
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_unitary_distance_keeps_its_temporaries_small(n):
+    # the scan runs in blocks; one (1025, 64, 64) complex block would be 67 MB
+    rng = np.random.default_rng(n)
+    u, v = haar_unitary(n, rng), haar_unitary(n, rng)
+    tracemalloc.start()
+    try:
+        unitary_distance(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])

@@ -30,10 +30,14 @@ change/parent of the medians against the metric's bound, and the verdict:
 
 Beside ``peak_rss_mb`` it prints each side's median job count
 (``attempted``): clibench keeps records of every finished job, so a faster
-program runs more jobs and reads as using more memory.  It also prints each
-side's share of failed jobs.  It exits 1 if a run
-fails, if a metric reads ``WORSE``, or if the change fails a larger share
-of jobs than the parent, and 2 if the benchmarks differ.
+program runs more jobs and reads as using more memory.  So it also fits
+``peak_rss_mb = a + b * attempted + c * [change side]`` over all runs by
+least squares, and prints b in KB per job and c, the change's memory at an
+equal job count, in MB ("n/a" when the fit is rank-deficient, as when each
+side runs one job count).  It also prints each side's share of failed
+jobs.  It exits 1 if a run fails, if a metric reads ``WORSE``, or if the
+change fails a larger share of jobs than the parent, and 2 if the
+benchmarks differ.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SIDES = ("parent", "change")
 
@@ -80,6 +86,21 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
+def rss_fit(pairs: list[dict]) -> dict | None:
+    """Least-squares ``peak_rss_mb = a + b * attempted + c * [change side]`` over all runs.
+
+    Returns b in KB per job and c in MB, or None when the fit is
+    rank-deficient.
+    """
+    runs = [(p[side]["attempted"], side == "change", p[side]["metrics"]["peak_rss_mb"]["value"])
+            for p in pairs for side in SIDES]
+    x = np.array([[1.0, jobs, change] for jobs, change, _ in runs])
+    (_, b, c), _, rank, _ = np.linalg.lstsq(x, np.array([r[2] for r in runs]), rcond=None)
+    if rank < 3:
+        return None
+    return {"kb_per_job": float(b) * 1024.0, "change_mb": float(c)}
+
+
 def summarise(pairs: list[dict], spec: dict) -> dict:
     """Judge the change from paired results.
 
@@ -87,11 +108,12 @@ def summarise(pairs: list[dict], spec: dict) -> dict:
     each result as ``clibench/run.py`` prints it (``attempted``, ``failed``,
     ``metrics``: name -> {"value"}); ``spec`` is ``BENCHMARK.json``.  Returns
     per end-to-end metric the quartiles of both sides, the change's wins, the
-    median ratio change/parent, its bound and the verdict, and per side the
-    share of failed jobs and median job count.
+    median ratio change/parent, its bound and the verdict, per side the
+    share of failed jobs and median job count, and ``rss_fit``.
     """
     n = len(pairs)
-    summary = {"pairs": n, "metrics": {}, "failed_share": {}, "median_attempted": {}}
+    summary = {"pairs": n, "metrics": {}, "failed_share": {}, "median_attempted": {},
+               "rss_fit": rss_fit(pairs)}
     for side in SIDES:
         attempted = [p[side]["attempted"] for p in pairs]
         summary["failed_share"][side] = sum(p[side]["failed"] for p in pairs) / sum(attempted)
@@ -132,7 +154,11 @@ def report(summary: dict) -> list[str]:
                 f"{s['ratio']:7.4f} {s['bound']:6.2f}  {s['verdict']}")
         if name == "peak_rss_mb":
             jobs = summary["median_attempted"]
-            line += f"  (median jobs: parent {jobs['parent']:g}, change {jobs['change']:g})"
+            fit = summary["rss_fit"]
+            fit = ("n/a" if fit is None else
+                   f"{fit['kb_per_job']:+.3g} KB/job, change {fit['change_mb']:+.3g} MB")
+            line += (f"  (median jobs: parent {jobs['parent']:g}, change {jobs['change']:g};"
+                     f" fit: {fit})")
         lines.append(line)
     shares = summary["failed_share"]
     lines.append(f"failed share: parent {shares['parent']:.4g}, change {shares['change']:.4g}")
