@@ -19,7 +19,6 @@ from .states import density_matrix, source_state
 from .symmetry import AbelianGroup, qft_matrix
 from .estimation import (
     ModelFamily,
-    analytic_qfi,
     classical_fi,
     drho,
     orbit_states,
@@ -60,7 +59,6 @@ __all__ = [
     "StudyError",
     "StudyReport",
     "SymmetryError",
-    "analytic_qfi",
     "classical_fi",
     "crb_study",
     "density_matrix",

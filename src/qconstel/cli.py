@@ -39,7 +39,6 @@ from .circuit import (
 from .config import SETTINGS, ConfigError, config_hash, read_inputs, resolve_config
 from .estimation import (
     ModelFamily,
-    analytic_qfi,
     orbit_states,
     outcome_probabilities,
     qfim,
@@ -65,32 +64,25 @@ class Result(NamedTuple):
     check: tuple[str, float] | None = None
 
 
-def build_model(cfg: dict) -> tuple[ModelFamily, np.ndarray, np.ndarray]:
-    """Model family, evaluation point, and analytic QFIM from the config.
+def build_model(cfg: dict) -> tuple[ModelFamily, np.ndarray]:
+    """Model family and evaluation point from the config.
 
     ``pair`` is the two-source ring: both kinds build ``ring_model(n, p,
-    phase, psf_phase)``, with n = 2 for ``pair``.  At n = 2 the closed form
-    is ``pair_off_axis`` at that orientation, whichever kind names it;
-    larger rings take ``ring``.
+    phase, psf_phase)``, with n = 2 for ``pair``.
     """
     m = cfg["model"]
     try:
         if m["kind"] == "rect":
             model = rectangle_model(m["px"], m["py"])
             values = np.array([m["x0"], m["y0"]])
-            ana = analytic_qfi("rectangle", p_x=m["px"], p_y=m["py"])
         else:
             n = 2 if m["kind"] == "pair" else m["n"]
             model = ring_model(n, m["p"], m["phase"], m["psf_phase"])
             values = np.array([m["r"]])
-            qfi = (analytic_qfi("pair_off_axis", p=m["p"], theta=m["phase"],
-                                theta0=m["psf_phase"])
-                   if n == 2 else analytic_qfi("ring", n=n, p=m["p"]))
-            ana = np.array([[qfi]])
         model.check_values(values, closed=True)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return model, values, ana
+    return model, values
 
 
 def _require(check, values: np.ndarray) -> None:
@@ -133,9 +125,9 @@ def _table(h: str, header: list[str], rows: list[tuple], payload: dict,
 
 
 def cmd_qfi(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result:
-    model, values, ana = build_model(cfg)
+    model, values = build_model(cfg)
     _require(model.check_values, values)
-    numeric = qfim(model, values)
+    numeric, ana = qfim(model, values), model.closed_form
     diff = float(np.max(np.abs(numeric - ana)))
     header = ["mu", "nu", "numeric", "analytic", "abs_diff"]
     rows = [
@@ -144,14 +136,13 @@ def cmd_qfi(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result
         for a in range(model.n_params)
         for b in range(model.n_params)
     ]
-    payload = {"qfim": numeric.tolist(), "analytic": np.asarray(ana).tolist(),
-               "max_abs_diff": diff}
+    payload = {"qfim": numeric.tolist(), "analytic": ana.tolist(), "max_abs_diff": diff}
     return _table(h, header, rows, payload, (f"max |numeric - analytic| = {diff:.3e}",),
                   ("QFI", diff))
 
 
 def cmd_eigen(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result:
-    model, values, _ = build_model(cfg)
+    model, values = build_model(cfg)
     weights = outcome_probabilities(model, values, model.qft_basis)
     # orbit-state mixture: equals the model density matrix and also covers
     # degenerate boundary points like zero separation
@@ -172,23 +163,17 @@ def cmd_eigen(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Resu
 
 def _study_bounds(cfg: dict, model: ModelFamily) -> tuple[float, float]:
     raw = cfg["study"]["bounds"]
-    if raw:
-        try:
-            lo, hi = (float(x) for x in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"study.bounds must be 'lo,hi', got {raw!r}") from None
-        return lo, hi
-    # a two-source likelihood mirrors exactly at pi/(2p); simulate rejects rect before this
-    p, delta = cfg["model"]["p"], 1e-3
-    if model.dim == 2:
-        return delta, np.pi / (2.0 * p) - delta
-    return delta, np.pi / p - delta
+    if not raw:
+        return model.box[0]
+    try:
+        lo, hi = (float(x) for x in raw.split(","))
+    except ValueError:
+        raise ConfigError(f"study.bounds must be 'lo,hi', got {raw!r}") from None
+    return lo, hi
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result:
-    model, values, _ = build_model(cfg)
-    if model.n_params != 1:
-        raise ConfigError("simulate estimates a single scalar parameter; use pair or ring")
+    model, values = build_model(cfg)
     try:
         photons = tuple(int(x) for x in str(cfg["study"]["photons"]).split(","))
     except ValueError:
@@ -236,7 +221,7 @@ def cmd_decompose(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> 
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result:
-    model, values, ana = build_model(cfg)
+    model, values = build_model(cfg)
     s = cfg["sweep"]
     param = s["parameter"] or model.names[0]
     if param not in model.names:
@@ -257,7 +242,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Resu
         for x, point in zip(grid, block):
             _require(model.check_values, point)
             num = float(qfim(model, point)[idx, idx])
-            an = float(np.asarray(ana)[idx, idx])
+            an = float(model.closed_form[idx, idx])
             rows.append((float(x), num, an, abs(num - an)))
     else:
         header = [param] + [f"lambda_{k}" for k in range(model.dim)]

@@ -65,9 +65,8 @@ SETTINGS = {
         "photons": Setting(str, "10000", help="comma-separated photon counts"),
         "trials": Setting(int, 200),
         "seed": Setting(int, 7),
-        "bounds": Setting(str, "", help="estimator search interval 'lo,hi'; by default from 1e-3 "
-                                        "to pi/(2p) - 1e-3 for two sources and to pi/p - 1e-3 "
-                                        "for larger rings"),
+        "bounds": Setting(str, "", help="estimator search interval 'lo,hi'; by default the "
+                                        "model family's box (ModelFamily.box)"),
         "grid": Setting(int, 256, help="MLE scan grid points"),
     },
     "output": {

@@ -18,7 +18,7 @@ same quantities, and each checks the other:
   ``qfim``: the density matrix of the sources ``points * v``, its
   finite-difference derivative, the SLD and the QFIM) runs general machinery
   and is the independent oracle.  The CLI's ``qfi`` and ``sweep`` print its
-  value against the closed forms, and the tests compare it with the closed
+  value against ``closed_form``, and the tests compare it with the closed
   forms, the Fourier route and the ring FFT route of ``tests/oracles.py``.
 """
 
@@ -37,6 +37,7 @@ from .symmetry import AbelianGroup, qft_matrix
 SUPPORT_TOL = 1e-10
 SYMMETRY_MATCH_ATOL = 1e-9
 DRHO_HERMITIAN_ATOL = 1e-9
+BOX_MARGIN = 1e-3  # delta: a family's ``box`` keeps this far inside each end
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,12 +47,15 @@ class ModelFamily:
     ``names`` are the parameters, each in the open interval (0, inf), whose
     closure ``outcome_probabilities`` and ``orbit_states`` accept.  ``points``
     is the unit source template in group order, and the sources at v are
-    ``points * v``: r scales both coordinates of a ring, x0 and y0 one each
-    of a rectangle.  ``momenta`` is the psf comb.  Both are read-only (m, 2)
-    arrays.  The rest derives from these four fields: ``dim``, ``bounds``,
-    ``qft_basis``, the oracle ``rho(v)``, the density matrix of the sources
-    at v, and the orbit-phase tensor ``phases`` D[g, j, mu].  The phase that
-    source g picks up on psf momentum p_j, p_j . t_g(v), is linear in v:
+    ``points * v``: r scales both coordinates of a ring, x0 and y0 one each of a
+    rectangle.  ``momenta`` is the psf comb.  Both are read-only (m, 2) arrays.
+    ``ring_model`` and ``rectangle_model`` attach what the symmetry fixes, None
+    in a hand-built family: the QFIM ``closed_form``, a read-only (n_params,
+    n_params) array, and ``box``, a default estimator interval (lo, hi) per
+    parameter.  The rest derives from the first four fields: ``dim``,
+    ``bounds``, ``qft_basis``, the oracle ``rho(v)``, the density matrix of the
+    sources at v, and the orbit-phase tensor ``phases`` D[g, j, mu].  The phase
+    that source g picks up on psf momentum p_j, p_j . t_g(v), is linear in v:
     phi_gj(v) = sum_mu D[g, j, mu] v_mu.  By the symmetry below, the state
     exp(-i phi_0(v)) / sqrt(N) of source 0 fixes every eigenvalue of rho.
 
@@ -67,6 +71,8 @@ class ModelFamily:
     group: AbelianGroup
     points: np.ndarray
     momenta: np.ndarray
+    closed_form: np.ndarray | None = None
+    box: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         if self.n_params not in (1, 2):
@@ -77,6 +83,9 @@ class ModelFamily:
             _check_distinct(arr, what)
             arr.flags.writeable = False
             object.__setattr__(self, field, arr)
+        if self.closed_form is not None:
+            object.__setattr__(self, "closed_form", np.array(self.closed_form, dtype=float))
+            self.closed_form.flags.writeable = False
         d, table = self.phases, self.group.table
         if d.shape[:2] != table.shape:
             raise SymmetryError(f"{d.shape[:2]} sources x psf momenta, but |G| = {len(table)}")
@@ -162,15 +171,18 @@ def _psf_momentum(name: str, p: float) -> float:
 def rectangle_model(p_x: float, p_y: float) -> ModelFamily:
     """Four sources at (+-x0, +-y0); the psf is ``make_rectangle(p_x, p_y)``, (+-p_x, +-p_y).
 
-    Parameters are the half-sides (x0, y0).
+    Parameters are the half-sides (x0, y0).  The ``closed_form`` is diag(4 p_x^2,
+    4 p_y^2), and each axis takes the pair's ``box`` (``ring_model``) at its p.
     """
     momenta = make_rectangle(_psf_momentum("psf momentum magnitude", p_x),
                              _psf_momentum("p_y", p_y))
-    return ModelFamily(("x0", "y0"), AbelianGroup((2, 2)), make_rectangle(1.0, 1.0), momenta)
+    return ModelFamily(("x0", "y0"), AbelianGroup((2, 2)), make_rectangle(1.0, 1.0), momenta,
+                       np.diag([4.0 * p_x * p_x, 4.0 * p_y * p_y]),
+                       tuple((BOX_MARGIN, np.pi / (2.0 * p) - BOX_MARGIN) for p in (p_x, p_y)))
 
 
 def _default_ring_orientation(n: int) -> float:
-    """PSF angle minus source angle at which the ring's 2p^2 closed form holds.
+    """PSF angle minus source angle at which the ring's ``closed_form`` 2p^2 holds.
 
     The QFI meets the Parseval sum over the ring's Fourier amplitudes a_k
     exactly when every a_k* a_k' is real: at pi/2 mod pi/n, 0 for even n and
@@ -189,9 +201,11 @@ def ring_model(
     momenta +-p at psf_phase.  The single parameter is the ring radius r.
     ``psf_phase`` is the absolute angle of the first psf momentum.  By
     default it is ``phase`` plus ``_default_ring_orientation(n)``, 0 for even
-    n and pi/(2n) for odd n, where the radial QFI is the closed form 2p^2
-    (4p^2 at n = 2).  With the psf aligned to the sources
-    (``psf_phase=phase``), odd n fall below it.
+    n and pi/(2n) for odd n, where the radial QFI is the ``closed_form`` 2p^2;
+    with the psf aligned to the sources (``psf_phase=phase``), odd n fall
+    below it.  The pair's ``closed_form`` is 4p^2 cos^2(phase - psf_phase)
+    and its ``box`` (delta, pi/(2p) - delta), as its likelihood mirrors at
+    pi/(2p); larger rings take (delta, pi/p - delta), delta = ``BOX_MARGIN``.
     """
     if psf_phase is None:
         psf_phase = phase + _default_ring_orientation(n)
@@ -199,7 +213,13 @@ def ring_model(
     p = _psf_momentum("psf momentum magnitude", p)
     if not np.isfinite(psf_phase):
         raise ValueError(f"psf phase must be finite, got {psf_phase}")
-    return ModelFamily(("r",), AbelianGroup((n,)), points, make_ring(n, p, psf_phase))
+    if n == 2:
+        c = np.cos(phase - psf_phase)
+        qfi, hi = 4.0 * p * p * c * c, np.pi / (2.0 * p)
+    else:
+        qfi, hi = 2.0 * p * p, np.pi / p
+    return ModelFamily(("r",), AbelianGroup((n,)), points, make_ring(n, p, psf_phase),
+                       np.array([[qfi]]), ((BOX_MARGIN, hi - BOX_MARGIN),))
 
 
 def drho(model: ModelFamily, values, mu: int, h: float | None = None) -> np.ndarray:
@@ -350,23 +370,3 @@ def orbit_states(model: ModelFamily, values) -> np.ndarray:
     vals = model.check_values(values, closed=True)
     return np.exp(-1j * (model.phases * vals).sum(axis=-1)) / np.sqrt(model.dim)
 
-
-def analytic_qfi(case: str, **params):
-    """Closed-form quantum Fisher information for the symmetric model families.
-
-    Cases: ``pair_off_axis(p, theta, theta0)``, ``rectangle(p_x, p_y)``
-    (returns the 2x2 matrix), ``ring(n, p)``, the pair included as n = 2.
-    The ring value holds at ``ring_model``'s default psf orientation; see
-    ``_default_ring_orientation`` for the condition.
-    """
-    if case == "pair_off_axis":
-        p = params["p"]
-        c = np.cos(params["theta"] - params["theta0"])
-        return 4.0 * p * p * c * c
-    if case == "rectangle":
-        px, py = params["p_x"], params["p_y"]
-        return np.diag([4.0 * px * px, 4.0 * py * py])
-    if case == "ring":
-        n, p = params["n"], params["p"]
-        return 4.0 * p * p if n == 2 else 2.0 * p * p
-    raise ValueError(f"unknown analytic case: {case!r}")

@@ -65,7 +65,9 @@ def test_pair_builds_the_two_source_ring():
         for model in (pair[0], ring[0]):
             assert model.group.factors == (2,)
             assert np.array_equal(model.phases, direct.phases)
-        assert np.array_equal(pair[1], ring[1]) and np.array_equal(pair[2], ring[2])
+        assert np.array_equal(pair[1], ring[1])
+        assert np.array_equal(pair[0].closed_form, ring[0].closed_form)
+        assert pair[0].box == ring[0].box == direct.box
 
 
 def test_removed_pair_angle_settings_are_refused(tmp_path, capsys):
@@ -526,7 +528,8 @@ def test_config_errors(tmp_path, capsys):
     assert run(capsys, ["qfi", "-c", str(tmp_path / "missing.ini")])[0] == 2
     assert run(capsys, ["qfi", "--kind", "pair", "--r", "-0.5"])[0] == 2
     assert run(capsys, ["qfi", "--kind", "pair", "--r", "0"])[0] == 2  # boundary: no derivative
-    assert run(capsys, ["simulate", "--kind", "rect"])[0] == 2
+    code, _, err = run(capsys, ["simulate", "--kind", "rect"])
+    assert code == 2 and "single scalar parameter" in err
     assert run(capsys, ["sweep", "--kind", "pair", "--parameter", "zz"])[0] == 2
     assert run(capsys, ["simulate", "--kind", "pair", "--bounds", "oops"])[0] == 2
     assert run(capsys, ["simulate", "--kind", "pair", "--basis", "netlist"])[0] == 2

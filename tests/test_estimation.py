@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qconstel.constellation import make_rectangle, make_ring
 from qconstel.estimation import (
     ModelFamily,
-    analytic_qfi,
     check_basis,
     classical_fi,
     drho,
@@ -237,21 +236,31 @@ def test_basis_of_the_wrong_size_names_both_sizes():
     assert np.array_equal(check_basis(np.eye(4), 4), np.eye(4))
 
 
-def test_analytic_qfi_cases():
-    assert analytic_qfi("ring", n=2, p=2.0) == 16.0
-    assert abs(analytic_qfi("pair_off_axis", p=1.0, theta=np.pi / 2, theta0=0.0)) <= 1e-30
-    assert np.allclose(analytic_qfi("rectangle", p_x=1.0, p_y=0.5), np.diag([4.0, 1.0]))
-    assert analytic_qfi("ring", n=2, p=1.0) == 4.0
-    assert analytic_qfi("ring", n=7, p=1.0) == 2.0
-    with pytest.raises(ValueError):
-        analytic_qfi("triangle", p=1.0)
+def test_constructors_attach_closed_form_and_box():
+    pair, ring7, rect = ring_model(2, 2.0), ring_model(7, 1.0), rectangle_model(1.0, 0.5)
+    assert np.array_equal(pair.closed_form, [[16.0]])
+    assert np.array_equal(ring_model(2, 1.0).closed_form, [[4.0]])
+    # the pair's 4p^2 cos^2(phase - psf_phase) vanishes as the psf turns to
+    # perpendicular; at exactly pi/2 the constructor refuses the pair (SymmetryError)
+    assert ring_model(2, 1.0, np.pi / 2 - 1e-5, 0.0).closed_form[0, 0] <= 4.0000001e-10
+    assert np.array_equal(ring7.closed_form, [[2.0]])
+    assert np.array_equal(rect.closed_form, np.diag([4.0, 1.0]))
+    for model in (pair, ring7, rect):
+        assert model.closed_form.shape == (model.n_params, model.n_params)
+        with pytest.raises(ValueError, match="read-only"):
+            model.closed_form[0, 0] = 1.0
+    assert pair.box == ((1e-3, np.pi / 4.0 - 1e-3),)
+    assert ring7.box == ((1e-3, np.pi - 1e-3),)
+    assert rect.box == ((1e-3, np.pi / 2.0 - 1e-3), (1e-3, np.pi - 1e-3))
+    hand = ModelFamily(("r",), AbelianGroup((2,)), make_ring(2, 1.0), make_ring(2, 1.0))
+    assert hand.closed_form is None and hand.box is None
 
 
 def test_off_axis_qfim_formula():
     for theta, theta0 in [(0.3, 0.0), (0.7, 0.25), (1.2, 0.9)]:
         model = ring_model(2, 1.0, theta, theta0)
         f = qfim(model, [0.5])[0, 0]
-        expected = analytic_qfi("pair_off_axis", p=1.0, theta=theta, theta0=theta0)
+        expected = model.closed_form[0, 0]
         assert abs(f - expected) <= 1e-5
 
 
@@ -513,11 +522,9 @@ def test_spectral_qfim_meets_the_closed_form_at_every_separation(case):
     kind, p1, p2, e1, e2, phase = case
     if kind == 1:
         model, point = rectangle_model(p1, p2), [10.0**e1 / p1, 10.0**e2 / p2]
-        ana = analytic_qfi("rectangle", p_x=p1, p_y=p2)
     else:
         model, point = ring_model(kind, p1, phase), [10.0**e1 / p1]
-        ana = np.array([[analytic_qfi("ring", n=kind, p=p1)]])
-    f = spectral_qfim(model, point)
+    f, ana = spectral_qfim(model, point), model.closed_form
     assert np.max(np.abs(f - ana)) <= 1e-14 * np.max(ana)
 
 
@@ -677,7 +684,7 @@ def test_two_routes_agree_sweep(case):
     # closed forms hold everywhere, rank changes included
     f = spectral_qfim(ring, [r])[0, 0]
     assert abs(f - ring_qfi_spectral(n, p, r, orientation)) <= 1e-9 * p * p
-    expected = analytic_qfi("pair_off_axis", p=p, theta=0.0, theta0=orientation)
+    expected = pair.closed_form[0, 0]
     assert abs(spectral_qfim(pair, [r])[0, 0] - expected) <= 1e-9 * p * p
     # the finite-difference oracle drops eigenvalues below SUPPORT_TOL and loses
     # about 1e-10 / sqrt(lambda) on small ones, a known limit of that route, so it
@@ -725,15 +732,16 @@ def test_character_basis_reads_qft_basis_sweep(case):
             assert np.max(np.abs(np.sort(weights) - lam)) <= 1e-12
 
 
-def assert_exact_near_spectral_zero(model, v, expected):
+def assert_exact_near_spectral_zero(model, v):
     """Outcome probabilities in qft_basis are the eigenvalues of the orbit-state
-    mixture, and, off the boundary, spectral_qfim is the closed form."""
+    mixture, and, off the boundary, spectral_qfim is the model's closed form."""
     states = orbit_states(model, v)
     lam = np.linalg.eigvalsh(states.T @ states.conj() / len(states))
     q = outcome_probabilities(model, v, model.qft_basis)
     assert np.max(np.abs(np.sort(q) - lam)) <= 1e-12
     if np.all(np.asarray(v) > 0.0):
         f = spectral_qfim(model, v)
+        expected = model.closed_form
         assert np.max(np.abs(f - expected)) <= 1e-9 * np.max(np.abs(expected))
     return lam
 
@@ -749,7 +757,7 @@ def test_pair_spectral_zeros_sweep(offset, p):
     # one pair eigenvalue, cos^2(p r) or sin^2(p r), vanishes at p r = k pi / 2
     k, side, log_delta = offset
     r = (k * np.pi / 2 + side * 10.0 ** log_delta) / p
-    assert_exact_near_spectral_zero(ring_model(2, p), [r], [[analytic_qfi("ring", n=2, p=p)]])
+    assert_exact_near_spectral_zero(ring_model(2, p), [r])
 
 
 @settings(max_examples=60)
@@ -763,8 +771,7 @@ def test_rectangle_spectral_zeros_sweep(offset, axis, p_x, p_y, other):
     k, side, log_delta = offset
     v = np.full(2, other)
     v[axis] = (k * np.pi / 2 + side * 10.0 ** log_delta) / (p_x, p_y)[axis]
-    expected = analytic_qfi("rectangle", p_x=p_x, p_y=p_y)
-    assert_exact_near_spectral_zero(rectangle_model(p_x, p_y), v, expected)
+    assert_exact_near_spectral_zero(rectangle_model(p_x, p_y), v)
 
 
 @settings(max_examples=60)
@@ -774,9 +781,8 @@ def test_rectangle_spectral_zeros_sweep(offset, axis, p_x, p_y, other):
 def test_ring_spectral_zeros_sweep(n, p, log_r):
     # every eigenvalue but the trivial one vanishes as r -> 0, and at r = 0
     model = ring_model(n, p)
-    expected = [[analytic_qfi("ring", n=n, p=p)]]
     for r in (10.0 ** log_r, 0.0):
-        lam = assert_exact_near_spectral_zero(model, [r], expected)
+        lam = assert_exact_near_spectral_zero(model, [r])
         assert np.max(np.abs(np.sort(ring_eigenvalues(n, p, r)) - lam)) <= 1e-12
 
 
@@ -843,6 +849,6 @@ def test_ring_spectral_zeros_at_larger_pr_sweep(n, pick, side, log_delta, p):
     zeros = ring_zeros(n)
     r = (zeros[pick % len(zeros)] + side * 10.0 ** log_delta) / p
     model = ring_model(n, p)
-    lam = assert_exact_near_spectral_zero(model, [r], [[analytic_qfi("ring", n=n, p=p)]])
+    lam = assert_exact_near_spectral_zero(model, [r])
     assert np.max(np.abs(np.sort(ring_eigenvalues(n, p, r)) - lam)) <= 1e-12
     assert np.min(ring_eigenvalues(n, p, r)) <= 10.0 ** (2 * log_delta)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -266,8 +267,8 @@ def scan_cases():
         u, v = haar_unitary(n, rng), haar_unitary(n, rng)
         cases.append((u, v))
         cases.append((netlist_unitary(reck_decompose(u)), u))
-    # large entries (at 1e155, tr(v^H u) would overflow), small ones, and
-    # subnormal ones
+    # large entries (at 1e155, the oracle's tr(v^H u) would overflow), small
+    # ones, and subnormal ones
     for scale in (1e154, 1e-300, 1e-310):
         u, v = haar_unitary(5, rng), haar_unitary(5, rng)
         cases.append((scale * u, scale * v))
@@ -277,6 +278,18 @@ def scan_cases():
 def test_unitary_distance_is_the_scan_oracle_bit_for_bit():
     for u, v in scan_cases():
         assert unitary_distance(u, v) == unitary_distance_scan(u, v), u.shape
+
+
+def test_unitary_distance_scales_past_the_trace_overflow():
+    # at 2^996 the unscaled tr(v^H u) overflows; scaling by a power of two is
+    # exact, so the distance is the unscaled one times 2^996, bit for bit
+    rng = np.random.default_rng(29)
+    u, v = haar_unitary(5, rng), haar_unitary(5, rng)
+    s = 2.0 ** 996
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((u, v), (netlist_unitary(reck_decompose(u)), u)):
+            assert unitary_distance(s * a, s * b) == s * unitary_distance(a, b)
 
 
 @pytest.mark.parametrize("n", [16, 64])
