@@ -79,16 +79,16 @@ def build_model(cfg: dict) -> tuple[ModelFamily, np.ndarray]:
             n = 2 if m["kind"] == "pair" else m["n"]
             model = ring_model(n, m["p"], m["phase"], m["psf_phase"])
             values = np.array([m["r"]])
-        model.check_values(values, closed=True)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    _require(model, values)
     return model, values
 
 
-def _require(check, values: np.ndarray) -> None:
-    """Run a model's domain check; its ValueError is a config error."""
+def _require(model: ModelFamily, values: np.ndarray, closed: bool = True) -> None:
+    """``model.check_block(values, closed)``; its ValueError is a config error."""
     try:
-        check(values)
+        model.check_block(values, closed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -126,7 +126,7 @@ def _table(h: str, header: list[str], rows: list[tuple], payload: dict,
 
 def cmd_qfi(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result:
     model, values = build_model(cfg)
-    _require(model.check_values, values)
+    _require(model, values, closed=False)
     numeric, ana = qfim(model, values), model.closed_form
     diff = float(np.max(np.abs(numeric - ana)))
     header = ["mu", "nu", "numeric", "analytic", "abs_diff"]
@@ -237,16 +237,14 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Resu
     grid = np.linspace(s["start"], s["stop"], s["count"])
     block = np.tile(values, (len(grid), 1))
     block[:, idx] = grid
+    _require(model, block, closed=s["quantity"] != "qfi")
     if s["quantity"] == "qfi":
-        header, rows = [param, "qfi_numeric", "qfi_analytic", "abs_diff"], []
-        for x, point in zip(grid, block):
-            _require(model.check_values, point)
-            num = float(qfim(model, point)[idx, idx])
-            an = float(model.closed_form[idx, idx])
-            rows.append((float(x), num, an, abs(num - an)))
+        header = [param, "qfi_numeric", "qfi_analytic", "abs_diff"]
+        an = float(model.closed_form[idx, idx])
+        nums = [float(qfim(model, point)[idx, idx]) for point in block]
+        rows = [(float(x), num, an, abs(num - an)) for x, num in zip(grid, nums)]
     else:
         header = [param] + [f"lambda_{k}" for k in range(model.dim)]
-        _require(model.check_block, block)
         weights = outcome_probabilities(model, block, model.qft_basis)
         rows = [(float(x), *(float(w) for w in q)) for x, q in zip(grid, weights)]
     check = ("sweep", max(r[3] for r in rows)) if s["quantity"] == "qfi" else None

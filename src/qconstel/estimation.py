@@ -20,6 +20,11 @@ same quantities, and each checks the other:
   and is the independent oracle.  The CLI's ``qfi`` and ``sweep`` print its
   value against ``closed_form``, and the tests compare it with the closed
   forms, the Fourier route and the ring FFT route of ``tests/oracles.py``.
+
+Each parameter scales the template, so lies in (0, inf), open for ``rho`` and
+the information quantities, as the QFI jumps where rho changes rank (Safranek,
+PRA 95, 052320 (2017)), and closed for the states ``orbit_states`` and the
+probabilities ``outcome_probabilities``; ``ModelFamily.check_block`` checks it.
 """
 
 from __future__ import annotations
@@ -44,18 +49,18 @@ BOX_MARGIN = 1e-3  # delta: a family's ``box`` keeps this far inside each end
 class ModelFamily:
     """Symmetric family: its ``group``, unit source ``points`` and psf ``momenta``.
 
-    ``names`` are the parameters, each in the open interval (0, inf), whose
-    closure ``outcome_probabilities`` and ``orbit_states`` accept.  ``points``
-    is the unit source template in group order, and the sources at v are
-    ``points * v``: r scales both coordinates of a ring, x0 and y0 one each of a
-    rectangle.  ``momenta`` is the psf comb.  Both are read-only (m, 2) arrays.
+    ``names`` are the parameters, each in the domain (0, inf) of the module
+    docstring, which ``check_block`` checks.  ``points`` is the unit source
+    template in group order, and the sources at v are ``points * v``: r
+    scales both coordinates of a ring, x0 and y0 one each of a rectangle.
+    ``momenta`` is the psf comb.  Both are read-only (m, 2) arrays.
     ``ring_model`` and ``rectangle_model`` attach what the symmetry fixes, None
     in a hand-built family: the QFIM ``closed_form``, a read-only (n_params,
     n_params) array, and ``box``, a default estimator interval (lo, hi) per
     parameter.  The rest derives from the first four fields: ``dim``,
-    ``bounds``, ``qft_basis``, the oracle ``rho(v)``, the density matrix of the
-    sources at v, and the orbit-phase tensor ``phases`` D[g, j, mu].  The phase
-    that source g picks up on psf momentum p_j, p_j . t_g(v), is linear in v:
+    ``qft_basis``, the oracle ``rho(v)``, the density matrix of the sources
+    at v, and the orbit-phase tensor ``phases`` D[g, j, mu].  The phase that
+    source g picks up on psf momentum p_j, p_j . t_g(v), is linear in v:
     phi_gj(v) = sum_mu D[g, j, mu] v_mu.  By the symmetry below, the state
     exp(-i phi_0(v)) / sqrt(N) of source 0 fixes every eigenvalue of rho.
 
@@ -63,8 +68,8 @@ class ModelFamily:
     distinct points and momenta (ValueError names which), and the condition
     under which ``qft_basis`` diagonalizes every rho of the family: sources
     and psf momenta share the group order, D[g, g * j, :] = D[0, j, :] for
-    all g and j within ``SYMMETRY_MATCH_ATOL`` times max |D|, or
-    SymmetryError names g and j.
+    all g and j within ``SYMMETRY_MATCH_ATOL`` times max |point| max
+    |momentum|, a bound on |D|, or SymmetryError names g and j.
     """
 
     names: tuple[str, ...]
@@ -90,7 +95,8 @@ class ModelFamily:
         if d.shape[:2] != table.shape:
             raise SymmetryError(f"{d.shape[:2]} sources x psf momenta, but |G| = {len(table)}")
         dev = np.max(np.abs(d[np.arange(len(table))[:, None], table] - d[0]), axis=-1)
-        dev /= np.max(np.abs(d)) or 1.0  # all-zero D: every deviation is 0
+        # a bound on |D|, never 0: a group has >= 2 elements, so >= 2 distinct points
+        dev /= np.linalg.norm(self.points, axis=1).max() * np.linalg.norm(self.momenta, axis=1).max()
         bad = np.argwhere(~(dev <= SYMMETRY_MATCH_ATOL))  # NaN fails too
         if len(bad):
             g, j = bad[0]
@@ -105,10 +111,6 @@ class ModelFamily:
     def dim(self) -> int:
         return len(self.momenta)
 
-    @property
-    def bounds(self) -> tuple[tuple[float, float], ...]:
-        return ((0.0, np.inf),) * self.n_params
-
     @cached_property
     def qft_basis(self) -> np.ndarray:
         """Parameter-independent eigenbasis (columns) of every model state; read-only."""
@@ -121,44 +123,36 @@ class ModelFamily:
         scale = np.ones((1, 2)) if self.n_params == 1 else np.eye(2)  # S[mu, c]
         return np.einsum("mc,gc,jc->gjm", scale, self.points, self.momenta)
 
-    def check_values(self, values, closed: bool = False) -> np.ndarray:
-        vals = np.atleast_1d(np.asarray(values, dtype=float))
-        if vals.shape != (self.n_params,):
-            raise ValueError(
-                f"expected {self.n_params} parameter(s) {self.names}, got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"parameters must be finite, got {vals}")
-        for name, v, (lo, hi) in zip(self.names, vals, self.bounds):
-            if closed:
-                if not lo <= v <= hi:
-                    raise ValueError(f"parameter {name}={v} outside interval [{lo}, {hi}]")
-            elif not lo < v < hi:
-                raise ValueError(f"parameter {name}={v} outside open interval ({lo}, {hi})")
-        return vals
+    def check_block(self, values, closed: bool = True) -> np.ndarray:
+        """One point, or a (K, n_params) block, as a checked (K, n_params) array.
 
-    def check_block(self, values) -> np.ndarray:
-        """One point, or a (K, n_params) block, as a (K, n_params) array.
-
-        Every row passes the closed-interval check of ``check_values``, which
-        also words the error for the first row that fails.
+        Every entry must be finite and >= 0, or > 0 if not ``closed``; the
+        ValueError names the first row that fails.  Functions of one point
+        unpack the single row, so a block of more raises ValueError there.
         """
         vals = np.asarray(values, dtype=float)
         if vals.ndim < 2:
-            return self.check_values(vals, closed=True)[None, :]
-        if vals.ndim != 2 or vals.shape[1] != self.n_params or len(vals) == 0:
-            raise ValueError(
-                f"expected a (K, {self.n_params}) parameter block {self.names}, "
-                f"got shape {vals.shape}"
-            )
-        lo, hi = np.array(self.bounds).T
-        bad = ~np.all((lo <= vals) & (vals < hi), axis=1)  # NaN and +-inf fail too
-        if bad.any():
-            self.check_values(vals[np.argmax(bad)], closed=True)
+            if vals.size != self.n_params:
+                raise ValueError(f"expected {self.n_params} parameter(s) {self.names}, "
+                                 f"got shape {vals.shape or (1,)}")
+            vals = vals.reshape(1, -1)
+        elif vals.ndim != 2 or vals.shape[1] != self.n_params or len(vals) == 0:
+            raise ValueError(f"expected a (K, {self.n_params}) parameter block {self.names}, "
+                             f"got shape {vals.shape}")
+        lo = vals.min()  # min and max propagate NaN, which fails both tests
+        if not ((lo >= 0.0 if closed else lo > 0.0) and vals.max() < np.inf):
+            inside = vals >= 0.0 if closed else vals > 0.0
+            k = np.argmin(np.all(inside & (vals < np.inf), axis=1))
+            if not np.all(np.isfinite(vals[k])):
+                raise ValueError(f"parameters must be finite, got {vals[k]}")
+            mu = np.argmin(inside[k])
+            interval = "interval [0.0, inf]" if closed else "open interval (0.0, inf)"
+            raise ValueError(f"parameter {self.names[mu]}={vals[k, mu]} outside {interval}")
         return vals
 
     def rho(self, values) -> np.ndarray:
-        return density_matrix(self.points * self.check_values(values), self.momenta)
+        (vals,) = self.check_block(values, closed=False)
+        return density_matrix(self.points * vals, self.momenta)
 
 
 def _psf_momentum(name: str, p: float) -> float:
@@ -224,16 +218,13 @@ def ring_model(
 
 def drho(model: ModelFamily, values, mu: int, h: float | None = None) -> np.ndarray:
     """Central-difference derivative of rho with respect to parameter mu."""
-    vals = model.check_values(values)
+    (vals,) = model.check_block(values, closed=False)
     if not 0 <= mu < model.n_params:
         raise ValueError(f"parameter index {mu} out of range")
     step = h if h is not None else 1e-6 * max(1.0, abs(vals[mu]))
-    lo, hi = model.bounds[mu]
-    if not (lo < vals[mu] - step and vals[mu] + step < hi):
-        raise ValueError(
-            f"parameter {model.names[mu]}={vals[mu]} too close to the domain "
-            f"boundary for step {step}"
-        )
+    if not (0.0 < vals[mu] - step and vals[mu] + step < np.inf):
+        raise ValueError(f"parameter {model.names[mu]}={vals[mu]} too close to the domain "
+                         f"boundary for step {step}")
     shift = np.zeros_like(vals)
     shift[mu] = step
     return (model.rho(vals + shift) - model.rho(vals - shift)) / (2.0 * step)
@@ -260,17 +251,15 @@ def sld(rho: np.ndarray, drho_mu: np.ndarray) -> np.ndarray:
 
 def qfim(model: ModelFamily, values, h: float | None = None) -> np.ndarray:
     """Quantum Fisher information matrix F_mn = Re tr(L_m L_n rho)."""
-    vals = model.check_values(values)
+    (vals,) = model.check_block(values, closed=False)
     rho = model.rho(vals)
     slds = [sld(rho, drho(model, vals, mu, h)) for mu in range(model.n_params)]
     k = model.n_params
     f = np.empty((k, k))
     for a in range(k):
         for b in range(a, k):
-            val = float(np.real(np.trace(slds[a] @ slds[b] @ rho)))
-            f[a, b] = val
-            f[b, a] = val
-    return 0.5 * (f + f.T)
+            f[a, b] = f[b, a] = float(np.real(np.trace(slds[a] @ slds[b] @ rho)))
+    return f
 
 
 def check_basis(basis: np.ndarray, dim: int) -> np.ndarray:
@@ -322,9 +311,8 @@ def _probabilities(model: ModelFamily, block: np.ndarray, transfer: np.ndarray |
 def outcome_probabilities(model: ModelFamily, values, basis: np.ndarray) -> np.ndarray:
     """Projective-measurement outcome distribution q_k = <b_k| rho |b_k>.
 
-    ``values`` is one point, giving a vector q, or a (K, n_params) block,
-    giving one row per point; every point is checked against the closed
-    domain, where the probabilities are well defined.  The arithmetic is
+    ``values`` is one point, giving a vector q, or a (K, n_params) block of
+    the closed domain, giving one row per point.  The arithmetic is
     ``_probabilities``, run after ``check_basis`` and ``check_block``.
     """
     basis = check_basis(basis, model.dim)
@@ -341,8 +329,8 @@ def classical_fi(model: ModelFamily, values, basis: np.ndarray) -> np.ndarray:
     |d a_l|^2, so tiny probabilities cannot blow up.
     """
     basis = check_basis(basis, model.dim)
-    block = model.check_values(values)[None, :]
-    q = _probabilities(model, block, _transfer(model, basis), derivatives=True)[0]
+    block = model.check_block(values, closed=False)
+    (q,) = _probabilities(model, block, _transfer(model, basis), derivatives=True)
     keep = q[0] > 0.0  # row 0 holds q, the rows below it d q
     f = (q[1:, keep] / q[0, keep]) @ q[1:, keep].T
     return 0.5 * (f + f.T)
@@ -363,10 +351,9 @@ def spectral_qfim(model: ModelFamily, values) -> np.ndarray:
 def orbit_states(model: ModelFamily, values) -> np.ndarray:
     """Source states psi_g of a symmetric model, one row per group element g.
 
-    Accepts the closure of the parameter domain, so degenerate boundary
-    points like zero separation are allowed.  The rows come straight from
-    the phase tensor, apart from the Fourier route.
+    Accepts the closed domain, so zero separation too.  The rows come
+    straight from the phase tensor, apart from the Fourier route.
     """
-    vals = model.check_values(values, closed=True)
+    (vals,) = model.check_block(values)
     return np.exp(-1j * (model.phases * vals).sum(axis=-1)) / np.sqrt(model.dim)
 

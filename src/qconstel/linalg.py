@@ -120,7 +120,7 @@ def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
     # tr(v^H u) overflows past entries of ~1e154; exact power-of-two scaling keeps its phase
     big = max(np.abs(u.view(np.float64)).max(), np.abs(v.view(np.float64)).max())
     s = 2.0 ** -int(np.frexp(big)[1]) if big > 2.0 ** 500 else 1.0
-    tr = np.trace((s * v).conj().T @ (s * u)) if s != 1.0 else np.trace(v.conj().T @ u)
+    tr = np.trace((s * v).conj().T @ (s * u))
     if abs(tr) > 0:
         grid = np.append(grid, np.angle(tr))
     # elementwise the same exp as _max_abs_diff's, taken for all phases at once;

@@ -126,11 +126,11 @@ class StudyConfig:
             raise ValueError(f"bounds must be real numbers, got {self.bounds!r}")
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError(f"bounds must be finite with lo < hi, got {self.bounds}")
-        (dlo, dhi), name = self.model.bounds[0], self.model.names[0]
-        if not dlo < lo < hi < dhi:
-            raise ValueError(
-                f"bounds {self.bounds} must lie inside the open domain ({dlo}, {dhi}) of {name}"
-            )
+        try:
+            self.model.check_block([[lo], [hi]], closed=False)
+        except ValueError:
+            raise ValueError(f"bounds {self.bounds} must lie inside the open domain "
+                             f"(0.0, inf) of {self.model.names[0]}") from None
         if not _is_real(self.truth):
             raise ValueError(f"truth must be a real number, got {self.truth!r}")
         if not lo < self.truth < hi:

@@ -22,6 +22,11 @@ with it is a comparison of two routes:
   made per trial before it normalized the true distribution once per
   study; the public-route study draws through it, so the study's counts
   are compared with the old arithmetic.
+- ``DomainCheck`` holds ``ModelFamily.check_values`` and ``check_block`` as
+  they were written before ``check_block(values, closed)`` became the one
+  domain check: a per-parameter loop over ``bounds``, which the block check
+  called for the first row that failed its mask.  The merged check must
+  accept and refuse what they did, with the same message.
 
 Arguments come from the tests, so the only input check is the element index
 of ``apply_group_element``, which numpy indexing would otherwise wrap.
@@ -223,3 +228,52 @@ def sample_outcomes(probabilities, m: int, seed) -> np.ndarray:
     p = p / p.sum()
     rng = np.random.default_rng(seed)
     return rng.multinomial(m, p)
+
+
+class DomainCheck:
+    """The parameter checks of a family with parameters ``names``, each in (0, inf).
+
+    ``check_values`` and ``check_block`` are copied verbatim from
+    ``ModelFamily``; ``check_block`` checked against the closed domain only.
+    """
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+        self.n_params = len(names)
+        self.bounds = ((0.0, np.inf),) * self.n_params
+
+    def check_values(self, values, closed: bool = False) -> np.ndarray:
+        vals = np.atleast_1d(np.asarray(values, dtype=float))
+        if vals.shape != (self.n_params,):
+            raise ValueError(
+                f"expected {self.n_params} parameter(s) {self.names}, got shape {vals.shape}"
+            )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"parameters must be finite, got {vals}")
+        for name, v, (lo, hi) in zip(self.names, vals, self.bounds):
+            if closed:
+                if not lo <= v <= hi:
+                    raise ValueError(f"parameter {name}={v} outside interval [{lo}, {hi}]")
+            elif not lo < v < hi:
+                raise ValueError(f"parameter {name}={v} outside open interval ({lo}, {hi})")
+        return vals
+
+    def check_block(self, values) -> np.ndarray:
+        """One point, or a (K, n_params) block, as a (K, n_params) array.
+
+        Every row passes the closed-interval check of ``check_values``, which
+        also words the error for the first row that fails.
+        """
+        vals = np.asarray(values, dtype=float)
+        if vals.ndim < 2:
+            return self.check_values(vals, closed=True)[None, :]
+        if vals.ndim != 2 or vals.shape[1] != self.n_params or len(vals) == 0:
+            raise ValueError(
+                f"expected a (K, {self.n_params}) parameter block {self.names}, "
+                f"got shape {vals.shape}"
+            )
+        lo, hi = np.array(self.bounds).T
+        bad = ~np.all((lo <= vals) & (vals < hi), axis=1)  # NaN and +-inf fail too
+        if bad.any():
+            self.check_values(vals[np.argmax(bad)], closed=True)
+        return vals

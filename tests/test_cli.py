@@ -1,4 +1,5 @@
 import builtins
+import gc
 import hashlib
 import io
 import json
@@ -52,6 +53,13 @@ def test_qfi_two_source_ring_takes_the_pair_closed_form(capsys):
         assert code == 0, err
     assert outs["ring"].splitlines()[1:] == outs["pair"].splitlines()[1:]
     assert "3.0806046117362795" in outs["ring"]
+
+
+def test_qfi_perpendicular_pair(capsys):
+    # the psf perpendicular to the sources: the pair builds, and both routes read ~0
+    code, out, err = run(capsys, ["qfi", "--kind", "pair", "--phase", "1.5707963267948966",
+                                  "--check", "1e-30"])
+    assert code == 0 and err == "" and "max |numeric - analytic| = " in out, err
 
 
 def test_pair_builds_the_two_source_ring():
@@ -247,6 +255,35 @@ def count_opens(monkeypatch) -> list[Path]:
     monkeypatch.setattr(builtins, "open", counting_open)
     monkeypatch.setattr(io, "open", counting_open)
     return reads
+
+
+def test_csv_and_text_jobs_leave_no_cyclic_garbage(tmp_path, capsys):
+    # reference counting frees every object of a csv or text job, so a job
+    # leaves no memory for the cycle collector to find (a JSON job leaves the
+    # cycles of the pure-Python encoder that json.dumps(indent=2) runs)
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps({"matrix": [[[z.real, z.imag] for z in row]
+                                            for row in haar_unitary(5, np.random.default_rng(1))]}))
+    out = ["--format", "csv", "--out", str(tmp_path / "out.csv")]
+    jobs = [["qfi", "--kind", "ring", "--n", "5", "--r", "0.4", *out],
+            ["eigen", "--kind", "rect", *out],
+            ["sweep", "--kind", "pair", "--count", "4", *out],
+            ["sweep", "--kind", "ring", "--n", "6", "--quantity", "eigenvalues", *out],
+            ["simulate", "--kind", "ring", "--n", "4", "--trials", "3", "--photons", "200", *out],
+            ["decompose", "--kind", "ring", "--n", "4", "--format", "text",
+             "--out", str(tmp_path / "f.net")],
+            ["decompose", "--unitary", str(ufile), "--format", "text",
+             "--out", str(tmp_path / "u.net")]]
+    for argv in jobs:  # first runs fill the caches of the parser and of numpy
+        assert main(argv) == 0, capsys.readouterr().err
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in jobs * 3:
+            main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unitary_file_is_read_once_per_job(tmp_path, capsys, monkeypatch):

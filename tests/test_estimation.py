@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qconstel.constellation import make_rectangle, make_ring
 from qconstel.estimation import (
@@ -26,6 +27,7 @@ from qconstel.states import density_matrix, source_state
 from qconstel.symmetry import AbelianGroup, qft_matrix
 
 from oracles import (
+    DomainCheck,
     apply_group_element,
     haar_unitary,
     psf_comb,
@@ -241,8 +243,14 @@ def test_constructors_attach_closed_form_and_box():
     assert np.array_equal(pair.closed_form, [[16.0]])
     assert np.array_equal(ring_model(2, 1.0).closed_form, [[4.0]])
     # the pair's 4p^2 cos^2(phase - psf_phase) vanishes as the psf turns to
-    # perpendicular; at exactly pi/2 the constructor refuses the pair (SymmetryError)
+    # perpendicular, and the pair builds there too: its phase tensor is rounding
+    # noise of ~1e-16, which the symmetry check measures against |point| |momentum|
     assert ring_model(2, 1.0, np.pi / 2 - 1e-5, 0.0).closed_form[0, 0] <= 4.0000001e-10
+    for phase in (np.pi / 2 - 1e-7, np.pi / 2, np.pi / 2 + 1e-7):
+        perpendicular = ring_model(2, 1.0, phase, 0.0)
+        assert perpendicular.closed_form[0, 0] <= 4.0000001e-14
+        assert abs(spectral_qfim(perpendicular, [0.3])[0, 0]
+                   - perpendicular.closed_form[0, 0]) <= 1e-20
     assert np.array_equal(ring7.closed_form, [[2.0]])
     assert np.array_equal(rect.closed_form, np.diag([4.0, 1.0]))
     for model in (pair, ring7, rect):
@@ -493,6 +501,67 @@ def test_block_rows_are_domain_checked():
     for shape in ((2, 3, 1), (0, 1)):
         with pytest.raises(ValueError, match="parameter block"):
             outcome_probabilities(model, np.ones(shape), basis)
+
+
+def former_domain_check(oracle, values, closed):
+    """What the domain checks before ``check_block(values, closed)`` did with ``values``.
+
+    Closed: their ``check_block``.  Open: ``check_values`` of one point, or
+    of each row of a block in order, after the block's shape test.
+    """
+    vals = np.asarray(values, dtype=float)
+    if closed:
+        return oracle.check_block(vals)
+    if vals.ndim < 2:
+        return oracle.check_values(vals)[None, :]
+    oracle.check_block(np.ones(vals.shape))  # the block shape message
+    for row in vals:
+        oracle.check_values(row)
+    return vals
+
+
+def _outcome(check, values, closed):
+    try:
+        return check(values, closed)
+    except ValueError as exc:
+        return str(exc)
+
+
+EDGE_VALUES = (0.0, -0.0, 5e-324, 0.3, 2.0, 1e308, -1e-300, -0.5, np.inf, -np.inf, np.nan)
+SHAPES = ((), (0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 1), (3, 1), (1, 2), (4, 2), (2, 3),
+          (2, 2, 1), (1, 1, 1))
+
+
+@settings(max_examples=400)
+@given(data=st.data(), two=st.booleans(), closed=st.booleans(), as_list=st.booleans())
+def test_check_block_matches_the_former_checks(data, two, closed, as_list):
+    # one point or a block, with 0, -0, negatives, +-inf, NaN and wrong
+    # shapes: accepted or refused as before, with the same message
+    model = rectangle_model(1.0, 0.5) if two else ring_model(4, 1.0)
+    n = model.n_params
+    shape = data.draw(st.sampled_from(((n,), (1, n), (3, n))) | st.sampled_from(SHAPES))
+    values = data.draw(arrays(float, shape, elements=st.sampled_from(EDGE_VALUES)
+                              | st.floats(min_value=0.0, exclude_min=True) | st.floats()))
+    oracle = DomainCheck(model.names)
+    arg = values.tolist() if as_list else values
+    got = _outcome(model.check_block, arg, closed)
+    want = _outcome(functools.partial(former_domain_check, oracle), arg, closed)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == float and got.ndim == 2
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_point_functions_refuse_a_block_of_points():
+    # a single-row block is its point; more rows do not unpack to one point
+    model = ring_model(4, 1.0)
+    assert np.array_equal(qfim(model, [[0.3]]), qfim(model, [0.3]))
+    basis = model.qft_basis
+    for call in (model.rho, lambda v: drho(model, v, 0), lambda v: qfim(model, v),
+                 lambda v: classical_fi(model, v, basis), lambda v: orbit_states(model, v)):
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            call([[0.3], [0.4]])
 
 
 def test_spectral_qfim_holds_at_a_rank_change():
