@@ -286,25 +286,39 @@ def _transfer(model: ModelFamily, basis: np.ndarray) -> np.ndarray | None:
     return (t * t.conj()).real
 
 
-def _probabilities(model: ModelFamily, block: np.ndarray, transfer: np.ndarray | None,
-                   derivatives: bool = False) -> np.ndarray:
-    """q[x, 0] = lambda W of a checked (K, n_params) block and a ``_transfer`` W.
+def _amplitudes(model: ModelFamily, block: np.ndarray,
+                derivatives: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """a[x] = Q psi_0(v_x), shape (K, 1, N), of a checked (K, n_params) block.
 
-    lambda = |a|^2, a = Q psi_0(v_x); Q sends the constant part of psi_0 =
-    (1 + expm1(-i phi_0)) / sqrt(N) to e_0 exactly, so no rounding floor
-    lies under small eigenvalues.  With ``derivatives``, q[x, 1 + mu] = d
-    lambda W, where d lambda = 2 Re(conj(a) Q (-i D[0, :, mu] psi_0)).  A
-    block repeats its rows' bits.  ``simulate.crb_study`` calls it unchecked
-    for the golden-section probes of its estimator, ``simulate._mle``.
+    Q sends the constant part of psi_0 = (1 + expm1(-i phi_0)) / sqrt(N) to
+    e_0 exactly, so no rounding floor lies under small amplitudes.  With
+    ``derivatives`` it returns ``(a, da)`` with da[x, mu] = Q (-i D[0, :, mu]
+    psi_0), shape (K, n_params, N).  A block repeats its rows' bits.
     """
     qt = model.qft_basis.conj()  # Q^T, as Q is symmetric
     e = np.expm1(-1j * (model.phases[0] * block[:, None, :]).sum(axis=-1)) / np.sqrt(model.dim)
     a = e[:, None, :] @ qt  # one (1, N) product per row
     a[:, 0, 0] += 1.0
-    q = (a * a.conj()).real
+    if not derivatives:
+        return a
+    return a, (-1j * model.phases[0].T * (e + 1.0 / np.sqrt(model.dim))[:, None, :]) @ qt
+
+
+def _probabilities(model: ModelFamily, block: np.ndarray, transfer: np.ndarray | None,
+                   derivatives: bool = False) -> np.ndarray:
+    """q[x, 0] = lambda W of a checked (K, n_params) block and a ``_transfer`` W.
+
+    lambda = |a|^2 of the ``_amplitudes`` a.  With ``derivatives``, q[x, 1 +
+    mu] = d lambda W, where d lambda = 2 Re(conj(a) d a).
+    ``simulate.crb_study`` calls it unchecked for the golden-section probes
+    of its estimator, ``simulate._mle``.
+    """
     if derivatives:
-        da = (-1j * model.phases[0].T * (e + 1.0 / np.sqrt(model.dim))[:, None, :]) @ qt
-        q = np.concatenate([q, 2.0 * (a.conj() * da).real], axis=1)
+        a, da = _amplitudes(model, block, derivatives=True)
+        q = np.concatenate([(a * a.conj()).real, 2.0 * (a.conj() * da).real], axis=1)
+    else:
+        a = _amplitudes(model, block)
+        q = (a * a.conj()).real
     return q if transfer is None else q @ transfer
 
 
@@ -326,13 +340,27 @@ def classical_fi(model: ModelFamily, values, basis: np.ndarray) -> np.ndarray:
     F = sum_{q_k > 0} d q_k d q_k^T / q_k, with d q = d lambda W exact.  Only
     exact zeros are skipped, with no floor: by Cauchy-Schwarz each term is
     at most sum_l W[l, k] (d lambda_l)^2 / lambda_l <= 4 sum_l W[l, k]
-    |d a_l|^2, so tiny probabilities cannot blow up.
+    |d a_l|^2, so tiny probabilities cannot blow up.  In ``qft_basis``
+    (q = lambda) each term is g_k g_k^T with g_k = 2 Re(a_hat_k d a_k) and
+    a_hat_k = conj(a_k) / |a_k|, which never forms |a|^2: that underflows
+    below p r ~ 1e-154, and the information with it.
     """
     basis = check_basis(basis, model.dim)
     block = model.check_block(values, closed=False)
-    (q,) = _probabilities(model, block, _transfer(model, basis), derivatives=True)
-    keep = q[0] > 0.0  # row 0 holds q, the rows below it d q
-    f = (q[1:, keep] / q[0, keep]) @ q[1:, keep].T
+    transfer = _transfer(model, basis)
+    if transfer is None:
+        (a,), (da,) = _amplitudes(model, block, derivatives=True)
+        a = a[0]
+        mod = np.abs(a)
+        keep = mod > 0.0
+        # real and imaginary parts apart: dividing a complex by a subnormal real overflows
+        g = 2.0 * (a.real[keep] / mod[keep] * da.real[:, keep]
+                   + a.imag[keep] / mod[keep] * da.imag[:, keep])
+        f = g @ g.T
+    else:
+        (q,) = _probabilities(model, block, transfer, derivatives=True)
+        keep = q[0] > 0.0  # row 0 holds q, the rows below it d q
+        f = (q[1:, keep] / q[0, keep]) @ q[1:, keep].T
     return 0.5 * (f + f.T)
 
 

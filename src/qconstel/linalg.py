@@ -91,15 +91,21 @@ def _max_abs_diff(u: np.ndarray, v: np.ndarray, phi: float) -> float:
 def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Max-entry distance between two matrices minimized over a global phase.
 
-    Computes min over phi of max |u - e^{i phi} v| entrywise.  The scan
-    evaluates the 1,024 phases 2 pi k / 1024, k = 0 ... 1023, in that order,
-    then arg tr(v^H u) when that trace is nonzero; the first minimum wins
-    ties.  The phases run in blocks of at most 4,096 matrix entries
-    (``SCAN_BLOCK``), which gives exactly the bits of a loop over one phase
-    at a time.  A golden section on the bracket +-2 pi / 1024 around that
-    phase refines it down to width 1e-12, and the result is the smaller of
-    the scanned and the refined value.  So it is zero (to ~1e-12) iff
-    ``u == exp(i phi) v`` for some real phi.
+    Computes d(phi) = max |u - e^{i phi} v| entrywise, minimized over phi.
+    The grid is the 1,024 phases 2 pi k / 1024, then arg tr(v^H u) when that
+    trace is nonzero; c = exp(i grid) and c* = c[-1].  The scan keeps, in
+    grid order, the phases with |c_k - c*| <= 2 (d* + e) / max|v| + 8 eps,
+    where d* is the scan's own value at c* and e = 8 (eps (max|u| + max|v|)
+    + 2^-1074) bounds the rounding of each computed |u_ij - c_k v_ij|.  At
+    the entry of largest |v|, d(c_k) >= |c_k - c*| max|v| - d* - e, so every
+    dropped phase scans above d*, itself at least the kept minimum; the 8
+    eps covers the rounding of the radius.  A 1 x 1 pair, a zero trace or a
+    radius not below 2 keeps every phase.  Blocks hold at most
+    ``SCAN_BLOCK`` entries; the first minimum wins ties.  A golden section
+    on +-2 pi / 1024 around it refines down to width 1e-12, and the result,
+    the smaller of the scanned and refined values, is the full scan's bit
+    for bit.  So it is zero (to ~1e-12) iff ``u == exp(i phi) v`` for some
+    real phi.
 
     Raises:
         ValueError: the matrices are not square of one shape, are empty, or
@@ -127,6 +133,15 @@ def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
     # each entry's |u - c v| and each phase's max are those of a lone phase
     c = np.exp(1j * grid)
     rows = max(1, SCAN_BLOCK // u.size)
+    # a lone phase of a 1 x 1 pair multiplies array by array, a last bit off the scan's
+    if abs(tr) > 0 and u.size > 1:  # then max|v| > 0; prune as the docstring says
+        d_star = float(np.abs(u - c[-1:, None, None] * v).max())
+        top, eps = float(np.abs(v).max()), 2.0 ** -52
+        rounding = 8.0 * (eps * (float(np.abs(u).max()) + top) + 2.0 ** -1074)
+        radius = 2.0 * (d_star + rounding) / top + 8.0 * eps
+        if radius < 2.0:  # false for inf and nan too: those keep every phase
+            near = np.abs(c - c[-1]) <= radius
+            grid, c = grid[near], c[near]
     vals = np.concatenate([np.abs(u - c[k:k + rows, None, None] * v).max(axis=(1, 2))
                            for k in range(0, c.size, rows)])
     best = int(np.argmin(vals))

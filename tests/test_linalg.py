@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qconstel.circuit import netlist_unitary, reck_decompose
 from qconstel.linalg import (
+    SCAN_BLOCK,
     ConvergenceError,
     _golden_section,
     eig_hermitian,
@@ -272,7 +273,66 @@ def scan_cases():
     for scale in (1e154, 1e-300, 1e-310):
         u, v = haar_unitary(5, rng), haar_unitary(5, rng)
         cases.append((scale * u, scale * v))
+    # the pruned scan: its radius runs from a point (t = 1e-15) to past the whole
+    # circle (t = 2); v = 0; the best grid phase just inside and just outside the
+    # radius; and pruned pairs at small and subnormal scales
+    v, g = haar_unitary(6, rng), gaussian(6, rng)
+    cases += [(v + t * g, v) for t in np.geomspace(1e-15, 2.0, 16)]
+    cases.append((haar_unitary(3, rng), np.zeros((3, 3))))
+    # 1 x 1 pairs scan every phase: one phase alone would multiply array by array
+    cases += [(np.exp(1j * rng.uniform(-4.0, 4.0)) * (1.0 + t * gaussian(1, rng)), np.ones((1, 1)))
+              for t in (1e-16, 1e-12, 1e-3)]
+    cases += list(edge_pairs())
+    for scale in (1e-300, 1e-310):
+        cases += [(scale * (v + t * g), scale * v) for t in (0.0, 1e-9, 1e-2)]
+        cases.append((scale * netlist_unitary(reck_decompose(v)), scale * v))
     return cases
+
+
+def gaussian(n, rng):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def pruning_radius(u, v):
+    """The radius of unitary_distance's docstring, and the trace phase factor c*."""
+    c_star = np.exp(1j * np.angle(np.trace(v.conj().T @ u)))
+    eps = np.finfo(float).eps
+    rounding = 8.0 * (eps * (np.abs(u).max() + np.abs(v).max()) + 2.0**-1074)
+    radius = 2.0 * (np.abs(u - c_star * v).max() + rounding) / np.abs(v).max() + 8.0 * eps
+    return radius, c_star
+
+
+def best_grid_offset(u, v):
+    """|c_k - c*| / radius for the grid phase c_k with the smallest scan value."""
+    radius, c_star = pruning_radius(u, v)
+    c = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1025)[:-1])
+    best = c[np.argmin(np.abs(u - c[:, None, None] * v).max(axis=(1, 2)))]
+    return abs(best - c_star) / radius
+
+
+def edge_pairs():
+    """Pairs e^{i theta} (v + t G) whose best grid phase lies just inside and just outside the radius.
+
+    theta puts the trace phase 0.37 grid steps past a grid phase.  Bisects
+    log10 t between 1e-15, where the radius is ~1e-14 and misses the grid,
+    and 1, where it takes in the whole circle.
+    """
+    rng = np.random.default_rng(31)
+    v, g = haar_unitary(4, rng), gaussian(4, rng)
+
+    def pair(log_t):
+        return np.exp(0.37j * 2.0 * np.pi / 1024) * (v + 10.0**log_t * g), v
+
+    lo, hi = -15.0, 0.0  # best_grid_offset is above 1 at lo and below 1 at hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if best_grid_offset(*pair(mid)) > 1.0 else (lo, mid)
+    return pair(hi), pair(lo)
+
+
+def test_edge_pairs_straddle_the_radius():
+    inside, outside = (best_grid_offset(*pair) for pair in edge_pairs())
+    assert 1.0 - 1e-9 < inside <= 1.0 < outside < 1.0 + 1e-9
 
 
 def test_unitary_distance_is_the_scan_oracle_bit_for_bit():
@@ -290,6 +350,47 @@ def test_unitary_distance_scales_past_the_trace_overflow():
         warnings.simplefilter("error")
         for a, b in ((u, v), (netlist_unitary(reck_decompose(u)), u)):
             assert unitary_distance(s * a, s * b) == s * unitary_distance(a, b)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 16), st.floats(-16.0, 0.5), st.floats(-np.pi, np.pi),
+       st.integers(0, 2**32 - 1))
+def test_pruned_scan_is_the_scan_oracle_bit_for_bit(n, log_t, theta, seed):
+    # the radius 2 (d* + e) / max|v| grows with t from a point to the whole circle
+    rng = np.random.default_rng(seed)
+    v = haar_unitary(n, rng)
+    u = np.exp(1j * theta) * (v + 10.0**log_t * gaussian(n, rng))
+    assert unitary_distance(u, v) == unitary_distance_scan(u, v)
+
+
+def test_pruned_scan_scales_to_2_996_bit_for_bit():
+    # the oracle's tr(v^H u) overflows at 2^996, and scaling by a power of two is
+    # exact, so the scan there is the oracle's at scale 1 times 2^996; the margin
+    # 8 eps (max|u| + max|v|) must not overflow either
+    rng = np.random.default_rng(37)
+    v, g = haar_unitary(7, rng), gaussian(7, rng)
+    pairs = [(v + t * g, v) for t in (0.0, 1e-12, 1e-6, 1e-3, 0.1, 1.0)]
+    pairs.append((netlist_unitary(reck_decompose(v)), v))
+    s = 2.0 ** 996
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in pairs:
+            assert unitary_distance(s * a, s * b) == s * unitary_distance_scan(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_pruned_scan_of_a_round_trip_stays_below_two_blocks(n):
+    # a Reck round trip's radius is ~1e-14, so it scans the trace phase alone and
+    # forms no 4,096-entry block (64 KB); the full scan peaks at 224-239 KB here
+    u = haar_unitary(n, np.random.default_rng(n))
+    w = netlist_unitary(reck_decompose(u))
+    tracemalloc.start()
+    try:
+        unitary_distance(w, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * SCAN_BLOCK * 16, peak
 
 
 @pytest.mark.parametrize("n", [16, 64])
