@@ -189,15 +189,14 @@ def to_text(net: InterferometerNetlist) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def from_text(text: str, n_modes: int | None = None) -> InterferometerNetlist:
-    """Parse the text netlist format; mode count is inferred unless given.
+def from_text(text: str, n_modes: int) -> InterferometerNetlist:
+    """Parse the text netlist format into a netlist on ``n_modes`` modes.
 
     Every record, trailing PS records included, becomes an element and the
     output phase layer stays empty; the total unitary is the same as that of
     the serialized netlist.
     """
     elements = []
-    top = 0
     for ln, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts:
@@ -205,17 +204,14 @@ def from_text(text: str, n_modes: int | None = None) -> InterferometerNetlist:
         try:
             if parts[0] == "BS" and len(parts) == 5:
                 el = Beamsplitter(int(parts[1]), int(parts[2]), float(parts[3]), float(parts[4]))
-                top = max(top, el.j)
             elif parts[0] == "PS" and len(parts) == 3:
                 el = PhaseShifter(int(parts[1]), float(parts[2]))
-                top = max(top, el.mode)
             else:
                 raise ValueError("unrecognized record")
         except (ValueError, TypeError) as exc:
             raise ValueError(f"netlist line {ln}: {line!r}: {exc}") from None
         elements.append(el)
-    n = n_modes if n_modes is not None else top + 1
-    return InterferometerNetlist(n_modes=n, elements=tuple(elements))
+    return InterferometerNetlist(n_modes=n_modes, elements=tuple(elements))
 
 
 def to_json_dict(net: InterferometerNetlist) -> dict:

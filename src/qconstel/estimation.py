@@ -304,21 +304,16 @@ def _amplitudes(model: ModelFamily, block: np.ndarray,
     return a, (-1j * model.phases[0].T * (e + 1.0 / np.sqrt(model.dim))[:, None, :]) @ qt
 
 
-def _probabilities(model: ModelFamily, block: np.ndarray, transfer: np.ndarray | None,
-                   derivatives: bool = False) -> np.ndarray:
+def _probabilities(model: ModelFamily, block: np.ndarray,
+                   transfer: np.ndarray | None) -> np.ndarray:
     """q[x, 0] = lambda W of a checked (K, n_params) block and a ``_transfer`` W.
 
-    lambda = |a|^2 of the ``_amplitudes`` a.  With ``derivatives``, q[x, 1 +
-    mu] = d lambda W, where d lambda = 2 Re(conj(a) d a).
-    ``simulate.crb_study`` calls it unchecked for the golden-section probes
-    of its estimator, ``simulate._mle``.
+    lambda = |a|^2 of the ``_amplitudes`` a.  ``simulate.crb_study`` calls it
+    unchecked for the golden-section probes of its estimator,
+    ``simulate._mle``.
     """
-    if derivatives:
-        a, da = _amplitudes(model, block, derivatives=True)
-        q = np.concatenate([(a * a.conj()).real, 2.0 * (a.conj() * da).real], axis=1)
-    else:
-        a = _amplitudes(model, block)
-        q = (a * a.conj()).real
+    a = _amplitudes(model, block)
+    q = (a * a.conj()).real
     return q if transfer is None else q @ transfer
 
 
@@ -358,8 +353,11 @@ def classical_fi(model: ModelFamily, values, basis: np.ndarray) -> np.ndarray:
                    + a.imag[keep] / mod[keep] * da.imag[:, keep])
         f = g @ g.T
     else:
-        (q,) = _probabilities(model, block, transfer, derivatives=True)
-        keep = q[0] > 0.0  # row 0 holds q, the rows below it d q
+        # row 0 holds q = lambda W, the rows below it d q = d lambda W, where
+        # d lambda = 2 Re(conj(a) d a)
+        a, da = _amplitudes(model, block, derivatives=True)
+        (q,) = np.concatenate([(a * a.conj()).real, 2.0 * (a.conj() * da).real], axis=1) @ transfer
+        keep = q[0] > 0.0
         f = (q[1:, keep] / q[0, keep]) @ q[1:, keep].T
     return 0.5 * (f + f.T)
 

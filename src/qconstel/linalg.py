@@ -12,9 +12,6 @@ from numpy.linalg import LinAlgError, eigh
 HERMITIAN_RTOL = 1e-12
 RESIDUAL_FACTOR = 64.0
 UNITARY_ATOL = 1e-10  # bound on unitarity_defect for synthesis targets and measurement bases
-# entries per block of unitary_distance's phase scan: each temporary stays at
-# <= 64 KB, in cache and below glibc's 128 KB mmap threshold
-SCAN_BLOCK = 4096
 
 
 class ConvergenceError(RuntimeError):
@@ -91,18 +88,18 @@ def _max_abs_diff(u: np.ndarray, v: np.ndarray, phi: float) -> float:
 def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Max-entry distance between two matrices minimized over a global phase.
 
-    Computes d(phi) = max |u - e^{i phi} v| entrywise, minimized over phi.
+    Computes d(phi) = max |u - e^{i phi} v| entrywise, minimized over phi,
+    and evaluates every d(phi) one phase at a time with the same arithmetic.
     The grid is the 1,024 phases 2 pi k / 1024, then arg tr(v^H u) when that
     trace is nonzero; c = exp(i grid) and c* = c[-1].  The scan keeps, in
     grid order, the phases with |c_k - c*| <= 2 (d* + e) / max|v| + 8 eps,
-    where d* is the scan's own value at c* and e = 8 (eps (max|u| + max|v|)
-    + 2^-1074) bounds the rounding of each computed |u_ij - c_k v_ij|.  At
-    the entry of largest |v|, d(c_k) >= |c_k - c*| max|v| - d* - e, so every
-    dropped phase scans above d*, itself at least the kept minimum; the 8
-    eps covers the rounding of the radius.  A 1 x 1 pair, a zero trace or a
-    radius not below 2 keeps every phase.  Blocks hold at most
-    ``SCAN_BLOCK`` entries; the first minimum wins ties.  A golden section
-    on +-2 pi / 1024 around it refines down to width 1e-12, and the result,
+    where d* = d(c*) and e = 8 (eps (max|u| + max|v|) + 2^-1074) bounds the
+    rounding of each computed |u_ij - c_k v_ij|.  At the entry of largest
+    |v|, d(c_k) >= |c_k - c*| max|v| - d* - e, so every dropped phase scans
+    above d*, itself at least the kept minimum; the 8 eps covers the
+    rounding of the radius.  A zero trace or a radius not below 2 keeps
+    every phase.  The first minimum wins ties.  A golden section on
+    +-2 pi / 1024 around it refines down to width 1e-12, and the result,
     the smaller of the scanned and refined values, is the full scan's bit
     for bit.  So it is zero (to ~1e-12) iff ``u == exp(i phi) v`` for some
     real phi.
@@ -127,27 +124,20 @@ def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
     big = max(np.abs(u.view(np.float64)).max(), np.abs(v.view(np.float64)).max())
     s = 2.0 ** -int(np.frexp(big)[1]) if big > 2.0 ** 500 else 1.0
     tr = np.trace((s * v).conj().T @ (s * u))
-    if abs(tr) > 0:
+    if abs(tr) > 0:  # then max|v| > 0; prune as the docstring says
         grid = np.append(grid, np.angle(tr))
-    # elementwise the same exp as _max_abs_diff's, taken for all phases at once;
-    # each entry's |u - c v| and each phase's max are those of a lone phase
-    c = np.exp(1j * grid)
-    rows = max(1, SCAN_BLOCK // u.size)
-    # a lone phase of a 1 x 1 pair multiplies array by array, a last bit off the scan's
-    if abs(tr) > 0 and u.size > 1:  # then max|v| > 0; prune as the docstring says
-        d_star = float(np.abs(u - c[-1:, None, None] * v).max())
+        d_star = _max_abs_diff(u, v, grid[-1])
         top, eps = float(np.abs(v).max()), 2.0 ** -52
         rounding = 8.0 * (eps * (float(np.abs(u).max()) + top) + 2.0 ** -1074)
         radius = 2.0 * (d_star + rounding) / top + 8.0 * eps
         if radius < 2.0:  # false for inf and nan too: those keep every phase
-            near = np.abs(c - c[-1]) <= radius
-            grid, c = grid[near], c[near]
-    vals = np.concatenate([np.abs(u - c[k:k + rows, None, None] * v).max(axis=(1, 2))
-                           for k in range(0, c.size, rows)])
+            c = np.exp(1j * grid)
+            grid = grid[np.abs(c - c[-1]) <= radius]
+    vals = [_max_abs_diff(u, v, phi) for phi in grid]
     best = int(np.argmin(vals))
     lo, hi = grid[best] - 2.0 * np.pi / 1024, grid[best] + 2.0 * np.pi / 1024
     refined = _golden_section(lambda phi: _max_abs_diff(u, v, phi), lo, hi, 1e-12)[2]
-    return min(float(vals[best]), refined)
+    return min(vals[best], refined)
 
 
 def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float, float]:

@@ -289,13 +289,13 @@ def test_text_identity_is_empty():
 
 def test_from_text_diagnostics():
     with pytest.raises(ValueError, match="line 2"):
-        from_text("BS 0 1 0.5 0.0\nXX 0 1\n")
+        from_text("BS 0 1 0.5 0.0\nXX 0 1\n", n_modes=2)
     with pytest.raises(ValueError, match="line 1"):
-        from_text("BS 0 1 abc 0.0\n")
+        from_text("BS 0 1 abc 0.0\n", n_modes=2)
     with pytest.raises(ValueError, match="line 1: 'BS 0 1 inf 0': beamsplitter mixing"):
-        from_text("BS 0 1 inf 0\n")
+        from_text("BS 0 1 inf 0\n", n_modes=2)
     with pytest.raises(ValueError, match="line 2: 'PS 0 nan': phaseshifter phase"):
-        from_text("BS 0 1 0.5 0.0\nPS 0 nan\n")
+        from_text("BS 0 1 0.5 0.0\nPS 0 nan\n", n_modes=2)
 
 
 def test_json_dict_records_the_netlist():

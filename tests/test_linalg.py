@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qconstel.circuit import netlist_unitary, reck_decompose
+from qconstel import linalg
+from qconstel.circuit import fourier_circuit, netlist_unitary, reck_decompose
+from qconstel.estimation import rectangle_model, ring_model
 from qconstel.linalg import (
-    SCAN_BLOCK,
     ConvergenceError,
     _golden_section,
     eig_hermitian,
@@ -16,6 +17,7 @@ from qconstel.linalg import (
     unitarity_defect,
     unitary_distance,
 )
+from qconstel.symmetry import qft_matrix
 
 from oracles import haar_unitary, unitary_distance_scan
 
@@ -262,8 +264,7 @@ def scan_cases():
         # a phase between grid points (either sign) and one on the grid
         for theta in (rng.uniform(-np.pi, np.pi), 2.0 * np.pi * n / 1024):
             cases.append((np.exp(1j * theta) * u, u))
-    # across the scan's 4,096-entry blocks: 14 phases a block and a partial last
-    # block (17), 3 a block (33), 1 a block (64), and one phase over 4,096 (65)
+    # larger pairs, up to n = 65
     for n in (17, 33, 64, 65):
         u, v = haar_unitary(n, rng), haar_unitary(n, rng)
         cases.append((u, v))
@@ -279,7 +280,7 @@ def scan_cases():
     v, g = haar_unitary(6, rng), gaussian(6, rng)
     cases += [(v + t * g, v) for t in np.geomspace(1e-15, 2.0, 16)]
     cases.append((haar_unitary(3, rng), np.zeros((3, 3))))
-    # 1 x 1 pairs scan every phase: one phase alone would multiply array by array
+    # 1 x 1 pairs, pruned like any other pair
     cases += [(np.exp(1j * rng.uniform(-4.0, 4.0)) * (1.0 + t * gaussian(1, rng)), np.ones((1, 1)))
               for t in (1e-16, 1e-12, 1e-3)]
     cases += list(edge_pairs())
@@ -380,8 +381,8 @@ def test_pruned_scan_scales_to_2_996_bit_for_bit():
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_pruned_scan_of_a_round_trip_stays_below_two_blocks(n):
-    # a Reck round trip's radius is ~1e-14, so it scans the trace phase alone and
-    # forms no 4,096-entry block (64 KB); the full scan peaks at 224-239 KB here
+    # a Reck round trip's radius is ~1e-14, so it scans at most two phases, each
+    # with temporaries of n^2 entries (4 KB at n = 16); the call peaks near 50 KB
     u = haar_unitary(n, np.random.default_rng(n))
     w = netlist_unitary(reck_decompose(u))
     tracemalloc.start()
@@ -390,7 +391,45 @@ def test_pruned_scan_of_a_round_trip_stays_below_two_blocks(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * SCAN_BLOCK * 16, peak
+    assert peak < 131_072, peak
+
+
+def scanned_phases(u, v, monkeypatch):
+    """The phases unitary_distance(u, v) scans, apart from d* and the golden section's probes."""
+    calls = []
+    max_abs_diff, golden_section = linalg._max_abs_diff, linalg._golden_section
+
+    def counted(a, b, phi):
+        calls.append(phi)
+        return max_abs_diff(a, b, phi)
+
+    def uncounted(f, a, b, tol):
+        start = len(calls)
+        out = golden_section(f, a, b, tol)
+        del calls[start:]
+        return out
+
+    monkeypatch.setattr(linalg, "_max_abs_diff", counted)
+    monkeypatch.setattr(linalg, "_golden_section", uncounted)
+    unitary_distance(u, v)
+    return calls[1:]  # calls[0] is d* at the trace phase
+
+
+def test_round_trips_scan_at_most_two_phases(monkeypatch):
+    # every decompose job compares a round trip; its radius is ~1e-14, so the
+    # scan keeps the trace phase and at most the one grid phase beside it
+    pairs = []
+    for n in (2, 4, 8, 16):
+        u = haar_unitary(n, np.random.default_rng(n))
+        pairs.append((netlist_unitary(reck_decompose(u)), u))
+    models = [ring_model(2, 1.0), rectangle_model(1.0, 1.0)]
+    models += [ring_model(n, 1.0) for n in (4, 8, 16)]
+    pairs += [(netlist_unitary(fourier_circuit(m.group)), qft_matrix(m.group)) for m in models]
+    for u, v in pairs:
+        assert 1 <= len(scanned_phases(u, v, monkeypatch)) <= 2, u.shape
+    # an unrelated pair scans every phase
+    rng = np.random.default_rng(3)
+    assert len(scanned_phases(haar_unitary(4, rng), haar_unitary(4, rng), monkeypatch)) == 1025
 
 
 @pytest.mark.parametrize("n", [16, 64])
