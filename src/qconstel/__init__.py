@@ -13,7 +13,6 @@ from .linalg import (
     eig_hermitian,
     hermiticity_defect,
     unitarity_defect,
-    unitary_distance,
 )
 from .states import density_matrix, source_state
 from .symmetry import AbelianGroup, qft_matrix
@@ -80,5 +79,4 @@ __all__ = [
     "source_state",
     "spectral_qfim",
     "unitarity_defect",
-    "unitary_distance",
 ]

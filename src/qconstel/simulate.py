@@ -15,7 +15,6 @@ from .estimation import (
     outcome_probabilities,
     spectral_qfim,
 )
-from .linalg import _golden_section
 
 GRID_POINTS = 256
 REFINE_TOL = 1e-8
@@ -38,6 +37,28 @@ def _is_integer(x) -> bool:
 
 def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section minimization of ``f`` on [a, b]; the final bracket, of width <= ``tol``.
+
+    Ties keep the left part.
+    """
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1 = f(x1)
+    f2 = f(x2)
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    return a, b
 
 
 def _mle(counts: np.ndarray, grid: np.ndarray, table: np.ndarray, probe) -> float:
@@ -69,7 +90,7 @@ def _mle(counts: np.ndarray, grid: np.ndarray, table: np.ndarray, probe) -> floa
     best = int(np.argmax(ll))  # first maximum = smaller parameter on ties
     a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
     # ties keep the left part, the smaller parameter
-    a, b, _ = _golden_section(minus_log_l, a, b, REFINE_TOL)
+    a, b = _golden_section(minus_log_l, a, b, REFINE_TOL)
     return 0.5 * (a + b)
 
 

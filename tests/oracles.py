@@ -15,9 +15,6 @@ with it is a comparison of two routes:
 - the character table (``characters``) is built from the group's digits in
   one product, where ``qft_matrix`` is a Kronecker product of per-factor DFTs;
 - ``haar_unitary`` samples measurement bases and test unitaries;
-- ``unitary_distance_scan`` is ``unitary_distance`` as it was written before
-  its phase factors were taken in one array call: one ``np.exp`` and one
-  ``np.max`` per scanned phase.  Its results must match bit for bit.
 - ``sample_outcomes`` is the checked multinomial draw that ``crb_study``
   made per trial before it normalized the true distribution once per
   study; the public-route study draws through it, so the study's counts
@@ -39,7 +36,6 @@ import numbers
 import numpy as np
 
 from qconstel.constellation import SymmetryError
-from qconstel.linalg import _golden_section
 from qconstel.simulate import MAX_PHOTONS, _is_integer
 from qconstel.symmetry import AbelianGroup
 
@@ -173,34 +169,6 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
-
-
-def _max_abs_diff(u: np.ndarray, v: np.ndarray, phi: float) -> float:
-    return float(np.max(np.abs(u - np.exp(1j * phi) * v)))
-
-
-def unitary_distance_scan(u: np.ndarray, v: np.ndarray) -> float:
-    """Max-entry distance between two matrices minimized over a global phase.
-
-    Zero (to refinement accuracy ~1e-12) iff ``u == exp(i phi) v`` for some
-    real phi.
-    """
-    # one memory order for both: the phase scan below is elementwise, and an
-    # F-ordered qft_matrix against a C-ordered netlist unitary is ~20 % slower
-    u = np.ascontiguousarray(u, dtype=np.complex128)
-    v = np.ascontiguousarray(v, dtype=np.complex128)
-    if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected equal square shapes, got {u.shape} and {v.shape}")
-
-    grid = np.linspace(0.0, 2.0 * np.pi, 1025)[:-1]
-    tr = np.trace(v.conj().T @ u)
-    if abs(tr) > 0:
-        grid = np.append(grid, np.angle(tr))
-    vals = [_max_abs_diff(u, v, phi) for phi in grid]
-    best = int(np.argmin(vals))
-    lo, hi = grid[best] - 2.0 * np.pi / 1024, grid[best] + 2.0 * np.pi / 1024
-    refined = _golden_section(lambda phi: _max_abs_diff(u, v, phi), lo, hi, 1e-12)[2]
-    return min(vals[best], refined)
 
 
 def sample_outcomes(probabilities, m: int, seed) -> np.ndarray:

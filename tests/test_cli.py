@@ -13,11 +13,18 @@ import pytest
 
 import qconstel
 from qconstel import cli
-from qconstel.circuit import fourier_circuit, from_text, netlist_unitary, to_text
+from qconstel.circuit import (
+    Beamsplitter,
+    InterferometerNetlist,
+    fourier_circuit,
+    from_text,
+    netlist_unitary,
+    to_text,
+)
 from qconstel.cli import SETTINGS, build_parser, config_hash, main, read_inputs, resolve_config
 from qconstel.estimation import ring_model
-from qconstel.linalg import unitary_distance
 from qconstel.simulate import BlockResult, StudyReport
+from qconstel.symmetry import AbelianGroup, qft_matrix
 
 from oracles import haar_unitary
 
@@ -348,7 +355,7 @@ def test_decompose_roundtrip_through_file(tmp_path, capsys):
     assert code == 0
     assert "round-trip residual" in out
     parsed = from_text(netfile.read_text(), n_modes=4)
-    assert unitary_distance(netlist_unitary(parsed), u) <= 1e-9
+    assert np.abs(netlist_unitary(parsed) - u).max() <= 1e-9
 
 
 @pytest.mark.parametrize("entry", [[1.0, 0.0]])
@@ -441,6 +448,20 @@ def test_decompose_preset_json(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["residual"] <= 1e-9
     assert doc["netlist"]["modes"] == 4
+    # the residual is max |U - T| with no global-phase freedom, bit for bit; for
+    # the Reck round trip of u it reads 2.0e-16, and 1.6e-16 at the best global phase
+    u = haar_unitary(4, np.random.default_rng(6))
+    ufile = tmp_path / "u.json"
+    ufile.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in u]))
+    for argv, target in ((["--kind", "ring", "--n", "4"], qft_matrix(AbelianGroup((4,)))),
+                         (["--unitary", str(ufile)], u)):
+        assert run(capsys, ["decompose", *argv, "--out", str(out_path), "--format", "json"])[0] == 0
+        doc = json.loads(out_path.read_text())
+        net = doc["netlist"]
+        parsed = InterferometerNetlist(net["modes"], tuple(
+            Beamsplitter(e["i"], e["j"], e["mixing"], e["phase"]) for e in net["elements"]),
+            tuple(net["output_phases"]))
+        assert doc["residual"] == np.abs(netlist_unitary(parsed) - target).max()
 
 
 @pytest.mark.parametrize("argv, fmt", [

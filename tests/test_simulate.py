@@ -14,6 +14,7 @@ from qconstel.simulate import (
     EstimationError,
     StudyConfig,
     StudyError,
+    _golden_section,
     crb_study,
     trial_seed,
 )
@@ -401,3 +402,10 @@ def test_crb_study_hot_path_builds_no_density_matrix(monkeypatch):
     qfim(ring_model(8, 1.0), [0.3])
     assert calls["make_ring"] == 2  # the family's points and psf comb
     assert calls["density_matrix"] > 0 and calls["eig_hermitian"] > 0
+
+
+def test_golden_section_keeps_left_part_on_ties():
+    a, b = _golden_section(lambda x: 0.0, 0.0, 1.0, 1e-6)
+    assert a == 0.0 and 0.0 < b <= 1e-6
+    a, b = _golden_section(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-9)
+    assert a <= 0.3 <= b and b - a <= 1e-9

@@ -18,9 +18,14 @@ def trajectory():
     return module
 
 
-def bench_file(directory, sha, workload, medians):
-    """An ``ab_pairs --out`` file whose summary holds the given change-side medians."""
-    metrics = {name: {"parent": {"q1": 1.0, "median": 1.0, "q3": 1.0},
+def bench_file(directory, sha, workload, medians, parents=None):
+    """An ``ab_pairs --out`` file whose summary holds the given change-side medians.
+
+    ``parents`` maps a metric to its parent-side median, 1.0 where it is absent.
+    """
+    parents = parents or {}
+    metrics = {name: {"parent": {"q1": parents.get(name, 1.0), "median": parents.get(name, 1.0),
+                                 "q3": parents.get(name, 1.0)},
                       "change": {"q1": v, "median": v, "q3": v}, "verdict": "ok"}
                for name, v in medians.items()}
     path = directory / f"BENCH_{sha}_{workload}.json"
@@ -30,25 +35,40 @@ def bench_file(directory, sha, workload, medians):
 
 
 def test_change_side_medians_per_workload_in_file_order(trajectory, tmp_path):
-    old = bench_file(tmp_path, "71ce9d9", "circuit", {"jobs_per_s": 219.5, "peak_rss_mb": 48.25})
-    new = bench_file(tmp_path, "0abc123", "circuit", {"jobs_per_s": 401.0, "setup_s": 0.125})
-    crb = bench_file(tmp_path, "0abc123", "crb", {"jobs_per_s": 122.0})
-    traj = trajectory.trajectory([old, crb, new])
+    old = bench_file(tmp_path, "71ce9d9", "circuit", {"jobs_per_s": 219.5, "peak_rss_mb": 48.25},
+                     {"jobs_per_s": 175.6, "peak_rss_mb": 50.0})
+    new = bench_file(tmp_path, "0abc123", "circuit", {"jobs_per_s": 401.0, "setup_s": 0.125},
+                     {"jobs_per_s": 320.8, "setup_s": 0.1})
+    mid = bench_file(tmp_path, "5d6e7f8", "circuit", {"jobs_per_s": 300.0, "setup_s": 0.11},
+                     {"jobs_per_s": 375.0, "setup_s": 0.1})
+    crb = bench_file(tmp_path, "0abc123", "crb", {"jobs_per_s": 122.0}, {"jobs_per_s": 122.0})
+    traj = trajectory.trajectory([old, crb, mid, new])
     assert traj == {
-        "circuit": {"labels": ["71ce9d9", "0abc123"],
-                    "metrics": {"jobs_per_s": [219.5, 401.0], "peak_rss_mb": [48.25, None],
-                                "setup_s": [None, 0.125]}},
-        "crb": {"labels": ["0abc123"], "metrics": {"jobs_per_s": [122.0]}},
+        "circuit": {"labels": ["71ce9d9", "5d6e7f8", "0abc123"],
+                    "metrics": {"jobs_per_s": [(219.5, 175.6), (300.0, 375.0), (401.0, 320.8)],
+                                "peak_rss_mb": [(48.25, 50.0), None, None],
+                                "setup_s": [None, (0.11, 0.1), (0.125, 0.1)]}},
+        "crb": {"labels": ["0abc123"], "metrics": {"jobs_per_s": [(122.0, 122.0)]}},
     }
+    # the ratio is change/parent of one file's medians; a file that lacks the
+    # metric shows "-" and keeps the running product
     assert trajectory.report(traj) == [
-        "circuit: change-side medians, oldest first",
-        "  metric            71ce9d9    0abc123",
-        "  jobs_per_s          219.5        401",
-        "  peak_rss_mb         48.25          -",
-        "  setup_s                 -      0.125",
-        "crb: change-side medians, oldest first",
-        "  metric            0abc123",
-        "  jobs_per_s            122",
+        "circuit: change-side median, change/parent and its running product, oldest first",
+        "  metric              71ce9d9    5d6e7f8    0abc123",
+        "  jobs_per_s            219.5        300        401",
+        "    change/parent        1.25        0.8       1.25",
+        "    product              1.25          1       1.25",
+        "  peak_rss_mb           48.25          -          -",
+        "    change/parent       0.965          -          -",
+        "    product             0.965          -          -",
+        "  setup_s                   -       0.11      0.125",
+        "    change/parent           -        1.1       1.25",
+        "    product                 -        1.1      1.375",
+        "crb: change-side median, change/parent and its running product, oldest first",
+        "  metric              0abc123",
+        "  jobs_per_s              122",
+        "    change/parent           1",
+        "    product                 1",
     ]
 
 

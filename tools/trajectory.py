@@ -1,4 +1,4 @@
-"""Print the benchmark trajectory: per workload and metric, the change side's median in each BENCH file.
+"""Print the benchmark trajectory: per workload and metric, each BENCH file's medians and ratio.
 
 Usage, from the repository root::
 
@@ -7,9 +7,15 @@ Usage, from the repository root::
 Each change that runs ``tools/ab_pairs.py`` commits its ``--out`` file as
 ``bench/BENCH_<parent short sha>_<workload>.json``.  This tool reads the
 committed files in the order of the commits that added them (files not yet
-committed follow, by name), and prints one table per workload: a row per
-end-to-end metric, a column per file, labelled by its parent's short sha,
-holding the change side's median.  A file that lacks a metric shows "-".
+committed follow, by name), and prints one table per workload: a column per
+file, labelled by its parent's short sha, and three rows per end-to-end
+metric.  The first holds the change side's median; the second the ratio
+change/parent of the file's medians; the third the running product of those
+ratios along the file order.  The same code can read different medians in
+two sessions on a shared host, but each ratio compares two sides run in
+alternating pairs in one session, so the product follows the code and not
+the session.  A file that lacks a metric shows "-", and leaves the product
+as it was.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ def label(path: Path) -> str:
 
 
 def trajectory(files: list[Path]) -> dict[str, dict]:
-    """Per workload: its files' labels and, per metric, each file's change-side median."""
+    """Per workload: its files' labels and, per metric, each file's (change, parent) medians."""
     out: dict[str, dict] = {}
     for path in files:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -59,18 +65,30 @@ def trajectory(files: list[Path]) -> dict[str, dict]:
         w["labels"].append(label(path))
         for name, series in w["metrics"].items():
             m = doc["summary"]["metrics"].get(name)
-            series.append(None if m is None else m["change"]["median"])
+            series.append(None if m is None else (m["change"]["median"], m["parent"]["median"]))
     return out
+
+
+def _row(name: str, values) -> str:
+    return f"  {name:16s}" + "".join(
+        f" {'-' if v is None else format(v, '.4g'):>10s}" for v in values)
 
 
 def report(traj: dict[str, dict]) -> list[str]:
     lines = []
     for workload, w in traj.items():
-        lines.append(f"{workload}: change-side medians, oldest first")
-        lines.append(f"  {'metric':14s}" + "".join(f" {lab:>10s}" for lab in w["labels"]))
+        lines.append(f"{workload}: change-side median, change/parent and its running product, "
+                     "oldest first")
+        lines.append(f"  {'metric':16s}" + "".join(f" {lab:>10s}" for lab in w["labels"]))
         for name, series in w["metrics"].items():
-            lines.append(f"  {name:14s}" + "".join(
-                f" {'-' if v is None else format(v, '.4g'):>10s}" for v in series))
+            ratios = [None if m is None or m[1] == 0 else m[0] / m[1] for m in series]
+            products, product = [], 1.0
+            for r in ratios:
+                product = product if r is None else product * r
+                products.append(None if r is None else product)
+            lines.append(_row(name, [None if m is None else m[0] for m in series]))
+            lines.append(_row("  change/parent", ratios))
+            lines.append(_row("  product", products))
     return lines
 
 
