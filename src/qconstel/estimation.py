@@ -59,10 +59,13 @@ class ModelFamily:
     n_params) array, and ``box``, a default estimator interval (lo, hi) per
     parameter.  The rest derives from the first four fields: ``dim``,
     ``qft_basis``, the oracle ``rho(v)``, the density matrix of the sources
-    at v, and the orbit-phase tensor ``phases`` D[g, j, mu].  The phase that
-    source g picks up on psf momentum p_j, p_j . t_g(v), is linear in v:
-    phi_gj(v) = sum_mu D[g, j, mu] v_mu.  By the symmetry below, the state
-    exp(-i phi_0(v)) / sqrt(N) of source 0 fixes every eigenvalue of rho.
+    at v, the orbit-phase tensor ``phases`` D[g, j, mu], and the two
+    constants of every ``_amplitudes`` and ``orbit_states`` call, built once
+    per model: ``_qft_transpose``, Q^T = ``qft_basis.conj()`` (read-only), and
+    ``_sqrt_dim``, sqrt(N).  The phase that source g picks up on psf momentum
+    p_j, p_j . t_g(v), is linear in v: phi_gj(v) = sum_mu D[g, j, mu] v_mu.
+    By the symmetry below, the state exp(-i phi_0(v)) / sqrt(N) of source 0
+    fixes every eigenvalue of rho.
 
     Construction checks the fields once: one or two parameters, finite and
     distinct points and momenta (ValueError names which), and the condition
@@ -117,6 +120,18 @@ class ModelFamily:
         basis = qft_matrix(self.group).conj().T
         basis.flags.writeable = False
         return basis
+
+    @cached_property
+    def _qft_transpose(self) -> np.ndarray:
+        """Q^T = ``qft_basis.conj()``, the factor of every ``_amplitudes`` product; read-only."""
+        qt = self.qft_basis.conj()
+        qt.flags.writeable = False
+        return qt
+
+    @cached_property
+    def _sqrt_dim(self) -> np.float64:
+        """sqrt(N), the norm factor of every source state."""
+        return np.sqrt(self.dim)
 
     @cached_property
     def phases(self) -> np.ndarray:
@@ -293,15 +308,16 @@ def _amplitudes(model: ModelFamily, block: np.ndarray,
     Q sends the constant part of psi_0 = (1 + expm1(-i phi_0)) / sqrt(N) to
     e_0 exactly, so no rounding floor lies under small amplitudes.  With
     ``derivatives`` it returns ``(a, da)`` with da[x, mu] = Q (-i D[0, :, mu]
-    psi_0), shape (K, n_params, N).  A block repeats its rows' bits.
+    psi_0), shape (K, n_params, N).  A block repeats its rows' bits.  Q^T and
+    sqrt(N) are the model's, computed once per model, not per call.
     """
-    qt = model.qft_basis.conj()  # Q^T, as Q is symmetric
-    e = np.expm1(-1j * (model.phases[0] * block[:, None, :]).sum(axis=-1)) / np.sqrt(model.dim)
+    qt, sqrt_dim = model._qft_transpose, model._sqrt_dim  # Q^T, as Q is symmetric
+    e = np.expm1(-1j * (model.phases[0] * block[:, None, :]).sum(axis=-1)) / sqrt_dim
     a = e[:, None, :] @ qt  # one (1, N) product per row
     a[:, 0, 0] += 1.0
     if not derivatives:
         return a
-    return a, (-1j * model.phases[0].T * (e + 1.0 / np.sqrt(model.dim))[:, None, :]) @ qt
+    return a, (-1j * model.phases[0].T * (e + 1.0 / sqrt_dim)[:, None, :]) @ qt
 
 
 def _probabilities(model: ModelFamily, block: np.ndarray,
@@ -381,5 +397,5 @@ def orbit_states(model: ModelFamily, values) -> np.ndarray:
     straight from the phase tensor, apart from the Fourier route.
     """
     (vals,) = model.check_block(values)
-    return np.exp(-1j * (model.phases * vals).sum(axis=-1)) / np.sqrt(model.dim)
+    return np.exp(-1j * (model.phases * vals).sum(axis=-1)) / model._sqrt_dim
 

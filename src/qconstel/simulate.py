@@ -68,7 +68,10 @@ def _mle(counts: np.ndarray, grid: np.ndarray, table: np.ndarray, probe) -> floa
     ``table``, locates the coarse optimum (ties resolved toward the smaller
     parameter); golden-section refinement of -log L between its neighbours,
     with ``probe(x)`` the probabilities at x, narrows it to ``REFINE_TOL``.
-    The observed outcomes are found once, for the scan and every probe.
+    The observed outcomes and their counts are found once per trial, for the
+    scan and every probe.  Each probe's -log L reduces with the ndarray
+    methods ``any`` and ``sum``, the same ufunc reductions as ``np.any`` and
+    ``np.sum`` without their Python dispatch.
     """
     observed = counts > 0
     n = counts[observed].astype(float)
@@ -85,7 +88,7 @@ def _mle(counts: np.ndarray, grid: np.ndarray, table: np.ndarray, probe) -> floa
 
     def minus_log_l(x):
         q = probe(x)[observed]
-        return np.inf if np.any(q <= 0.0) else -float(np.sum(n * np.log(q)))
+        return np.inf if (q <= 0.0).any() else -float((n * np.log(q)).sum())
 
     best = int(np.argmax(ll))  # first maximum = smaller parameter on ties
     a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
@@ -217,7 +220,8 @@ def crb_study(cfg: StudyConfig) -> StudyReport:
     bounds, so no trial checks them again, and the golden-section probes,
     which all lie inside the bounds, call the unchecked kernel
     ``estimation._probabilities`` with the basis's transfer matrix,
-    computed once per study.
+    computed once per study, and with the model's Q^T and sqrt(N), computed
+    once per model.
     """
     model = cfg.model
     fisher = float(spectral_qfim(model, [cfg.truth])[0, 0])

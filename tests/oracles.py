@@ -19,6 +19,12 @@ with it is a comparison of two routes:
   made per trial before it normalized the true distribution once per
   study; the public-route study draws through it, so the study's counts
   are compared with the old arithmetic.
+- ``scalar_mle`` and ``golden_section`` are ``simulate._mle`` and
+  ``_golden_section`` as they were before ``ModelFamily`` cached the
+  amplitude constants and the probe's log-likelihood dropped numpy's
+  reduction wrappers (``np.any``, ``np.sum``) for the ndarray methods; the
+  public-route study estimates through them, so a change inside the
+  library's estimator cannot move both sides of its bit-identity test.
 - ``DomainCheck`` holds ``ModelFamily.check_values`` and ``check_block`` as
   they were written before ``check_block(values, closed)`` became the one
   domain check: a per-parameter loop over ``bounds``, which the block check
@@ -36,7 +42,7 @@ import numbers
 import numpy as np
 
 from qconstel.constellation import SymmetryError
-from qconstel.simulate import MAX_PHOTONS, _is_integer
+from qconstel.simulate import FLAT_RTOL, MAX_PHOTONS, REFINE_TOL, EstimationError, _is_integer
 from qconstel.symmetry import AbelianGroup
 
 POINT_MATCH_ATOL = 1e-9
@@ -196,6 +202,61 @@ def sample_outcomes(probabilities, m: int, seed) -> np.ndarray:
     p = p / p.sum()
     rng = np.random.default_rng(seed)
     return rng.multinomial(m, p)
+
+
+def golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section minimization of ``f`` on [a, b]; the final bracket, of width <= ``tol``.
+
+    Ties keep the left part.
+    """
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1 = f(x1)
+    f2 = f(x2)
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    return a, b
+
+
+def scalar_mle(counts: np.ndarray, grid: np.ndarray, table: np.ndarray, probe) -> float:
+    """Maximum-likelihood estimate of the scalar parameter from one trial's counts.
+
+    A scan of ``grid``, whose outcome probabilities are the rows of
+    ``table``, locates the coarse optimum (ties resolved toward the smaller
+    parameter); golden-section refinement of -log L between its neighbours,
+    with ``probe(x)`` the probabilities at x, narrows it to ``REFINE_TOL``.
+    The observed outcomes are found once, for the scan and every probe.
+    """
+    observed = counts > 0
+    n = counts[observed].astype(float)
+    q = table[:, observed]
+    ll = np.full(len(grid), -np.inf)
+    ok = np.all(q > 0.0, axis=1)
+    ll[ok] = np.log(q[ok]) @ n
+    finite = np.isfinite(ll)
+    if not np.any(finite):
+        raise EstimationError("likelihood is zero everywhere on the search grid")
+    spread = np.max(ll[finite]) - np.min(ll[finite])
+    if np.all(finite) and spread <= FLAT_RTOL * max(1.0, abs(np.max(ll))):
+        raise EstimationError("flat likelihood: outcomes carry no parameter information")
+
+    def minus_log_l(x):
+        q = probe(x)[observed]
+        return np.inf if np.any(q <= 0.0) else -float(np.sum(n * np.log(q)))
+
+    best = int(np.argmax(ll))  # first maximum = smaller parameter on ties
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    # ties keep the left part, the smaller parameter
+    a, b = golden_section(minus_log_l, a, b, REFINE_TOL)
+    return 0.5 * (a + b)
 
 
 class DomainCheck:

@@ -92,7 +92,8 @@ def test_median_job_count_beside_peak_rss(ab_pairs):
     assert lines[2].split()[0] == "peak_rss_mb"
     assert lines[2].endswith("ok  (median jobs: parent 2120, change 3170; fit: "
                              f"{s['rss_fit']['kb_per_job']:+.3g} KB/job, change "
-                             f"{s['rss_fit']['change_mb']:+.3g} MB)")
+                             f"{s['rss_fit']['change_mb']:+.3g} MB, records reach the bound "
+                             f"at jobs x{s['rss_fit']['headroom']:.3g})")
     assert "median jobs" not in lines[1]
     even = ab_pairs.summarise(pairs([(70.0, 44.0)] * 2, [(70.0, 44.0)] * 2), SPEC)
     assert even["median_attempted"] == {"parent": 100, "change": 100}
@@ -105,14 +106,40 @@ def test_rss_fit_separates_job_count_from_the_change(ab_pairs):
              for side, jobs in (("parent", 3600 + 40 * i), ("change", 6400 + 90 * (i % 3)))}
             for i in range(8)]
     s = ab_pairs.summarise(runs, SPEC)
-    assert s["rss_fit"] == pytest.approx({"kb_per_job": 0.78, "change_mb": c})
-    assert ab_pairs.report(s)[2].endswith("fit: +0.78 KB/job, change +0.05 MB)")
+    # parent medians: 3740 jobs and a + b * 3740 MB
+    headroom = 1.0 + 0.05 * (a + b * 3740) / (b * 3740)
+    assert s["rss_fit"] == pytest.approx({"kb_per_job": 0.78, "change_mb": c,
+                                          "headroom": headroom})
+    assert ab_pairs.report(s)[2].endswith(
+        f"fit: +0.78 KB/job, change +0.05 MB, records reach the bound at jobs x{headroom:.3g})")
     # more jobs alone: the change pays nothing at an equal job count
     runs = [{side: result(100.0, a + b * jobs, attempted=jobs)
              for side, jobs in (("parent", 3600 + 40 * i), ("change", 6400 - 40 * i))}
             for i in range(5)]
     fit = ab_pairs.summarise(runs, SPEC)["rss_fit"]
     assert fit["kb_per_job"] == pytest.approx(0.78) and fit["change_mb"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_rss_headroom_is_the_job_ratio_at_which_records_reach_the_bound(ab_pairs):
+    # 1.35 KB per job at the parent's 4,830 jobs and 48.63 MB: the change may run
+    # x1.38 the parent's jobs before its records alone cost the 5 % bound
+    b, jobs, rss = 1.35 / 1024, 4830, 48.63
+    runs = [{"parent": result(100.0, rss + b * 10 * k, attempted=jobs + 10 * k),
+             "change": result(130.0, rss + b * (1800 + 20 * (k % 3)) + 0.03,
+                              attempted=jobs + 1800 + 20 * (k % 3))} for k in range(-2, 3)]
+    s = ab_pairs.summarise(runs, SPEC)
+    fit = s["rss_fit"]
+    assert fit["kb_per_job"] == pytest.approx(1.35) and fit["change_mb"] == pytest.approx(0.03)
+    assert fit["headroom"] == pytest.approx(1.0 + 0.05 * rss / (b * jobs))
+    assert round(fit["headroom"], 2) == 1.38
+    assert ab_pairs.report(s)[2].endswith("records reach the bound at jobs x1.38)")
+    # memory that falls as the job count grows leaves no bound for records to reach
+    runs = [{side: result(100.0, rss - 1e-4 * (j - jobs), attempted=j)
+             for side, j in (("parent", jobs + 10 * k), ("change", jobs + 900 + 30 * k))}
+            for k in range(4)]
+    s = ab_pairs.summarise(runs, SPEC)
+    assert s["rss_fit"]["headroom"] is None
+    assert ab_pairs.report(s)[2].endswith("records reach the bound at jobs xn/a)")
 
 
 def test_rss_fit_is_not_available_when_rank_deficient(ab_pairs):

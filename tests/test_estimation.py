@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import re
 import sys
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from qconstel.constellation import make_rectangle, make_ring
 from qconstel.estimation import (
     ModelFamily,
+    _amplitudes,
     check_basis,
     classical_fi,
     drho,
@@ -390,6 +392,35 @@ def test_model_validation():
         ModelFamily(("r",), model.group, model.points, model.momenta, qft_basis=np.eye(2))
     for m in (model, rectangle_model(1.0, 0.5), ring_model(5, 1.0)):
         assert np.array_equal(m.qft_basis, qft_matrix(m.group).conj().T)
+
+
+SHIPPED_FAMILIES = {"pair": lambda: ring_model(2, 1.0),
+                    **{f"ring{n}": functools.partial(ring_model, n, 1.0) for n in range(3, 9)},
+                    "rect": lambda: rectangle_model(1.0, 0.5)}
+
+
+@pytest.mark.parametrize("family", sorted(SHIPPED_FAMILIES))
+def test_amplitude_constants_are_derived_once_and_read_only(family):
+    model = SHIPPED_FAMILIES[family]()
+    qt, sqrt_dim = model._qft_transpose, model._sqrt_dim
+    assert qt.tobytes() == model.qft_basis.conj().tobytes()  # bit for bit, signed zeros too
+    assert type(sqrt_dim) is np.float64 and sqrt_dim.tobytes() == np.sqrt(model.dim).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        qt[0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model._sqrt_dim = 1.0  # a scalar is immutable, and the frozen model keeps it bound
+    assert model._qft_transpose is qt and model._sqrt_dim is sqrt_dim
+    # the amplitudes and orbit states repeat the bits of the per-call constants
+    block = np.full((3, model.n_params), 0.4) * [[1.0], [0.5], [1e-9]]
+    e = np.expm1(-1j * (model.phases[0] * block[:, None, :]).sum(axis=-1)) / np.sqrt(model.dim)
+    fresh = model.qft_basis.conj()
+    a = e[:, None, :] @ fresh
+    a[:, 0, 0] += 1.0
+    da = (-1j * model.phases[0].T * (e + 1.0 / np.sqrt(model.dim))[:, None, :]) @ fresh
+    got = _amplitudes(model, block, derivatives=True)
+    assert got[0].tobytes() == a.tobytes() and got[1].tobytes() == da.tobytes()
+    assert orbit_states(model, block[0]).tobytes() == (
+        np.exp(-1j * (model.phases * block[0]).sum(axis=-1)) / np.sqrt(model.dim)).tobytes()
 
 
 # ---------------------------------------------------------------- orbit-phase route vs rho route

@@ -19,7 +19,7 @@ from qconstel.simulate import (
     trial_seed,
 )
 
-from oracles import haar_unitary, sample_outcomes
+from oracles import haar_unitary, sample_outcomes, scalar_mle
 
 
 def test_sample_degenerate_distribution():
@@ -308,7 +308,8 @@ def study_basis(model, name):
 def public_route_study(cfg, basis):
     """crb_study's arithmetic, driven through the public, checked outcome_probabilities.
 
-    ``basis`` is the caller's array, not the config's checked copy.  Returns
+    ``basis`` is the caller's array, not the config's checked copy, and the
+    estimator is the oracle ``scalar_mle``, not ``simulate._mle``.  Returns
     the QFI and per block the estimates and the estimator failure messages.
     """
     model = cfg.model
@@ -325,7 +326,7 @@ def public_route_study(cfg, basis):
         for t in range(cfg.trials):
             counts = sample_outcomes(p_true, m, trial_seed(cfg.seed, b, t))
             try:
-                estimates.append(simulate._mle(counts, grid, grid_probs, prob_fn))
+                estimates.append(scalar_mle(counts, grid, grid_probs, prob_fn))
             except EstimationError as exc:
                 failures.append(str(exc))
         blocks.append((m, np.asarray(estimates), failures))

@@ -34,9 +34,13 @@ program runs more jobs and reads as using more memory.  So it also fits
 ``peak_rss_mb = a + b * attempted + c * [change side]`` over all runs by
 least squares, and prints b in KB per job and c, the change's memory at an
 equal job count, in MB ("n/a" when the fit is rank-deficient, as when each
-side runs one job count).  It also prints each side's share of failed
-jobs.  It exits 1 if a run fails, if a metric reads ``WORSE``, or if the
-change fails a larger share of jobs than the parent, and 2 if the
+side runs one job count).  Beside the fit it prints the headroom
+1 + bound * R / (b * J), with R the parent's median ``peak_rss_mb``, J its
+median job count and b in MB per job: the ratio of job counts, change over
+parent, at which the job records alone reach the metric's bound ("n/a" when
+b <= 0, as then the records do not grow).  It also prints each side's share
+of failed jobs.  It exits 1 if a run fails, if a metric reads ``WORSE``, or
+if the change fails a larger share of jobs than the parent, and 2 if the
 benchmarks differ.
 """
 
@@ -86,11 +90,12 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def rss_fit(pairs: list[dict]) -> dict | None:
+def rss_fit(pairs: list[dict], bound: float) -> dict | None:
     """Least-squares ``peak_rss_mb = a + b * attempted + c * [change side]`` over all runs.
 
-    Returns b in KB per job and c in MB, or None when the fit is
-    rank-deficient.
+    Returns b in KB per job, c in MB and the ``headroom`` 1 + bound * R /
+    (b * J) of the module docstring (None when b <= 0), or None when the
+    fit is rank-deficient.
     """
     runs = [(p[side]["attempted"], side == "change", p[side]["metrics"]["peak_rss_mb"]["value"])
             for p in pairs for side in SIDES]
@@ -98,7 +103,10 @@ def rss_fit(pairs: list[dict]) -> dict | None:
     (_, b, c), _, rank, _ = np.linalg.lstsq(x, np.array([r[2] for r in runs]), rcond=None)
     if rank < 3:
         return None
-    return {"kb_per_job": float(b) * 1024.0, "change_mb": float(c)}
+    parent = [(jobs, rss) for jobs, change, rss in runs if not change]
+    jobs, rss = (statistics.median(v) for v in zip(*parent))
+    return {"kb_per_job": float(b) * 1024.0, "change_mb": float(c),
+            "headroom": float(1.0 + bound * rss / (b * jobs)) if b > 0 else None}
 
 
 def summarise(pairs: list[dict], spec: dict) -> dict:
@@ -112,8 +120,9 @@ def summarise(pairs: list[dict], spec: dict) -> dict:
     share of failed jobs and median job count, and ``rss_fit``.
     """
     n = len(pairs)
+    rss_bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "peak_rss_mb")
     summary = {"pairs": n, "metrics": {}, "failed_share": {}, "median_attempted": {},
-               "rss_fit": rss_fit(pairs)}
+               "rss_fit": rss_fit(pairs, rss_bound)}
     for side in SIDES:
         attempted = [p[side]["attempted"] for p in pairs]
         summary["failed_share"][side] = sum(p[side]["failed"] for p in pairs) / sum(attempted)
@@ -156,7 +165,9 @@ def report(summary: dict) -> list[str]:
             jobs = summary["median_attempted"]
             fit = summary["rss_fit"]
             fit = ("n/a" if fit is None else
-                   f"{fit['kb_per_job']:+.3g} KB/job, change {fit['change_mb']:+.3g} MB")
+                   f"{fit['kb_per_job']:+.3g} KB/job, change {fit['change_mb']:+.3g} MB, "
+                   "records reach the bound at jobs x"
+                   + ("n/a" if fit["headroom"] is None else f"{fit['headroom']:.3g}"))
             line += (f"  (median jobs: parent {jobs['parent']:g}, change {jobs['change']:g};"
                      f" fit: {fit})")
         lines.append(line)
