@@ -11,9 +11,9 @@ same quantities, and each checks the other:
   enters through the fixed transfer matrix W = |Q B|^2: its outcome
   probabilities are q = lambda W, and in ``qft_basis`` q = lambda (CLI
   ``eigen``, eigenvalue sweeps) and ``spectral_qfim`` is ``classical_fi``.
-  One kernel, ``_probabilities``, serves ``outcome_probabilities``,
-  ``classical_fi`` and ``simulate.crb_study`` in every basis; it builds no
-  point set or density matrix and calls no eigensolver.
+  One kernel, ``_probabilities``, serves ``outcome_probabilities`` and
+  ``simulate.crb_study`` in every basis; ``classical_fi`` forms q and d q
+  from ``_amplitudes`` itself.  None builds a density matrix or eigensolves.
 - The numeric pipeline (``ModelFamily.rho`` -> ``drho`` -> ``sld`` ->
   ``qfim``: the density matrix of the sources ``points * v``, its
   finite-difference derivative, the SLD and the QFIM) runs general machinery
@@ -59,13 +59,13 @@ class ModelFamily:
     n_params) array, and ``box``, a default estimator interval (lo, hi) per
     parameter.  The rest derives from the first four fields: ``dim``,
     ``qft_basis``, the oracle ``rho(v)``, the density matrix of the sources
-    at v, the orbit-phase tensor ``phases`` D[g, j, mu], and the two
-    constants of every ``_amplitudes`` and ``orbit_states`` call, built once
-    per model: ``_qft_transpose``, Q^T = ``qft_basis.conj()`` (read-only), and
-    ``_sqrt_dim``, sqrt(N).  The phase that source g picks up on psf momentum
-    p_j, p_j . t_g(v), is linear in v: phi_gj(v) = sum_mu D[g, j, mu] v_mu.
-    By the symmetry below, the state exp(-i phi_0(v)) / sqrt(N) of source 0
-    fixes every eigenvalue of rho.
+    at v, the orbit-phase tensor ``phases`` D[g, j, mu], and two constants
+    built once per model: ``_qft_transpose``, Q^T = ``qft_basis.conj()``
+    (read-only), of every ``_amplitudes`` and ``_transfer`` product, and
+    ``_sqrt_dim``, sqrt(N), of every source state.  The phase that source g
+    picks up on psf momentum p_j, p_j . t_g(v), is linear in v: phi_gj(v) =
+    sum_mu D[g, j, mu] v_mu.  By the symmetry below, the state exp(-i
+    phi_0(v)) / sqrt(N) of source 0 fixes every eigenvalue of rho.
 
     Construction checks the fields once: one or two parameters, finite and
     distinct points and momenta (ValueError names which), and the condition
@@ -123,7 +123,7 @@ class ModelFamily:
 
     @cached_property
     def _qft_transpose(self) -> np.ndarray:
-        """Q^T = ``qft_basis.conj()``, the factor of every ``_amplitudes`` product; read-only."""
+        """Q^T = ``qft_basis.conj()``, of every ``_amplitudes`` and ``_transfer`` product; read-only."""
         qt = self.qft_basis.conj()
         qt.flags.writeable = False
         return qt
@@ -231,12 +231,12 @@ def ring_model(
                        np.array([[qfi]]), ((BOX_MARGIN, hi - BOX_MARGIN),))
 
 
-def drho(model: ModelFamily, values, mu: int, h: float | None = None) -> np.ndarray:
-    """Central-difference derivative of rho with respect to parameter mu."""
+def drho(model: ModelFamily, values, mu: int) -> np.ndarray:
+    """Central-difference derivative of rho in parameter mu, step 1e-6 max(1, |v_mu|)."""
     (vals,) = model.check_block(values, closed=False)
     if not 0 <= mu < model.n_params:
         raise ValueError(f"parameter index {mu} out of range")
-    step = h if h is not None else 1e-6 * max(1.0, abs(vals[mu]))
+    step = 1e-6 * max(1.0, abs(vals[mu]))
     if not (0.0 < vals[mu] - step and vals[mu] + step < np.inf):
         raise ValueError(f"parameter {model.names[mu]}={vals[mu]} too close to the domain "
                          f"boundary for step {step}")
@@ -264,11 +264,11 @@ def sld(rho: np.ndarray, drho_mu: np.ndarray) -> np.ndarray:
     return v @ coeff @ v.conj().T
 
 
-def qfim(model: ModelFamily, values, h: float | None = None) -> np.ndarray:
-    """Quantum Fisher information matrix F_mn = Re tr(L_m L_n rho)."""
+def qfim(model: ModelFamily, values) -> np.ndarray:
+    """Quantum Fisher information matrix F_mn = Re tr(L_m L_n rho), from ``drho``'s step."""
     (vals,) = model.check_block(values, closed=False)
     rho = model.rho(vals)
-    slds = [sld(rho, drho(model, vals, mu, h)) for mu in range(model.n_params)]
+    slds = [sld(rho, drho(model, vals, mu)) for mu in range(model.n_params)]
     k = model.n_params
     f = np.empty((k, k))
     for a in range(k):
@@ -293,11 +293,11 @@ def _transfer(model: ModelFamily, basis: np.ndarray) -> np.ndarray | None:
     """W[l, k] = |(Q B)[l, k]|^2 of a checked basis B; None if B equals ``qft_basis``.
 
     There W is the identity up to a rounding that would swamp small
-    eigenvalues.
+    eigenvalues.  Q is the view ``model._qft_transpose.T``; no call copies it.
     """
     if np.array_equal(basis, model.qft_basis):
         return None
-    t = model.qft_basis.conj().T @ basis
+    t = model._qft_transpose.T @ basis
     return (t * t.conj()).real
 
 

@@ -101,16 +101,16 @@ def _mle(counts: np.ndarray, grid: np.ndarray, table: np.ndarray, probe) -> floa
 class StudyConfig:
     """Inputs of one Cramer-Rao attainment study (single scalar parameter).
 
-    Construction validates every input once; ``crb_study`` and its
-    estimator check nothing again.  ``photon_counts`` (at least one, each in
-    [1, ``MAX_PHOTONS``]), ``trials``, ``seed`` and ``grid_points`` are
-    integers, ``truth`` and both ``bounds`` real numbers (bool excluded);
-    the bounds lie inside the open domain of the parameter, and the truth
-    between them; ``basis`` is a square unitary of the model's dimension
-    within ``linalg.UNITARY_ATOL`` (``estimation.check_basis``), so that its
-    outcome probabilities are non-negative and sum to 1 within N times that
-    bound for N modes.  The basis is stored as a read-only complex128 copy,
-    so that a later write to the caller's array cannot reach the study.
+    Construction validates every input once; ``crb_study`` checks the basis
+    twice more per study, and no trial checks again.  ``photon_counts`` (at
+    least one, each in [1, ``MAX_PHOTONS``]), ``trials``, ``seed`` and
+    ``grid_points`` are integers, ``truth`` and both ``bounds`` real numbers
+    (bool excluded); the bounds lie inside the open domain of the parameter,
+    and the truth between them; ``basis`` is a square unitary of the model's
+    dimension within ``linalg.UNITARY_ATOL`` (``estimation.check_basis``), so
+    that its outcome probabilities are non-negative and sum to 1 within N
+    times that bound for N modes.  The basis is stored as a read-only
+    complex128 copy, out of reach of later writes to the caller's array.
     Configs compare by identity, as the basis array has no truth value.
     """
 

@@ -25,6 +25,9 @@ with it is a comparison of two routes:
   reduction wrappers (``np.any``, ``np.sum``) for the ndarray methods; the
   public-route study estimates through them, so a change inside the
   library's estimator cannot move both sides of its bit-identity test.
+- ``pair_error_moments`` gives the exact moments of the pair's estimation
+  error at a finite photon number from its binomial count and closed-form
+  MLE, where ``crb_study`` samples counts and searches the likelihood.
 - ``DomainCheck`` holds ``ModelFamily.check_values`` and ``check_block`` as
   they were written before ``check_block(values, closed)`` became the one
   domain check: a per-parameter loop over ``bounds``, which the block check
@@ -37,6 +40,7 @@ of ``apply_group_element``, which numpy indexing would otherwise wrap.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -257,6 +261,28 @@ def scalar_mle(counts: np.ndarray, grid: np.ndarray, table: np.ndarray, probe) -
     # ties keep the left part, the smaller parameter
     a, b = golden_section(minus_log_l, a, b, REFINE_TOL)
     return 0.5 * (a + b)
+
+
+def pair_error_moments(p: float, r: float, m: int, bounds) -> tuple[float, float, float, float]:
+    """Exact moments of the pair's estimation error e = r_hat - r at m photons.
+
+    In ``qft_basis`` the count n0 of outcome 0 is Binomial(m, cos^2(p r)),
+    and the MLE is arccos(sqrt(n0 / m)) / p clipped to ``bounds``.  Sums over
+    n0 = 0..m, with log binomial weights from ``math.lgamma``, and returns
+    the pmf's total and E[e], E[e^2], E[e^4].  Needs 0 < p r < pi / 2.
+    """
+    lo, hi = bounds
+    log_q0, log_q1 = 2.0 * math.log(math.cos(p * r)), 2.0 * math.log(math.sin(p * r))
+    total = e1 = e2 = e4 = 0.0
+    for n0 in range(m + 1):
+        w = math.exp(math.lgamma(m + 1) - math.lgamma(n0 + 1) - math.lgamma(m - n0 + 1)
+                     + n0 * log_q0 + (m - n0) * log_q1)
+        e = min(max(math.acos(math.sqrt(n0 / m)) / p, lo), hi) - r
+        total += w
+        e1 += w * e
+        e2 += w * e * e
+        e4 += w * e ** 4
+    return total, e1, e2, e4
 
 
 class DomainCheck:

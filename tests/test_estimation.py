@@ -168,13 +168,6 @@ def test_qfim_symmetric_psd():
     assert np.min(np.linalg.eigvalsh(f)) >= -1e-9
 
 
-def test_finite_difference_richardson():
-    model = ring_model(4, 1.0)
-    f1 = qfim(model, [0.7], h=1e-6)[0, 0]
-    f2 = qfim(model, [0.7], h=5e-7)[0, 0]
-    assert abs(f1 - f2) / abs(f1) < 1e-5
-
-
 def test_classical_fi_eigenbasis_attains_qfim():
     rng = np.random.default_rng(2)
     models = [ring_model(2, 1.0), ring_model(2, 1.0, 0.4, 0.1), ring_model(4, 1.0), ring_model(5, 1.0)]

@@ -1,4 +1,5 @@
-"""``tools/pool_digest.py`` comparison on small synthetic digests; no CLI job runs."""
+"""``tools/pool_digest.py``: its comparison on small synthetic digests, and one digest
+of the working tree, which runs every clibench pool member through the CLI once."""
 
 import hashlib
 import importlib.util
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "pool_digest.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "pool_digest.py"
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +106,13 @@ def test_member_in_one_digest_only_exits_one(pool_digest, capsys):
     assert "only in A: circuit/haar4/idx=0" in capsys.readouterr().out
     assert pool_digest.compare(b, sample_digest()) == 1
     assert "only in B: circuit/haar4/idx=0" in capsys.readouterr().out
+
+
+def test_every_pool_member_passes_its_checks(pool_digest):
+    # each of the benchmark's outputs meets the clibench oracles and its reference
+    # within REFERENCE_TOL, so a change that moves one fails here, not only in the benchmark
+    members = pool_digest.digest(ROOT)["members"]
+    reference = json.loads((ROOT / "clibench" / "reference.json").read_text(encoding="utf-8"))
+    assert members.keys() == reference.keys()
+    failing = {key: rec["problems"] for key, rec in members.items() if rec["problems"]}
+    assert failing == {}

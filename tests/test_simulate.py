@@ -19,7 +19,7 @@ from qconstel.simulate import (
     trial_seed,
 )
 
-from oracles import haar_unitary, sample_outcomes, scalar_mle
+from oracles import haar_unitary, pair_error_moments, sample_outcomes, scalar_mle
 
 
 def test_sample_degenerate_distribution():
@@ -160,6 +160,21 @@ def test_crb_study_statistics():
     # unbiasedness trend at the largest M
     last = report.blocks[-1]
     assert abs(np.mean(last.estimates) - 0.3) <= 3 * np.sqrt(last.mse / last.trials)
+
+
+@pytest.mark.parametrize("r, m", [(0.3, 1000), (0.3, 10000), (0.01, 10000), (0.003, 10000)])
+def test_pair_study_meets_the_exact_finite_photon_mse(r, m):
+    # the pair's estimate is a function of one binomial count, so the exact moments of
+    # its error hold at any photon number, also where the MSE is far from the CRB
+    model = ring_model(2, 1.0)
+    trials, bounds = 400, model.box[0]  # the CLI's default interval for the pair
+    (block,) = crb_study(StudyConfig(model=model, truth=r, photon_counts=(m,), trials=trials,
+                                     seed=7, bounds=bounds, basis=model.qft_basis)).blocks
+    total, e1, e2, e4 = pair_error_moments(1.0, r, m, bounds)
+    assert abs(total - 1.0) <= 1e-9
+    assert block.failures == 0
+    assert abs(block.mse - e2) <= 4.0 * np.sqrt((e4 - e2 * e2) / trials)
+    assert abs(np.mean(block.estimates) - r - e1) <= 4.0 * np.sqrt((e2 - e1 * e1) / trials)
 
 
 def test_crb_study_ring_runs():
