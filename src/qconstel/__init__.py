@@ -14,7 +14,7 @@ from .linalg import (
     hermiticity_defect,
     unitarity_defect,
 )
-from .states import density_matrix, source_state
+from .states import density_matrix
 from .symmetry import AbelianGroup, qft_matrix
 from .estimation import (
     ModelFamily,
@@ -76,7 +76,6 @@ __all__ = [
     "rectangle_model",
     "ring_model",
     "sld",
-    "source_state",
     "spectral_qfim",
     "unitarity_defect",
 ]

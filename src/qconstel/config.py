@@ -144,14 +144,13 @@ def read_inputs(cfg: dict, unitary: str | None) -> dict[str, bytes]:
     return inputs
 
 
-def config_hash(cfg: dict, inputs: dict[str, bytes] | None = None) -> str:
+def config_hash(cfg: dict, inputs: dict[str, bytes]) -> str:
     """Hash of the scientific part of the resolved config (not output paths).
 
     Input files enter by content, as ``read_inputs`` returns them: the
     netlist's hash stands for its path (empty without one), and the unitary's
     hash is a line of its own.
     """
-    inputs = inputs or {}
     lines = []
     for section in sorted(cfg):
         if section == "output":

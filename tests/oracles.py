@@ -9,6 +9,12 @@ with it is a comparison of two routes:
   from a group, points and momenta and checks them through phase tensors;
 - ``psf_comb`` writes out the psf momenta of a group, where the library
   takes them from ``make_ring`` and ``make_rectangle``;
+- ``source_state`` is one source's state, formed alone, as the library
+  formed it before ``density_matrix`` formed its own states; the tests hold
+  ``orbit_states`` and ``density_matrix`` to it, the latter bit for bit;
+- ``exact_drho`` is the exact derivative of rho from the points' own
+  derivatives and ``psf_comb``, where ``drho`` takes a central difference
+  of ``ModelFamily.rho``;
 - the ring Fourier route (``ring_amplitudes`` and the eigenvalues and radial
   QFI read from them) transforms the source ring with an FFT, where the
   library multiplies one source state by ``qft_matrix``;
@@ -121,6 +127,33 @@ def psf_comb(
         return p * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     py = p if p_y is None else p_y
     return np.array([[p, py], [p, -py], [-p, py], [-p, -py]])
+
+
+def source_state(momenta, x) -> np.ndarray:
+    """Pure state of one source at position x imaged through a delta-comb psf.
+
+    Amplitude on momentum basis state j is exp(-i p_j . x) / sqrt(N).
+    """
+    momenta = np.asarray(momenta, dtype=float)
+    if len(momenta) == 0:
+        raise ValueError("psf has no momenta")
+    phases = momenta @ np.asarray(x, dtype=float).reshape(2)
+    return np.exp(-1j * phases) / np.sqrt(len(momenta))
+
+
+def exact_drho(points, tangents, momenta) -> np.ndarray:
+    """Exact derivative of the density matrix of ``points`` in one parameter.
+
+    ``tangents`` holds each point's derivative d x_g in the parameter; then
+    d rho = (1/m) sum_g (|d psi_g><psi_g| + h.c.) with d psi_g = -i (p_j . d x_g) psi_g.
+    """
+    momenta = np.asarray(momenta, dtype=float)
+    out = np.zeros((len(momenta), len(momenta)), dtype=complex)
+    for x, dx in zip(np.asarray(points, dtype=float), np.asarray(tangents, dtype=float)):
+        psi = source_state(momenta, x)
+        term = np.outer(-1j * (momenta @ dx) * psi, psi.conj())
+        out += term + term.conj().T
+    return out / len(points)
 
 
 def ring_amplitudes(

@@ -309,7 +309,7 @@ def test_unitary_file_is_read_once_per_job(tmp_path, capsys, monkeypatch):
         assert reads.count(ufile) == jobs
     cfg = resolve_config(build_parser().parse_args(argv))
     h = config_hash(cfg, {"unitary": ufile.read_bytes()})
-    assert expected[1].splitlines()[0] == f"# config {h}" and h != config_hash(cfg)
+    assert expected[1].splitlines()[0] == f"# config {h}" and h != config_hash(cfg, {})
 
 
 def test_config_hash_names_input_files_by_content(tmp_path, capsys, monkeypatch):
@@ -537,10 +537,10 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     over = resolve_config(ns)
     assert over["model"]["r"] == 0.7
     # hash tracks scientific content, not output paths
-    assert config_hash(base) != config_hash(over)
+    assert config_hash(base, {}) != config_hash(over, {})
     over["output"]["path"] = "elsewhere.csv"
     over2 = {s: dict(v) for s, v in over.items()}
-    assert config_hash(over) == config_hash(over2)
+    assert config_hash(over, {}) == config_hash(over2, {})
 
 
 def test_config_hash_is_sha256_of_the_scientific_lines():
@@ -557,7 +557,7 @@ def test_config_hash_is_sha256_of_the_scientific_lines():
                  ["sweep", "--quantity", "eigenvalues", "--stop", "1e-3", "--out", "x.csv"]):
         configs.append(resolve_config(parser.parse_args(argv)))
     for cfg in configs:
-        assert config_hash(cfg) == oracle(cfg)
+        assert config_hash(cfg, {}) == oracle(cfg)
 
 
 def test_cli_import_does_not_load_openssl():
@@ -688,7 +688,7 @@ def test_settings_table_drives_ini_and_flags(tmp_path, capsys, command):
             by_flag = resolve_config(build_parser().parse_args([command, flag, str(value)]))
             assert by_ini == by_flag, (section, key)
             assert by_ini[section][key] == value != defaults[section][key]
-            assert config_hash(by_ini) == config_hash(by_flag)
+            assert config_hash(by_ini, {}) == config_hash(by_flag, {})
     assert flagged >= len(SETTINGS["model"]) + len(SETTINGS["output"])
     # every choice key, in every section, is checked when it comes from an INI file
     for section, keys in SETTINGS.items():

@@ -25,18 +25,20 @@ from qconstel.estimation import (
     spectral_qfim,
 )
 from qconstel.linalg import hermiticity_defect, unitarity_defect
-from qconstel.states import density_matrix, source_state
+from qconstel.states import density_matrix
 from qconstel.symmetry import AbelianGroup, qft_matrix
 
 from oracles import (
     DomainCheck,
     apply_group_element,
+    exact_drho,
     haar_unitary,
     psf_comb,
     ring_amplitudes,
     ring_eigenvalues,
     ring_qfi_parseval,
     ring_qfi_spectral,
+    source_state,
 )
 
 
@@ -64,6 +66,34 @@ def test_drho_matches_symbolic_oracle():
         assert np.max(np.abs(num - pair_drho_oracle(p, theta, r))) <= 1e-6
         assert hermiticity_defect(num) <= 1e-9
         assert abs(np.trace(num)) <= 1e-8
+        exact = exact_drho(make_ring(2, r, theta), make_ring(2, 1.0, theta),
+                           psf_comb(AbelianGroup((2,)), p))
+        assert np.max(np.abs(exact - pair_drho_oracle(p, theta, r))) <= 1e-14
+
+
+@pytest.mark.parametrize("family", [*range(2, 17), "rectangle"])
+def test_drho_meets_the_exact_derivative(family):
+    # the central difference of rho against d rho from the points' own
+    # derivatives and a psf comb written out apart from the library, relative
+    # to the derivative's size where it exceeds 1
+    rng = np.random.default_rng(1 if family == "rectangle" else family)
+    for _ in range(4):
+        p, p_y = rng.uniform(0.3, 3.0, 2)
+        x0, y0 = rng.uniform(0.05, 1.5, 2)
+        if family == "rectangle":
+            model, v = rectangle_model(p, p_y), [x0, y0]
+            points, momenta = make_rectangle(x0, y0), psf_comb(AbelianGroup((2, 2)), p, p_y=p_y)
+            tangents = [make_rectangle(1.0, 1.0) * axis for axis in np.eye(2)]
+        else:
+            phase, psf_phase = rng.uniform(0.0, 2.0 * np.pi, 2)
+            model, v = ring_model(family, p, phase, psf_phase), [x0]
+            points = make_ring(family, x0, phase)
+            momenta = psf_comb(AbelianGroup((family,)), p, psf_phase)
+            tangents = [make_ring(family, 1.0, phase)]
+        for mu, tangent in enumerate(tangents):
+            exact = exact_drho(points, tangent, momenta)
+            err = np.max(np.abs(drho(model, v, mu) - exact))
+            assert err <= 1e-8 * max(1.0, np.max(np.abs(exact)))
 
 
 def test_drho_eigenvalue_derivative_on_diagonal():
@@ -681,11 +711,11 @@ def test_orbit_states_guards():
             orbit_states(ring_model(4, 1.0), bad)
 
 
-def test_outcome_probabilities_build_no_constellation_or_source_state(monkeypatch):
+def test_outcome_probabilities_build_no_constellation_or_density_matrix(monkeypatch):
     model = ring_model(8, 1.0)
     calls = []
     for mod in [m for name, m in sys.modules.items() if name.startswith("qconstel")]:
-        for fname in ("source_state", "make_rectangle", "make_ring"):
+        for fname in ("density_matrix", "make_rectangle", "make_ring"):
             if hasattr(mod, fname):
                 orig = getattr(mod, fname)
                 monkeypatch.setattr(mod, fname,

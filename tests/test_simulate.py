@@ -162,12 +162,23 @@ def test_crb_study_statistics():
     assert abs(np.mean(last.estimates) - 0.3) <= 3 * np.sqrt(last.mse / last.trials)
 
 
-@pytest.mark.parametrize("r, m", [(0.3, 1000), (0.3, 10000), (0.01, 10000), (0.003, 10000)])
-def test_pair_study_meets_the_exact_finite_photon_mse(r, m):
+PAIR_BOX = ring_model(2, 1.0).box[0]  # the CLI's default interval for the pair
+
+
+@pytest.mark.parametrize("r, m, bounds", [
+    *(pytest.param(r, m, PAIR_BOX, id=f"{r}-{m}")
+      for r, m in ((0.3, 1000), (0.3, 10000), (0.01, 10000), (0.003, 10000))),
+    # the sub-Rayleigh rows, searched from 1e-4: with few photons off the bright
+    # outcome MSE/CRB is 0.007 at M = 100, as if the quantum limit were beaten,
+    # and 1.06 at M = 1e6
+    *(pytest.param(0.003, m, (1e-4, np.pi / 2 - 1e-3), id=f"0.003-{m}-from_1e-4")
+      for m in (100, 1000000)),
+])
+def test_pair_study_meets_the_exact_finite_photon_mse(r, m, bounds):
     # the pair's estimate is a function of one binomial count, so the exact moments of
     # its error hold at any photon number, also where the MSE is far from the CRB
     model = ring_model(2, 1.0)
-    trials, bounds = 400, model.box[0]  # the CLI's default interval for the pair
+    trials = 400
     (block,) = crb_study(StudyConfig(model=model, truth=r, photon_counts=(m,), trials=trials,
                                      seed=7, bounds=bounds, basis=model.qft_basis)).blocks
     total, e1, e2, e4 = pair_error_moments(1.0, r, m, bounds)

@@ -3,10 +3,11 @@ import pytest
 
 from qconstel.constellation import make_rectangle, make_ring
 from qconstel.linalg import hermiticity_defect
-from qconstel.states import density_matrix, source_state
+from qconstel.estimation import rectangle_model, ring_model
+from qconstel.states import density_matrix
 from qconstel.symmetry import AbelianGroup
 
-from oracles import apply_group_element, psf_comb, validate_symmetry
+from oracles import apply_group_element, psf_comb, source_state, validate_symmetry
 
 Z2, Z3, Z4, Z5, Z6 = (AbelianGroup((n,)) for n in (2, 3, 4, 5, 6))
 Z2Z2 = AbelianGroup((2, 2))
@@ -23,25 +24,27 @@ def pair_psf(p=1.0):
 
 def test_source_state_pair():
     r0 = 0.4
-    psi = source_state(pair_psf(), (r0, 0.0))
-    expected = np.array([np.exp(-1j * r0), np.exp(1j * r0)]) / np.sqrt(2)
-    assert np.allclose(psi, expected, atol=1e-15)
+    rho = density_matrix([(r0, 0.0)], pair_psf())
+    expected = np.array([[1.0, np.exp(-2j * r0)], [np.exp(2j * r0), 1.0]]) / 2.0
+    assert np.max(np.abs(rho - expected)) <= 1e-15
 
 
 def test_source_state_origin_is_uniform():
-    psi = source_state(psf_comb(Z5, 1.0), (0.0, 0.0))
-    assert np.allclose(psi, np.ones(5) / np.sqrt(5))
+    rho = density_matrix([(0.0, 0.0)], psf_comb(Z5, 1.0))
+    assert np.max(np.abs(rho - np.full((5, 5), 1.0 / 5.0))) <= 1e-15
 
 
 def test_source_state_ring_phases():
-    psi = source_state(psf_comb(Z4, 1.0), (1.0, 0.0))
-    expected = np.exp(-1j * np.cos(2 * np.pi * np.arange(4) / 4)) / 2.0
-    assert np.allclose(psi, expected, atol=1e-15)
+    # one source: rho_jk = exp(-i (p_j - p_k) . x) / N
+    rho = density_matrix([(1.0, 0.0)], psf_comb(Z4, 1.0))
+    cos = np.cos(2 * np.pi * np.arange(4) / 4)
+    expected = np.exp(-1j * (cos[:, None] - cos[None, :])) / 4.0
+    assert np.max(np.abs(rho - expected)) <= 1e-15
 
 
 def test_source_state_rejects_empty_psf():
     with pytest.raises(ValueError, match="psf has no momenta"):
-        source_state(np.zeros((0, 2)), (0.0, 0.0))
+        density_matrix([(0.0, 0.0)], np.zeros((0, 2)))
     with pytest.raises(ValueError, match="no source points"):
         density_matrix(np.zeros((0, 2)), psf_comb(Z4, 1.0))
 
@@ -71,22 +74,11 @@ def test_ring4_density_eigenvalues_closed_form():
 
 
 def test_overlap_pair_cos():
+    # the pair's two states overlap by cos(2 p r), so tr rho^2 = (1 + cos^2(2 p r)) / 2
     p, r = 1.0, 0.37
-    psf = pair_psf(p)
-    psi1 = source_state(psf, (r, 0.0))
-    psi2 = source_state(psf, (-r, 0.0))
-    assert abs(np.vdot(psi1, psi2) - np.cos(2 * p * r)) <= 1e-12
-    assert abs(np.vdot(psi1, psi1) - 1.0) <= 1e-12
-
-
-def test_overlap_cauchy_schwarz():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        assert abs(np.vdot(a, b)) <= 1.0 + 1e-12
+    rho = density_matrix(make_ring(2, r), pair_psf(p))
+    purity = np.real(np.trace(rho @ rho))
+    assert abs(purity - (1.0 + np.cos(2 * p * r) ** 2) / 2.0) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -121,12 +113,33 @@ def test_symmetry_covariance_of_rho(c):
 
 
 def test_source_state_phase_covariance():
+    # moving one source by g relabels its momentum basis states by perms[g]
     psf = psf_comb(Z5, 1.0, phase=0.25)
     perms = validate_symmetry(psf, Z5)
     r = np.array([0.33, -0.71])
-    psi = source_state(psf, r)
+    rho = density_matrix([r], psf)
     for g in range(Z5.order):
-        moved = apply_group_element(Z5, g, r[None, :])[0]
-        lhs = source_state(psf, moved)
-        rhs = permutation_matrix(perms[g]) @ psi
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+        moved = apply_group_element(Z5, g, r[None, :])
+        u = permutation_matrix(perms[g])
+        assert np.max(np.abs(density_matrix(moved, psf) - u @ rho @ u.T)) <= 1e-12
+
+
+def mixture_cases():
+    """(points, momenta) of every family the CLI builds at seeded points, then of
+    random point sets under random momenta."""
+    rng = np.random.default_rng(0)
+    models = [(ring_model(n, rng.uniform(0.3, 3.0), rng.uniform(0.0, 2.0 * np.pi)), 1)
+              for n in range(2, 33)]
+    models += [(rectangle_model(*rng.uniform(0.3, 3.0, 2)), 2) for _ in range(4)]
+    cases = [(model.points * rng.uniform(0.05, 1.5, k), model.momenta) for model, k in models]
+    return cases + [(rng.uniform(-2.0, 2.0, (m, 2)), rng.uniform(-3.0, 3.0, (dim, 2)))
+                    for m, dim in ((1, 1), (1, 7), (3, 4), (9, 5), (16, 16))]
+
+
+def test_density_matrix_is_the_source_state_mixture_bit_for_bit():
+    # each phase vector is its own product, so rho keeps the bits of the
+    # one-source states mixed one by one
+    for points, momenta in mixture_cases():
+        states = np.stack([source_state(momenta, x) for x in points])
+        assert np.array_equal(density_matrix(points, momenta),
+                              states.T @ states.conj() / len(points))

@@ -9,10 +9,9 @@ from qconstel.estimation import (
     ring_model,
 )
 from qconstel.linalg import eig_hermitian, unitarity_defect
-from qconstel.states import source_state
 from qconstel.symmetry import AbelianGroup, qft_matrix
 
-from oracles import characters, psf_comb, validate_symmetry
+from oracles import characters, psf_comb, source_state, validate_symmetry
 
 Z2 = AbelianGroup((2,))
 Z4 = AbelianGroup((4,))
