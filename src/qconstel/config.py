@@ -12,7 +12,6 @@ config and those input bytes without opening anything.
 from __future__ import annotations
 
 import argparse
-import configparser
 from typing import NamedTuple
 try:  # builtin SHA-256 first: importing hashlib loads OpenSSL just to hash the config
     from _sha2 import sha256  # CPython 3.12+
@@ -79,6 +78,7 @@ SETTINGS = {
 
 
 def _read_config_file(path: str) -> dict:
+    import configparser  # only an INI run pays for it
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")

@@ -11,7 +11,8 @@ same quantities, and each checks the other:
   enters through the fixed transfer matrix W = |Q B|^2: its outcome
   probabilities are q = lambda W, and in ``qft_basis`` q = lambda (CLI
   ``eigen``, eigenvalue sweeps) and ``spectral_qfim`` is ``classical_fi``.
-  One kernel, ``_probabilities``, serves ``outcome_probabilities`` and
+  One kernel, ``_probabilities``, of the source-0 phase phi_0 (``_phase`` of
+  a block, D_0^T x in an MLE probe), serves ``outcome_probabilities`` and
   ``simulate.crb_study`` in every basis; ``classical_fi`` forms q and d q
   from ``_amplitudes`` itself.  None builds a density matrix or eigensolves.
 - The numeric pipeline (``ModelFamily.rho`` -> ``drho`` -> ``sld`` ->
@@ -301,18 +302,23 @@ def _transfer(model: ModelFamily, basis: np.ndarray) -> np.ndarray | None:
     return (t * t.conj()).real
 
 
-def _amplitudes(model: ModelFamily, block: np.ndarray,
-                derivatives: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """a[x] = Q psi_0(v_x), shape (K, 1, N), of a checked (K, n_params) block.
+def _phase(model: ModelFamily, block: np.ndarray) -> np.ndarray:
+    """phi_0 = sum_mu D[0, :, mu] v_mu, shape (K, N), of a checked (K, n_params) block."""
+    return (model.phases[0] * block[:, None, :]).sum(axis=-1)
 
-    Q sends the constant part of psi_0 = (1 + expm1(-i phi_0)) / sqrt(N) to
-    e_0 exactly, so no rounding floor lies under small amplitudes.  With
+
+def _amplitudes(model: ModelFamily, phase: np.ndarray,
+                derivatives: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """a[x] = Q psi_0, shape (K, 1, N), of the source-0 phase phi_0, shape (K, N).
+
+    ``_phase`` forms phi_0 from a block, the probes of ``simulate.crb_study`` as
+    D_0^T x.  Q sends the constant part of psi_0 = (1 + expm1(-i phi_0)) / sqrt(N)
+    to e_0 exactly, so no rounding floor lies under small amplitudes.  With
     ``derivatives`` it returns ``(a, da)`` with da[x, mu] = Q (-i D[0, :, mu]
-    psi_0), shape (K, n_params, N).  A block repeats its rows' bits.  Q^T and
-    sqrt(N) are the model's, computed once per model, not per call.
+    psi_0), shape (K, n_params, N).  A block repeats its rows' bits.
     """
     qt, sqrt_dim = model._qft_transpose, model._sqrt_dim  # Q^T, as Q is symmetric
-    e = np.expm1(-1j * (model.phases[0] * block[:, None, :]).sum(axis=-1)) / sqrt_dim
+    e = np.expm1(-1j * phase) / sqrt_dim
     a = e[:, None, :] @ qt  # one (1, N) product per row
     a[:, 0, 0] += 1.0
     if not derivatives:
@@ -320,15 +326,15 @@ def _amplitudes(model: ModelFamily, block: np.ndarray,
     return a, (-1j * model.phases[0].T * (e + 1.0 / sqrt_dim)[:, None, :]) @ qt
 
 
-def _probabilities(model: ModelFamily, block: np.ndarray,
+def _probabilities(model: ModelFamily, phase: np.ndarray,
                    transfer: np.ndarray | None) -> np.ndarray:
-    """q[x, 0] = lambda W of a checked (K, n_params) block and a ``_transfer`` W.
+    """q[x, 0] = lambda W of a source-0 phase phi_0, shape (K, N), and a ``_transfer`` W.
 
-    lambda = |a|^2 of the ``_amplitudes`` a.  ``simulate.crb_study`` calls it
-    unchecked for the golden-section probes of its estimator,
-    ``simulate._mle``.
+    lambda = |a|^2 of the ``_amplitudes`` a.  ``outcome_probabilities`` passes
+    ``_phase`` of a checked block; ``simulate.crb_study`` passes D_0^T x,
+    unchecked, for the golden-section probes of its estimator, ``simulate._mle``.
     """
-    a = _amplitudes(model, block)
+    a = _amplitudes(model, phase)
     q = (a * a.conj()).real
     return q if transfer is None else q @ transfer
 
@@ -341,7 +347,7 @@ def outcome_probabilities(model: ModelFamily, values, basis: np.ndarray) -> np.n
     ``_probabilities``, run after ``check_basis`` and ``check_block``.
     """
     basis = check_basis(basis, model.dim)
-    q = _probabilities(model, model.check_block(values), _transfer(model, basis))[:, 0]
+    q = _probabilities(model, _phase(model, model.check_block(values)), _transfer(model, basis))[:, 0]
     return q if np.ndim(values) == 2 else q[0]
 
 
@@ -357,10 +363,10 @@ def classical_fi(model: ModelFamily, values, basis: np.ndarray) -> np.ndarray:
     below p r ~ 1e-154, and the information with it.
     """
     basis = check_basis(basis, model.dim)
-    block = model.check_block(values, closed=False)
+    phase = _phase(model, model.check_block(values, closed=False))
     transfer = _transfer(model, basis)
     if transfer is None:
-        (a,), (da,) = _amplitudes(model, block, derivatives=True)
+        (a,), (da,) = _amplitudes(model, phase, derivatives=True)
         a = a[0]
         mod = np.abs(a)
         keep = mod > 0.0
@@ -371,7 +377,7 @@ def classical_fi(model: ModelFamily, values, basis: np.ndarray) -> np.ndarray:
     else:
         # row 0 holds q = lambda W, the rows below it d q = d lambda W, where
         # d lambda = 2 Re(conj(a) d a)
-        a, da = _amplitudes(model, block, derivatives=True)
+        a, da = _amplitudes(model, phase, derivatives=True)
         (q,) = np.concatenate([(a * a.conj()).real, 2.0 * (a.conj() * da).real], axis=1) @ transfer
         keep = q[0] > 0.0
         f = (q[1:, keep] / q[0, keep]) @ q[1:, keep].T

@@ -217,11 +217,10 @@ def crb_study(cfg: StudyConfig) -> StudyReport:
     true distribution once, and every trial draws its counts from it by
     ``numpy.random.default_rng(trial_seed(...)).multinomial``.
     ``StudyConfig`` has validated the photon counts, the basis and the
-    bounds, so no trial checks them again, and the golden-section probes,
-    which all lie inside the bounds, call the unchecked kernel
-    ``estimation._probabilities`` with the basis's transfer matrix,
-    computed once per study, and with the model's Q^T and sqrt(N), computed
-    once per model.
+    bounds, so no trial checks them again, and each golden-section probe x,
+    inside the bounds, calls the unchecked kernel ``estimation._probabilities``
+    on the source-0 phase D_0^T x, with D_0^T = ``model.phases[0].T`` and the
+    basis's transfer matrix read once per study: no parameter block.
     """
     model = cfg.model
     fisher = float(spectral_qfim(model, [cfg.truth])[0, 0])
@@ -229,10 +228,10 @@ def crb_study(cfg: StudyConfig) -> StudyReport:
     q = outcome_probabilities(model, np.append(cfg.truth, grid)[:, None], cfg.basis)
     # q = lambda W >= 0, and a basis within UNITARY_ATOL puts |sum q - 1| <= N UNITARY_ATOL
     p_true, table = q[0] / q[0].sum(), q[1:]
-    transfer = _transfer(model, cfg.basis)
+    transfer, d0t = _transfer(model, cfg.basis), model.phases[0].T  # D_0^T, shape (1, N)
 
     def probe(x):
-        return _probabilities(model, np.array([[x]]), transfer)[0, 0]
+        return _probabilities(model, d0t * x, transfer)[0, 0]
 
     blocks = []
     for b_idx, m in enumerate(cfg.photon_counts):

@@ -45,6 +45,7 @@ def test_clear_gain_within_the_rss_bound(ab_pairs):
     lines = ab_pairs.report(s)
     assert lines[1].split()[0] == "jobs_per_s" and lines[1].endswith("gain")
     assert " 10/10 " in lines[1] and " 0/10 " in lines[2]
+    assert jobs["worse_pairs"] == rss["worse_pairs"] == 0 and "past the bound" not in lines[2]
 
 
 def test_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_iqr(ab_pairs):
@@ -65,13 +66,38 @@ def test_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_iqr(ab_pai
 def test_worse_and_unresolved_verdicts(ab_pairs):
     parent = [(100.0, 44.0 + 0.01 * i) for i in range(10)]
     change = [(100.0, 46.5 + 0.01 * i) for i in range(10)]  # +5.7 % memory
-    assert ab_pairs.summarise(pairs(parent, change), SPEC)["metrics"]["peak_rss_mb"]["verdict"] == "WORSE"
+    s = ab_pairs.summarise(pairs(parent, change), SPEC)
+    assert s["metrics"]["peak_rss_mb"]["verdict"] == "WORSE"
+    assert s["metrics"]["peak_rss_mb"]["worse_pairs"] == 10
+    assert "  WORSE, 10/10 pairs past the bound  (median jobs" in ab_pairs.report(s)[2]
     # the parent's own runs spread wider than the 20 % bound: a 10 % loss is unresolved
     parent = [(v, 44.0) for v in (60.0, 80.0, 100.0, 120.0, 140.0) * 2]
     change = [(0.9 * v, 44.0) for v, _ in parent]
     s = ab_pairs.summarise(pairs(parent, change), SPEC)
     assert s["metrics"]["jobs_per_s"]["verdict"] == "unresolved"
+    assert s["metrics"]["jobs_per_s"]["worse_pairs"] == 0  # each pair -10 %, inside 20 %
     assert ab_pairs.report(s)[1].endswith("unresolved")
+
+
+def test_pairs_past_the_bound_behind_an_ok_median(ab_pairs):
+    # 2 of 4 pairs read more than 5 % more memory, but the median ratio is x1.042:
+    # "ok", and the line says how many pairs were past the bound
+    parent = [(100.0, 44.0)] * 4
+    change = [(100.0, 44.0 * r) for r in (1.03, 1.034, 1.055, 1.06)]
+    s = ab_pairs.summarise(pairs(parent, change), SPEC)
+    rss = s["metrics"]["peak_rss_mb"]
+    assert rss["ratio"] == pytest.approx(1.0445) and rss["verdict"] == "ok"
+    assert rss["worse_pairs"] == 2 and s["metrics"]["jobs_per_s"]["worse_pairs"] == 0
+    lines = ab_pairs.report(s)
+    assert "  ok, 2/4 pairs past the bound  (median jobs: parent 100, change 100;" in lines[2]
+    assert lines[1].endswith("  ok")
+    # a faster side past the bound in the better direction is not counted
+    s = ab_pairs.summarise(pairs(parent, [(130.0, 40.0)] * 4), SPEC)
+    assert s["metrics"]["jobs_per_s"]["worse_pairs"] == s["metrics"]["peak_rss_mb"]["worse_pairs"] == 0
+    # a slower side is, per pair
+    s = ab_pairs.summarise(pairs(parent, [(79.0, 44.0), (81.0, 44.0)] * 2), SPEC)
+    assert s["metrics"]["jobs_per_s"]["worse_pairs"] == 2
+    assert ab_pairs.report(s)[1].endswith(", 2/4 pairs past the bound")
 
 
 def test_failed_share_per_side(ab_pairs):
@@ -112,6 +138,10 @@ def test_rss_fit_separates_job_count_from_the_change(ab_pairs):
                                           "headroom": headroom})
     assert ab_pairs.report(s)[2].endswith(
         f"fit: +0.78 KB/job, change +0.05 MB, records reach the bound at jobs x{headroom:.3g})")
+    # the change runs read x1.047 to x1.053 of their pair's parent: pairs 0, 1, 2 and 5
+    # are past the 5 % bound
+    assert s["metrics"]["peak_rss_mb"]["worse_pairs"] == 4
+    assert ", 4/8 pairs past the bound  (median jobs" in ab_pairs.report(s)[2]
     # more jobs alone: the change pays nothing at an equal job count
     runs = [{side: result(100.0, a + b * jobs, attempted=jobs)
              for side, jobs in (("parent", 3600 + 40 * i), ("change", 6400 - 40 * i))}

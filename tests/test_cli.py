@@ -568,6 +568,29 @@ def test_cli_import_does_not_load_openssl():
     assert proc.stdout == "False\n"
 
 
+def test_only_an_ini_run_imports_configparser(tmp_path):
+    # flags-only jobs and --help never read an INI file, so never load configparser
+    (tmp_path / "run.ini").write_text("[model]\nkind = ring\nn = 4\n")
+    script = (
+        "import contextlib, io, sys\n"
+        "from qconstel import cli\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            return cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            return exc.code\n"
+        "codes = [run(['--help']), run(['simulate', '--trials', '3', '--photons', '100']),\n"
+        "         run(['decompose', '--kind', 'ring', '--n', '5'])]\n"
+        "print(codes, 'configparser' in sys.modules)\n"
+        "print(run(['qfi', '-c', 'run.ini']), 'configparser' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qconstel.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines() == ["[0, 0, 0] False", "0 True"], proc.stdout
+
+
 def test_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[model]\nkind = hexagon\n")

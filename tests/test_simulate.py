@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from qconstel import estimation, simulate
 from qconstel.circuit import fourier_circuit, netlist_unitary
-from qconstel.estimation import outcome_probabilities, qfim, ring_model, spectral_qfim
+from qconstel.estimation import (
+    _probabilities,
+    _transfer,
+    check_basis,
+    outcome_probabilities,
+    qfim,
+    ring_model,
+    spectral_qfim,
+)
 from qconstel.linalg import UNITARY_ATOL
 from qconstel.simulate import (
     EstimationError,
@@ -388,6 +396,22 @@ def test_crb_study_is_bit_identical_to_the_public_probability_route(n, basis_nam
         assert (block.mse, block.crb, block.ratio) == (mse, crb, mse / crb)
 
 
+@pytest.mark.parametrize("basis_name", ["qft", "direct", "haar", "netlist"])
+@pytest.mark.parametrize("n", range(2, 17))
+def test_probe_phase_repeats_the_block_kernel_bit_for_bit(n, basis_name):
+    # crb_study's probe forms the source-0 phase as D_0^T x, without a parameter
+    # block; its probabilities keep every bit of the checked public route
+    model = ring_model(n, 1.0)  # n = 2 is the pair
+    basis = study_basis(model, basis_name)
+    transfer = _transfer(model, check_basis(basis, model.dim))
+    ((lo, hi),) = model.box
+    xs = np.append([lo, hi], np.random.default_rng(n).uniform(lo, hi, 32))
+    d0t = model.phases[0].T
+    for x in xs:
+        assert np.array_equal(_probabilities(model, d0t * x, transfer)[0, 0],
+                              outcome_probabilities(model, [x], basis)), x
+
+
 def test_crb_study_checks_the_basis_once_per_study(monkeypatch):
     calls = collections.Counter()
     monkeypatch.setattr(estimation, "unitarity_defect",
@@ -402,6 +426,24 @@ def test_crb_study_checks_the_basis_once_per_study(monkeypatch):
     # StudyConfig checks the caller's basis, the one outcome_probabilities call the
     # config's copy and spectral_qfim the model's qft_basis; no trial checks again
     assert seen == [3, 3]
+
+
+def test_crb_study_forms_the_phase_of_a_block_twice_per_study(monkeypatch):
+    # one _phase call each for spectral_qfim and outcome_probabilities; the
+    # golden-section probes form their phase as D_0^T x and never call it
+    calls = collections.Counter()
+    monkeypatch.setattr(estimation, "_phase", counting(calls, "_phase", estimation._phase))
+    monkeypatch.setattr(simulate, "_probabilities",
+                        counting(calls, "probe", simulate._probabilities))
+    model = ring_model(8, 1.0)
+    seen = []
+    for trials in (4, 40):
+        calls.clear()
+        crb_study(StudyConfig(model=model, truth=0.3, photon_counts=(1000,), trials=trials,
+                              seed=2, bounds=(1e-3, np.pi - 1e-3), basis=model.qft_basis))
+        seen.append((calls["_phase"], calls["probe"]))
+    assert [phase for phase, _ in seen] == [2, 2]
+    assert 0 < seen[0][1] < seen[1][1]
 
 
 def test_crb_study_hot_path_builds_no_density_matrix(monkeypatch):

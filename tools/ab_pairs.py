@@ -28,6 +28,11 @@ change/parent of the medians against the metric's bound, and the verdict:
   parent run;
 - ``ok`` otherwise.
 
+A median can hide single pairs past the bound, so it also counts, per
+metric, the pairs whose own ratio change/parent is worse than the bound
+(``worse_pairs``), and prints ``k/n pairs past the bound`` after the
+verdict when k > 0.
+
 Beside ``peak_rss_mb`` it prints each side's median job count
 (``attempted``): clibench keeps records of every finished job, so a faster
 program runs more jobs and reads as using more memory.  So it also fits
@@ -116,8 +121,9 @@ def summarise(pairs: list[dict], spec: dict) -> dict:
     each result as ``clibench/run.py`` prints it (``attempted``, ``failed``,
     ``metrics``: name -> {"value"}); ``spec`` is ``BENCHMARK.json``.  Returns
     per end-to-end metric the quartiles of both sides, the change's wins, the
-    median ratio change/parent, its bound and the verdict, per side the
-    share of failed jobs and median job count, and ``rss_fit``.
+    pairs past the bound, the median ratio change/parent, its bound and the
+    verdict, per side the share of failed jobs and median job count, and
+    ``rss_fit``.
     """
     n = len(pairs)
     rss_bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "peak_rss_mb")
@@ -135,6 +141,8 @@ def summarise(pairs: list[dict], spec: dict) -> dict:
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         ratio = cmed / pmed
         worse = ratio < 1.0 - bound if higher else ratio > 1.0 + bound
+        worse_pairs = sum(c / p < 1.0 - bound if higher else c / p > 1.0 + bound
+                          for p, c in zip(values["parent"], values["change"]))
         if wins >= 0.9 * n and sign * (cmed - pmed) > pq3 - pq1:
             verdict = "gain"
         elif worse:
@@ -147,8 +155,8 @@ def summarise(pairs: list[dict], spec: dict) -> dict:
         summary["metrics"][name] = {
             "parent": {"q1": pq1, "median": pmed, "q3": pq3},
             "change": {"q1": cq1, "median": cmed, "q3": cq3},
-            "wins": wins, "ratio": ratio, "bound": bound, "better": m["better"],
-            "verdict": verdict,
+            "wins": wins, "worse_pairs": worse_pairs, "ratio": ratio, "bound": bound,
+            "better": m["better"], "verdict": verdict,
         }
     return summary
 
@@ -161,6 +169,8 @@ def report(summary: dict) -> list[str]:
         sides = ["/".join(f"{s[side][k]:.4g}" for k in ("q1", "median", "q3")) for side in SIDES]
         line = (f"{name:14s} {sides[0]:>32s} {sides[1]:>32s} {s['wins']:>3d}/{n:<2d} "
                 f"{s['ratio']:7.4f} {s['bound']:6.2f}  {s['verdict']}")
+        if s["worse_pairs"]:
+            line += f", {s['worse_pairs']}/{n} pairs past the bound"
         if name == "peak_rss_mb":
             jobs = summary["median_attempted"]
             fit = summary["rss_fit"]
