@@ -20,12 +20,10 @@ from .estimation import (
     ModelFamily,
     classical_fi,
     drho,
-    orbit_states,
     outcome_probabilities,
     qfim,
     rectangle_model,
     ring_model,
-    sld,
     spectral_qfim,
 )
 from .simulate import (
@@ -68,14 +66,12 @@ __all__ = [
     "make_rectangle",
     "make_ring",
     "netlist_unitary",
-    "orbit_states",
     "outcome_probabilities",
     "qfim",
     "qft_matrix",
     "reck_decompose",
     "rectangle_model",
     "ring_model",
-    "sld",
     "spectral_qfim",
     "unitarity_defect",
 ]

@@ -39,7 +39,6 @@ from .circuit import (
 from .config import SETTINGS, ConfigError, config_hash, read_inputs, resolve_config
 from .estimation import (
     ModelFamily,
-    orbit_states,
     outcome_probabilities,
     qfim,
     rectangle_model,
@@ -144,11 +143,7 @@ def cmd_qfi(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result
 def cmd_eigen(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result:
     model, values = build_model(cfg)
     weights = outcome_probabilities(model, values, model.qft_basis)
-    # orbit-state mixture: equals the model density matrix and also covers
-    # degenerate boundary points like zero separation
-    states = orbit_states(model, values)
-    rho = states.T @ states.conj() / states.shape[0]
-    evals, _vecs = eig_hermitian(rho)
+    evals, _vecs = eig_hermitian(model.rho(values))
     order_w = np.argsort(weights)[::-1]
     order_e = np.argsort(evals)[::-1]
     matched = np.empty_like(evals)

@@ -15,16 +15,18 @@ same quantities, and each checks the other:
   a block, D_0^T x in an MLE probe), serves ``outcome_probabilities`` and
   ``simulate.crb_study`` in every basis; ``classical_fi`` forms q and d q
   from ``_amplitudes`` itself.  None builds a density matrix or eigensolves.
-- The numeric pipeline (``ModelFamily.rho`` -> ``drho`` -> ``sld`` ->
-  ``qfim``: the density matrix of the sources ``points * v``, its
-  finite-difference derivative, the SLD and the QFIM) runs general machinery
-  and is the independent oracle.  The CLI's ``qfi`` and ``sweep`` print its
-  value against ``closed_form``, and the tests compare it with the closed
-  forms, the Fourier route and the ring FFT route of ``tests/oracles.py``.
+- The numeric route (rho -> ``drho`` -> ``qfim`` in rho's eigenbasis:
+  ``ModelFamily.rho``, the density matrix of the sources ``points * v``
+  from the points and momenta alone, its finite-difference derivative, and
+  the QFIM summed over one eigendecomposition of rho) runs general
+  machinery and is the independent oracle.  The CLI's ``qfi`` and ``sweep``
+  print its value against ``closed_form``, CLI ``eigen`` eigensolves rho
+  against the Fourier weights, and the tests compare it with the closed
+  forms, the Fourier route and the oracles of ``tests/oracles.py``.
 
-Each parameter scales the template, so lies in (0, inf), open for ``rho`` and
-the information quantities, as the QFI jumps where rho changes rank (Safranek,
-PRA 95, 052320 (2017)), and closed for the states ``orbit_states`` and the
+Each parameter scales the template, so lies in (0, inf): open for ``drho``
+and the information quantities, as the QFI jumps where rho changes rank
+(Safranek, PRA 95, 052320 (2017)), and closed for ``rho`` and the
 probabilities ``outcome_probabilities``; ``ModelFamily.check_block`` checks it.
 """
 
@@ -36,13 +38,12 @@ from functools import cached_property
 import numpy as np
 
 from .constellation import SymmetryError, _as_points, _check_distinct, make_rectangle, make_ring
-from .linalg import UNITARY_ATOL, eig_hermitian, hermiticity_defect, unitarity_defect
+from .linalg import UNITARY_ATOL, eig_hermitian, unitarity_defect
 from .states import density_matrix
 from .symmetry import AbelianGroup, qft_matrix
 
 SUPPORT_TOL = 1e-10
 SYMMETRY_MATCH_ATOL = 1e-9
-DRHO_HERMITIAN_ATOL = 1e-9
 BOX_MARGIN = 1e-3  # delta: a family's ``box`` keeps this far inside each end
 
 
@@ -60,9 +61,11 @@ class ModelFamily:
     n_params) array, and ``box``, a default estimator interval (lo, hi) per
     parameter.  The rest derives from the first four fields: ``dim``,
     ``qft_basis``, the oracle ``rho(v)``, the density matrix of the sources
-    at v, the orbit-phase tensor ``phases`` D[g, j, mu], and two constants
-    built once per model: ``_qft_transpose``, Q^T = ``qft_basis.conj()``
-    (read-only), of every ``_amplitudes`` and ``_transfer`` product, and
+    at v from the points and momenta alone, on the closed domain (at zero
+    separation the pure state ones((N, N)) / N), the orbit-phase tensor
+    ``phases`` D[g, j, mu], and two constants built once per model:
+    ``_qft_transpose``, Q^T = ``qft_basis.conj()`` (read-only), of every
+    ``_amplitudes`` and ``_transfer`` product, and
     ``_sqrt_dim``, sqrt(N), of every source state.  The phase that source g
     picks up on psf momentum p_j, p_j . t_g(v), is linear in v: phi_gj(v) =
     sum_mu D[g, j, mu] v_mu.  By the symmetry below, the state exp(-i
@@ -167,7 +170,7 @@ class ModelFamily:
         return vals
 
     def rho(self, values) -> np.ndarray:
-        (vals,) = self.check_block(values, closed=False)
+        (vals,) = self.check_block(values)
         return density_matrix(self.points * vals, self.momenta)
 
 
@@ -246,36 +249,23 @@ def drho(model: ModelFamily, values, mu: int) -> np.ndarray:
     return (model.rho(vals + shift) - model.rho(vals - shift)) / (2.0 * step)
 
 
-def sld(rho: np.ndarray, drho_mu: np.ndarray) -> np.ndarray:
-    """Symmetric logarithmic derivative solving drho = (L rho + rho L) / 2.
-
-    Spectral construction restricted to eigenvalue pairs with
-    lambda_m + lambda_n > SUPPORT_TOL; rank deficiency is handled by
-    dropping the unsupported terms.
-    """
-    defect = hermiticity_defect(drho_mu)
-    if not defect <= DRHO_HERMITIAN_ATOL:
-        raise ValueError(f"drho is not Hermitian: max |A - A^H| = {defect:.3e}")
-    w, v = eig_hermitian(rho)
-    t = v.conj().T @ drho_mu @ v
-    denom = w[:, None] + w[None, :]
-    coeff = np.zeros_like(t)
-    mask = denom > SUPPORT_TOL
-    coeff[mask] = 2.0 * t[mask] / denom[mask]
-    return v @ coeff @ v.conj().T
-
-
 def qfim(model: ModelFamily, values) -> np.ndarray:
-    """Quantum Fisher information matrix F_mn = Re tr(L_m L_n rho), from ``drho``'s step."""
+    """Quantum Fisher information matrix F_ab = Re tr(L_a L_b rho), in rho's eigenbasis.
+
+    One ``eig_hermitian`` of ``model.rho`` gives rho = V diag(lambda) V^H,
+    and ``drho``'s derivatives become t_mu = V^H drho_mu V.  Over the pairs
+    with lambda_m + lambda_n > ``SUPPORT_TOL``, F_ab = 2 Re sum_mn
+    t_a[m, n] conj(t_b[m, n]) / (lambda_m + lambda_n), symmetrized: the SLD
+    trace with no L formed (Liu, Yuan, Lu & Wang, J. Phys. A 53, 023001
+    (2020)).  Pairs at or below the cutoff are dropped, as at a rank change.
+    """
     (vals,) = model.check_block(values, closed=False)
-    rho = model.rho(vals)
-    slds = [sld(rho, drho(model, vals, mu)) for mu in range(model.n_params)]
-    k = model.n_params
-    f = np.empty((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            f[a, b] = f[b, a] = float(np.real(np.trace(slds[a] @ slds[b] @ rho)))
-    return f
+    w, v = eig_hermitian(model.rho(vals))
+    denom = w[:, None] + w[None, :]
+    keep = denom > SUPPORT_TOL
+    t = np.stack([(v.conj().T @ drho(model, vals, mu) @ v)[keep] for mu in range(model.n_params)])
+    f = 2.0 * ((t / denom[keep]) @ t.conj().T).real
+    return 0.5 * (f + f.T)
 
 
 def check_basis(basis: np.ndarray, dim: int) -> np.ndarray:
@@ -394,14 +384,3 @@ def spectral_qfim(model: ModelFamily, values) -> np.ndarray:
     (2020)).
     """
     return classical_fi(model, values, model.qft_basis)
-
-
-def orbit_states(model: ModelFamily, values) -> np.ndarray:
-    """Source states psi_g of a symmetric model, one row per group element g.
-
-    Accepts the closed domain, so zero separation too.  The rows come
-    straight from the phase tensor, apart from the Fourier route.
-    """
-    (vals,) = model.check_block(values)
-    return np.exp(-1j * (model.phases * vals).sum(axis=-1)) / model._sqrt_dim
-

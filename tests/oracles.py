@@ -12,9 +12,17 @@ with it is a comparison of two routes:
 - ``source_state`` is one source's state, formed alone, as the library
   formed it before ``density_matrix`` formed its own states; the tests hold
   ``orbit_states`` and ``density_matrix`` to it, the latter bit for bit;
+- ``orbit_states`` reads every source state from the phase tensor, as CLI
+  ``eigen`` did before it eigensolved ``ModelFamily.rho``, which is built
+  from the points and momenta alone;
 - ``exact_drho`` is the exact derivative of rho from the points' own
   derivatives and ``psf_comb``, where ``drho`` takes a central difference
   of ``ModelFamily.rho``;
+- ``sld`` forms each symmetric logarithmic derivative L as a matrix, and
+  ``sld_qfim`` takes the trace Re tr(L_a L_b rho), where the library's
+  numeric route, rho -> ``drho`` -> ``qfim`` in rho's eigenbasis, sums over
+  one eigendecomposition of rho and forms no L; the tests hold ``qfim`` to
+  the trace;
 - the ring Fourier route (``ring_amplitudes`` and the eigenvalues and radial
   QFI read from them) transforms the source ring with an FFT, where the
   library multiplies one source state by ``qft_matrix``;
@@ -51,11 +59,15 @@ import numbers
 
 import numpy as np
 
+from qconstel import estimation
 from qconstel.constellation import SymmetryError
+from qconstel.estimation import SUPPORT_TOL, ModelFamily
+from qconstel.linalg import eig_hermitian, hermiticity_defect
 from qconstel.simulate import FLAT_RTOL, MAX_PHOTONS, REFINE_TOL, EstimationError, _is_integer
 from qconstel.symmetry import AbelianGroup
 
 POINT_MATCH_ATOL = 1e-9
+DRHO_HERMITIAN_ATOL = 1e-9
 
 
 def apply_group_element(group: AbelianGroup, g: int, pts) -> np.ndarray:
@@ -154,6 +166,54 @@ def exact_drho(points, tangents, momenta) -> np.ndarray:
         term = np.outer(-1j * (momenta @ dx) * psi, psi.conj())
         out += term + term.conj().T
     return out / len(points)
+
+
+def sld(rho: np.ndarray, drho_mu: np.ndarray) -> np.ndarray:
+    """Symmetric logarithmic derivative solving drho = (L rho + rho L) / 2.
+
+    Spectral construction restricted to eigenvalue pairs with
+    lambda_m + lambda_n > SUPPORT_TOL; rank deficiency is handled by
+    dropping the unsupported terms.
+    """
+    defect = hermiticity_defect(drho_mu)
+    if not defect <= DRHO_HERMITIAN_ATOL:
+        raise ValueError(f"drho is not Hermitian: max |A - A^H| = {defect:.3e}")
+    w, v = eig_hermitian(rho)
+    t = v.conj().T @ drho_mu @ v
+    denom = w[:, None] + w[None, :]
+    coeff = np.zeros_like(t)
+    mask = denom > SUPPORT_TOL
+    coeff[mask] = 2.0 * t[mask] / denom[mask]
+    return v @ coeff @ v.conj().T
+
+
+def sld_qfim(model: ModelFamily, values) -> np.ndarray:
+    """QFIM as the trace F_ab = Re tr(L_a L_b rho), with each L formed by ``sld``.
+
+    This is ``estimation.qfim`` as it was before it summed over one
+    eigendecomposition of rho, except that ``estimation.drho`` is looked up
+    per call: a test that replaces it moves this reference and ``qfim``
+    together.
+    """
+    (vals,) = model.check_block(values, closed=False)
+    rho = model.rho(vals)
+    slds = [sld(rho, estimation.drho(model, vals, mu)) for mu in range(model.n_params)]
+    k = model.n_params
+    f = np.empty((k, k))
+    for a in range(k):
+        for b in range(a, k):
+            f[a, b] = f[b, a] = float(np.real(np.trace(slds[a] @ slds[b] @ rho)))
+    return f
+
+
+def orbit_states(model: ModelFamily, values) -> np.ndarray:
+    """Source states psi_g of a symmetric model, one row per group element g.
+
+    Accepts the closed domain, so zero separation too.  The rows come
+    straight from the phase tensor, apart from the Fourier route.
+    """
+    (vals,) = model.check_block(values)
+    return np.exp(-1j * (model.phases * vals).sum(axis=-1)) / model._sqrt_dim
 
 
 def ring_amplitudes(

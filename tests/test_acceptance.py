@@ -13,7 +13,6 @@ import pytest
 from qconstel.circuit import fourier_circuit, netlist_unitary, reck_decompose
 from qconstel.estimation import (
     classical_fi,
-    orbit_states,
     outcome_probabilities,
     qfim,
     rectangle_model,
@@ -23,7 +22,7 @@ from qconstel.linalg import eig_hermitian
 from qconstel.simulate import StudyConfig, crb_study
 from qconstel.symmetry import qft_matrix
 
-from oracles import haar_unitary, ring_qfi_parseval
+from oracles import haar_unitary, orbit_states, ring_qfi_parseval
 
 
 def report(num: int, ok: bool, detail: str) -> str:

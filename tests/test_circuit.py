@@ -283,6 +283,18 @@ def test_text_serialization_roundtrip():
     assert f"{first.mixing:.17g}" in bs_lines[0]
 
 
+def test_text_round_trip_of_phase_shifter_elements_and_blank_lines():
+    # a PhaseShifter element is written as its own PS record, and blank lines
+    # between records are skipped on reading
+    net = InterferometerNetlist(3, (Beamsplitter(0, 1, 0.3, 0.2), PhaseShifter(1, 0.7),
+                                    Beamsplitter(1, 2, 1.1, -0.4)))
+    text = to_text(net)
+    assert text.splitlines()[1] == "PS 1 0.69999999999999996"
+    parsed = from_text(text.replace("\n", "\n\n"), n_modes=3)
+    assert parsed.elements == net.elements
+    assert np.array_equal(netlist_unitary(parsed), netlist_unitary(net))
+
+
 def test_text_identity_is_empty():
     assert to_text(reck_decompose(np.eye(3))) == ""
 

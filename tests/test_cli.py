@@ -159,6 +159,21 @@ def test_eigen_matches_table(capsys):
     assert max(diffs) <= 1e-9
 
 
+def test_eigen_eigensolves_a_rho_built_apart_from_the_phase_tensor(capsys, monkeypatch):
+    # the weights come from the phase tensor and the eigenvalues from rho of
+    # the points and momenta, so a wrong tensor shows as a gap between them
+    def tampered(*args):
+        model = ring_model(*args)
+        model.__dict__["phases"] = 2.0 * model.phases  # the weights now read the sources at 2 r
+        return model
+
+    monkeypatch.setattr(cli, "ring_model", tampered)
+    code, out, _ = run(capsys, ["eigen", "--kind", "ring", "--n", "4", "--p", "1", "--r", "0.5"])
+    assert code == 0
+    rows = [ln.split() for ln in out.splitlines() if ln and not ln.startswith(("#", "lambda"))]
+    assert max(float(r[3]) for r in rows) > 1e-3
+
+
 def test_simulate_csv_format(tmp_path, capsys):
     out_path = tmp_path / "study.csv"
     code, out, _ = run(

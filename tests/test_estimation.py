@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qconstel import estimation
 from qconstel.constellation import make_rectangle, make_ring
 from qconstel.estimation import (
     ModelFamily,
@@ -17,12 +18,10 @@ from qconstel.estimation import (
     check_basis,
     classical_fi,
     drho,
-    orbit_states,
     outcome_probabilities,
     qfim,
     rectangle_model,
     ring_model,
-    sld,
     spectral_qfim,
 )
 from qconstel.linalg import hermiticity_defect, unitarity_defect
@@ -34,11 +33,14 @@ from oracles import (
     apply_group_element,
     exact_drho,
     haar_unitary,
+    orbit_states,
     psf_comb,
     ring_amplitudes,
     ring_eigenvalues,
     ring_qfi_parseval,
     ring_qfi_spectral,
+    sld,
+    sld_qfim,
     source_state,
 )
 
@@ -197,6 +199,76 @@ def test_qfim_symmetric_psd():
     f = qfim(rectangle_model(1.3, 0.7), [0.5, 0.6])
     assert np.allclose(f, f.T)
     assert np.min(np.linalg.eigvalsh(f)) >= -1e-9
+
+
+def sld_trace_cases(seed: int, count: int):
+    """Seeded (model, point) draws: rectangles with p_x != p_y, the pair and
+    rings 3-16 at random source and psf orientations."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        kind = int(rng.integers(0, 16))  # 0: rectangle, 1: pair, k >= 2: ring k + 1
+        p1, p2 = rng.uniform(0.3, 3.0, 2)
+        if kind == 0:
+            yield rectangle_model(p1, p2 if abs(p1 - p2) > 1e-3 else p2 + 0.5), rng.uniform(0.02, 1.5, 2)
+        else:
+            n = 2 if kind == 1 else kind + 1
+            phase, psf_phase = rng.uniform(-np.pi, np.pi, 2)
+            yield ring_model(n, p1, phase, psf_phase), rng.uniform(0.02, 1.5, 1)
+
+
+def test_qfim_meets_the_sld_trace():
+    # qfim sums over rho's eigenbasis what the SLD trace Re tr(L_a L_b rho)
+    # reads after forming each L; both take the same drho and eigenpairs, so
+    # they differ by rounding alone, and that rounding grows with ||L||^2.
+    # Over these 500 cases the gap was <= 1.3e-11 max |F| and <= 6.8e-15
+    # max_a ||L_a||_2^2.  Over 4,000 draws (seeds 0-7) it reached 8.3e-8
+    # max |F| at a rectangle with lambda_min = 1.4e-10, just above
+    # SUPPORT_TOL, but stayed <= 2.8e-14 max_a ||L_a||_2^2, the scale bounded here.
+    for model, point in sld_trace_cases(0, 500):
+        f, ref = qfim(model, point), sld_qfim(model, point)
+        rho = model.rho(point)
+        scale = max(np.linalg.norm(sld(rho, drho(model, point, mu)), 2) ** 2
+                    for mu in range(model.n_params))
+        assert np.max(np.abs(f - ref)) <= 1e-13 * scale
+        assert np.array_equal(f, f.T)
+
+
+def test_qfim_drops_pairs_below_the_support_cutoff_as_the_sld_did():
+    # two eigenvalues of 2.9e-11 carry 9.9e-7 each of the QFI, and both
+    # routes drop them: 0.18566695 against the 0.18566895 of spectral_qfim
+    model, point = ring_model(5, 0.3046875, 0.0, 0.0), [0.021484375]
+    f = qfim(model, point)[0, 0]
+    assert abs(f - 0.18566695) <= 5e-9
+    assert abs(f - sld_qfim(model, point)[0, 0]) <= 1e-11 * f
+    assert spectral_qfim(model, point)[0, 0] - f > 1e-6
+
+
+def test_qfim_eigensolves_rho_once_per_point(monkeypatch):
+    calls = []
+    orig = estimation.eig_hermitian
+    monkeypatch.setattr(estimation, "eig_hermitian", lambda a: calls.append(1) or orig(a))
+    model = rectangle_model(1.0, 1.3)
+    for k, point in enumerate(([0.4, 0.7], [0.2, 0.3], [1.1, 0.5]), start=1):
+        qfim(model, point)
+        assert len(calls) == k
+
+
+def test_qfim_with_the_exact_drho_is_mostly_nearer_spectral_than_the_sld_trace(monkeypatch):
+    # with the exact derivative in place of the central difference, both
+    # routes read the spectral QFIM up to rounding; the eigenbasis sum is at
+    # least as near it in 249 of these 300 cases
+    def exact(model, values, mu):
+        (vals,) = model.check_block(values, closed=False)
+        tangents = model.points * np.eye(model.n_params)[mu] if model.n_params == 2 else model.points
+        return exact_drho(model.points * vals, tangents, model.momenta)
+
+    monkeypatch.setattr(estimation, "drho", exact)
+    nearer = 0
+    for model, point in sld_trace_cases(1, 300):
+        ref = spectral_qfim(model, point)
+        gap_new = np.max(np.abs(qfim(model, point) - ref))
+        nearer += gap_new <= np.max(np.abs(sld_qfim(model, point) - ref))
+    assert nearer >= 200
 
 
 def test_classical_fi_eigenbasis_attains_qfim():
@@ -402,8 +474,15 @@ def test_model_validation():
         model.rho([0.3, 0.4])
     with pytest.raises(ValueError):
         model.rho([np.inf])
-    with pytest.raises(ValueError):
-        model.rho([0.0])
+    # rho takes the closed domain: at zero separation every source sits at the
+    # origin, so rho is the pure uniform state; drho and qfim stay open
+    for m in (model, ring_model(3, 1.0), ring_model(16, 1.0), rectangle_model(1.0, 0.5)):
+        zero = np.zeros(m.n_params)
+        assert np.allclose(m.rho(zero), np.ones((m.dim, m.dim)) / m.dim, rtol=1e-15, atol=0.0)
+        with pytest.raises(ValueError, match="outside open interval"):
+            qfim(m, zero)
+        with pytest.raises(ValueError, match="outside open interval"):
+            drho(m, zero, 0)
     with pytest.raises(ValueError):
         ring_model(2, -1.0)
     # a non-integral n used to reach the family check as "(3, 3) sources x psf

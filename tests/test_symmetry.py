@@ -4,14 +4,13 @@ import pytest
 from qconstel.constellation import SymmetryError, make_ring
 from qconstel.estimation import (
     ModelFamily,
-    orbit_states,
     outcome_probabilities,
     ring_model,
 )
 from qconstel.linalg import eig_hermitian, unitarity_defect
 from qconstel.symmetry import AbelianGroup, qft_matrix
 
-from oracles import characters, psf_comb, source_state, validate_symmetry
+from oracles import characters, orbit_states, psf_comb, source_state, validate_symmetry
 
 Z2 = AbelianGroup((2,))
 Z4 = AbelianGroup((4,))
