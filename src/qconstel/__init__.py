@@ -17,6 +17,7 @@ from .linalg import (
 from .states import density_matrix
 from .symmetry import AbelianGroup, qft_matrix
 from .estimation import (
+    DomainError,
     ModelFamily,
     classical_fi,
     drho,
@@ -48,6 +49,7 @@ __all__ = [
     "AbelianGroup",
     "Beamsplitter",
     "ConvergenceError",
+    "DomainError",
     "EstimationError",
     "InterferometerNetlist",
     "ModelFamily",

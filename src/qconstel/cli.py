@@ -13,8 +13,9 @@ opens no file.  ``main`` does the I/O: it reads the run's input files once
 (``config.read_inputs``), prints ``# config <hash>`` and the command's
 stdout, writes the output file, and enforces ``--check``.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 self-check
-violation (``--check``).
+Exit codes: 0 success, 2 config error or a model point outside its family's
+domain (``DomainError``), 3 numerical failure, 4 self-check violation
+(``--check``).  Write a negative value in exponent form as ``--phase=-1e-3``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .circuit import (
 )
 from .config import SETTINGS, ConfigError, config_hash, read_inputs, resolve_config
 from .estimation import (
+    DomainError,
     ModelFamily,
     outcome_probabilities,
     qfim,
@@ -78,18 +80,10 @@ def build_model(cfg: dict) -> tuple[ModelFamily, np.ndarray]:
             n = 2 if m["kind"] == "pair" else m["n"]
             model = ring_model(n, m["p"], m["phase"], m["psf_phase"])
             values = np.array([m["r"]])
+        model.check_block(values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _require(model, values)
     return model, values
-
-
-def _require(model: ModelFamily, values: np.ndarray, closed: bool = True) -> None:
-    """``model.check_block(values, closed)``; its ValueError is a config error."""
-    try:
-        model.check_block(values, closed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def measurement_basis(cfg: dict, model: ModelFamily, netlist: bytes | None) -> np.ndarray:
@@ -125,7 +119,6 @@ def _table(h: str, header: list[str], rows: list[tuple], payload: dict,
 
 def cmd_qfi(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Result:
     model, values = build_model(cfg)
-    _require(model, values, closed=False)
     numeric, ana = qfim(model, values), model.closed_form
     diff = float(np.max(np.abs(numeric - ana)))
     header = ["mu", "nu", "numeric", "analytic", "abs_diff"]
@@ -232,7 +225,6 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, h: str, inputs: dict) -> Resu
     grid = np.linspace(s["start"], s["stop"], s["count"])
     block = np.tile(values, (len(grid), 1))
     block[:, idx] = grid
-    _require(model, block, closed=s["quantity"] != "qfi")
     if s["quantity"] == "qfi":
         header = [param, "qfi_numeric", "qfi_analytic", "abs_diff"]
         an = float(model.closed_form[idx, idx])
@@ -309,13 +301,13 @@ def main(argv=None) -> int:
             name, dev = result.check
             raise CheckFailure(f"max {name} deviation {dev:.3e} exceeds --check {tol:.3e}")
         return 0
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:
         print(f"self-check failed: {exc}", file=sys.stderr)
         return 4
-    except (ConvergenceError, StudyError, EstimationError, ValueError) as exc:
+    except (ConvergenceError, StudyError, EstimationError, ValueError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -24,10 +24,10 @@ same quantities, and each checks the other:
   against the Fourier weights, and the tests compare it with the closed
   forms, the Fourier route and the oracles of ``tests/oracles.py``.
 
-Each parameter scales the template, so lies in (0, inf): open for ``drho``
-and the information quantities, as the QFI jumps where rho changes rank
-(Safranek, PRA 95, 052320 (2017)), and closed for ``rho`` and the
-probabilities ``outcome_probabilities``; ``ModelFamily.check_block`` checks it.
+Each parameter scales the template, so lies in (0, inf): open for ``drho`` and
+the information quantities, as the QFI jumps where rho changes rank (Safranek,
+PRA 95, 052320 (2017)), and closed for ``rho`` and ``outcome_probabilities``;
+``ModelFamily.check_block`` checks it and raises ``DomainError`` outside it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,11 @@ from .symmetry import AbelianGroup, qft_matrix
 
 SUPPORT_TOL = 1e-10
 SYMMETRY_MATCH_ATOL = 1e-9
-BOX_MARGIN = 1e-3  # delta: a family's ``box`` keeps this far inside each end
+BOX_MARGIN = 1e-3  # delta: a family's ``box`` keeps delta / p inside each end
+
+
+class DomainError(ValueError):
+    """A model point outside its family's parameter domain."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +149,9 @@ class ModelFamily:
     def check_block(self, values, closed: bool = True) -> np.ndarray:
         """One point, or a (K, n_params) block, as a checked (K, n_params) array.
 
-        Every entry must be finite and >= 0, or > 0 if not ``closed``; the
-        ValueError names the first row that fails.  Functions of one point
-        unpack the single row, so a block of more raises ValueError there.
+        Every entry must be finite and >= 0, or > 0 if not ``closed``, or
+        DomainError names the first row that fails; a wrong shape is a plain
+        ValueError, as is a block of more than one row where one point is due.
         """
         vals = np.asarray(values, dtype=float)
         if vals.ndim < 2:
@@ -163,10 +167,10 @@ class ModelFamily:
             inside = vals >= 0.0 if closed else vals > 0.0
             k = np.argmin(np.all(inside & (vals < np.inf), axis=1))
             if not np.all(np.isfinite(vals[k])):
-                raise ValueError(f"parameters must be finite, got {vals[k]}")
+                raise DomainError(f"parameters must be finite, got {vals[k]}")
             mu = np.argmin(inside[k])
             interval = "interval [0.0, inf]" if closed else "open interval (0.0, inf)"
-            raise ValueError(f"parameter {self.names[mu]}={vals[k, mu]} outside {interval}")
+            raise DomainError(f"parameter {self.names[mu]}={vals[k, mu]} outside {interval}")
         return vals
 
     def rho(self, values) -> np.ndarray:
@@ -191,7 +195,7 @@ def rectangle_model(p_x: float, p_y: float) -> ModelFamily:
                              _psf_momentum("p_y", p_y))
     return ModelFamily(("x0", "y0"), AbelianGroup((2, 2)), make_rectangle(1.0, 1.0), momenta,
                        np.diag([4.0 * p_x * p_x, 4.0 * p_y * p_y]),
-                       tuple((BOX_MARGIN, np.pi / (2.0 * p) - BOX_MARGIN) for p in (p_x, p_y)))
+                       tuple((BOX_MARGIN / p, (np.pi / 2.0 - BOX_MARGIN) / p) for p in (p_x, p_y)))
 
 
 def _default_ring_orientation(n: int) -> float:
@@ -217,8 +221,9 @@ def ring_model(
     n and pi/(2n) for odd n, where the radial QFI is the ``closed_form`` 2p^2;
     with the psf aligned to the sources (``psf_phase=phase``), odd n fall
     below it.  The pair's ``closed_form`` is 4p^2 cos^2(phase - psf_phase)
-    and its ``box`` (delta, pi/(2p) - delta), as its likelihood mirrors at
-    pi/(2p); larger rings take (delta, pi/p - delta), delta = ``BOX_MARGIN``.
+    and its ``box`` (delta, pi/2 - delta) / p, as its likelihood mirrors at
+    pi/(2p); larger rings take (delta, pi - delta) / p.  The margin is delta / p,
+    delta = ``BOX_MARGIN``, as the model depends on p r only.
     """
     if psf_phase is None:
         psf_phase = phase + _default_ring_orientation(n)
@@ -228,42 +233,41 @@ def ring_model(
         raise ValueError(f"psf phase must be finite, got {psf_phase}")
     if n == 2:
         c = np.cos(phase - psf_phase)
-        qfi, hi = 4.0 * p * p * c * c, np.pi / (2.0 * p)
+        qfi, period = 4.0 * p * p * c * c, np.pi / 2.0
     else:
-        qfi, hi = 2.0 * p * p, np.pi / p
+        qfi, period = 2.0 * p * p, np.pi
     return ModelFamily(("r",), AbelianGroup((n,)), points, make_ring(n, p, psf_phase),
-                       np.array([[qfi]]), ((BOX_MARGIN, hi - BOX_MARGIN),))
+                       np.array([[qfi]]), ((BOX_MARGIN / p, (period - BOX_MARGIN) / p),))
 
 
-def drho(model: ModelFamily, values, mu: int) -> np.ndarray:
-    """Central-difference derivative of rho in parameter mu, step 1e-6 max(1, |v_mu|)."""
+def drho(model: ModelFamily, values) -> np.ndarray:
+    """Central differences of rho, shape (n_params, N, N), steps 1e-6 max(1, |v_mu|)."""
     (vals,) = model.check_block(values, closed=False)
-    if not 0 <= mu < model.n_params:
-        raise ValueError(f"parameter index {mu} out of range")
-    step = 1e-6 * max(1.0, abs(vals[mu]))
-    if not (0.0 < vals[mu] - step and vals[mu] + step < np.inf):
+    steps = 1e-6 * np.maximum(1.0, np.abs(vals))
+    near = ~((0.0 < vals - steps) & (vals + steps < np.inf))
+    if near.any():
+        mu = np.argmax(near)
         raise ValueError(f"parameter {model.names[mu]}={vals[mu]} too close to the domain "
-                         f"boundary for step {step}")
-    shift = np.zeros_like(vals)
-    shift[mu] = step
-    return (model.rho(vals + shift) - model.rho(vals - shift)) / (2.0 * step)
+                         f"boundary for step {steps[mu]}")
+    return np.stack([(model.rho(vals + shift) - model.rho(vals - shift)) / (2.0 * step)
+                     for shift, step in zip(np.diag(steps), steps)])
 
 
 def qfim(model: ModelFamily, values) -> np.ndarray:
     """Quantum Fisher information matrix F_ab = Re tr(L_a L_b rho), in rho's eigenbasis.
 
-    One ``eig_hermitian`` of ``model.rho`` gives rho = V diag(lambda) V^H,
-    and ``drho``'s derivatives become t_mu = V^H drho_mu V.  Over the pairs
-    with lambda_m + lambda_n > ``SUPPORT_TOL``, F_ab = 2 Re sum_mn
-    t_a[m, n] conj(t_b[m, n]) / (lambda_m + lambda_n), symmetrized: the SLD
-    trace with no L formed (Liu, Yuan, Lu & Wang, J. Phys. A 53, 023001
+    ``drho`` checks the point and gives the (n_params, N, N) stack drho_mu;
+    with one ``eig_hermitian``, rho = V diag(lambda) V^H and t_mu = V^H drho_mu
+    V.  Over the pairs with lambda_m + lambda_n > ``SUPPORT_TOL``, F_ab = 2 Re
+    sum_mn t_a[m, n] conj(t_b[m, n]) / (lambda_m + lambda_n), symmetrized: the
+    SLD trace with no L formed (Liu, Yuan, Lu & Wang, J. Phys. A 53, 023001
     (2020)).  Pairs at or below the cutoff are dropped, as at a rank change.
     """
-    (vals,) = model.check_block(values, closed=False)
-    w, v = eig_hermitian(model.rho(vals))
+    d = drho(model, values)
+    w, v = eig_hermitian(model.rho(values))
     denom = w[:, None] + w[None, :]
     keep = denom > SUPPORT_TOL
-    t = np.stack([(v.conj().T @ drho(model, vals, mu) @ v)[keep] for mu in range(model.n_params)])
+    t = (v.conj().T @ d @ v)[:, keep]
     f = 2.0 * ((t / denom[keep]) @ t.conj().T).real
     return 0.5 * (f + f.T)
 

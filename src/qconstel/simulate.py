@@ -42,14 +42,14 @@ def _is_real(x) -> bool:
 def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
     """Golden-section minimization of ``f`` on [a, b]; the final bracket, of width <= ``tol``.
 
-    Ties keep the left part.
+    It stops sooner once rounding leaves no point inside; ties keep the left part.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1 = f(x1)
     f2 = f(x2)
-    while b - a > tol:
+    while b - a > tol and a < x1 < x2 < b:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)

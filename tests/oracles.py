@@ -197,7 +197,7 @@ def sld_qfim(model: ModelFamily, values) -> np.ndarray:
     """
     (vals,) = model.check_block(values, closed=False)
     rho = model.rho(vals)
-    slds = [sld(rho, estimation.drho(model, vals, mu)) for mu in range(model.n_params)]
+    slds = [sld(rho, d) for d in estimation.drho(model, vals)]
     k = model.n_params
     f = np.empty((k, k))
     for a in range(k):

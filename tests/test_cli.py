@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import gc
 import hashlib
 import io
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qconstel
 from qconstel import cli
@@ -785,3 +788,54 @@ def test_cli_loads_no_lazy_numpy_module():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.splitlines() == ["[0, 0, 0, 3, 0, 0]", "[]"], proc.stdout
+
+
+def test_simulate_at_a_large_p_runs_in_the_units_of_the_period(capsys):
+    # the default box keeps BOX_MARGIN / p inside the period, so it is not
+    # empty at large p (an absolute margin empties the pair's above p = 785)
+    ratios = []
+    for p, r in (("1", "0.1"), ("1e4", "1e-5")):
+        code, out, err = run(capsys, ["simulate", "--kind", "pair", "--p", p, "--r", r,
+                                      "--photons", "1000", "--seed", "3"])
+        assert (code, err) == (0, ""), err
+        ratios.append(float(out.splitlines()[2].split()[-1]))
+    assert ratios[1] == pytest.approx(ratios[0], rel=1e-3)
+
+
+def test_an_allocation_failure_is_a_numerical_failure(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    code, out, err = run(capsys, ["sweep", "--kind", "pair", "--count", "100000000000"])
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: Unable to allocate 745. GiB\n"
+
+
+OPEN_DOMAIN = ("qfi", "sweep-qfi", "simulate")  # a zero model point is out of their domain
+KIND_PARAMETERS = {"pair": ("r",), "ring": ("r",), "rect": ("x0", "y0")}
+
+
+@settings(max_examples=300)
+@given(command=st.sampled_from(["qfi", "eigen", "sweep-qfi", "sweep-eigenvalues", "simulate",
+                                "decompose"]),
+       kind=st.sampled_from(sorted(KIND_PARAMETERS)), data=st.data())
+def test_a_model_point_outside_the_domain_is_a_config_error(command, kind, data):
+    # one bad model parameter per case, checked by the library alone: exit 2,
+    # nothing on stdout and one stderr line, whichever command reads the point
+    bad = st.sampled_from([np.nan, np.inf, -np.inf]) | st.floats(max_value=0.0, exclude_max=True)
+    value = data.draw(bad | st.just(0.0) if command in OPEN_DOMAIN else bad)
+    name = data.draw(st.sampled_from(KIND_PARAMETERS[kind]))
+    argv = [command.split("-")[0], "--kind", kind, f"--{name}={value!r}"]
+    if command.startswith("sweep"):
+        # the swept parameter takes its grid, so its bad value is the grid's start
+        swept = data.draw(st.sampled_from(KIND_PARAMETERS[kind]))
+        argv += ["--quantity", command.split("-")[1], "--parameter", swept, "--count", "3"]
+        if swept == name:
+            argv.append(f"--start={value!r}")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    assert (code, stdout.getvalue()) == (2, ""), (argv, err)
+    assert err.startswith("config error:") and err.count("\n") == 1, (argv, err)

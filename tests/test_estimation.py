@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from qconstel import estimation
 from qconstel.constellation import make_rectangle, make_ring
 from qconstel.estimation import (
+    DomainError,
     ModelFamily,
     _amplitudes,
     _phase,
@@ -65,7 +66,7 @@ def test_drho_matches_symbolic_oracle():
         theta = rng.uniform(0, np.pi / 2)
         r = rng.uniform(0.1, 1.2)
         model = ring_model(2, p, theta, 0.0)
-        num = drho(model, [r], 0)
+        num = drho(model, [r])[0]
         assert np.max(np.abs(num - pair_drho_oracle(p, theta, r))) <= 1e-6
         assert hermiticity_defect(num) <= 1e-9
         assert abs(np.trace(num)) <= 1e-8
@@ -95,14 +96,14 @@ def test_drho_meets_the_exact_derivative(family):
             tangents = [make_ring(family, 1.0, phase)]
         for mu, tangent in enumerate(tangents):
             exact = exact_drho(points, tangent, momenta)
-            err = np.max(np.abs(drho(model, v, mu) - exact))
+            err = np.max(np.abs(drho(model, v)[mu] - exact))
             assert err <= 1e-8 * max(1.0, np.max(np.abs(exact)))
 
 
 def test_drho_eigenvalue_derivative_on_diagonal():
     p, r = 1.0, 0.4
     model = ring_model(2, p)
-    d = drho(model, [r], 0)
+    d = drho(model, [r])[0]
     plus = np.ones(2) / np.sqrt(2)
     minus = np.array([1, -1]) / np.sqrt(2)
     dplus = np.real(plus.conj() @ d @ plus)
@@ -111,14 +112,47 @@ def test_drho_eigenvalue_derivative_on_diagonal():
     assert abs(dminus - (2 * p * np.cos(p * r) * np.sin(p * r))) <= 1e-6
 
 
+@pytest.mark.parametrize("family", [*range(2, 17), "rectangle"])
+def test_drho_stacks_the_central_difference_of_each_parameter(family):
+    # one checked point, every parameter's difference, bit for bit as one
+    # call per parameter took it
+    model, v = (rectangle_model(1.3, 0.7), np.array([0.4, 1.1])) if family == "rectangle" \
+        else (ring_model(family, 1.3, 0.2), np.array([0.4]))
+    want = []
+    for mu in range(model.n_params):
+        step = 1e-6 * max(1.0, abs(v[mu]))
+        shift = np.zeros_like(v)
+        shift[mu] = step
+        want.append((model.rho(v + shift) - model.rho(v - shift)) / (2.0 * step))
+    got = drho(model, v)
+    assert got.shape == (model.n_params, model.dim, model.dim)
+    assert np.array_equal(got, np.stack(want))
+
+
+def test_check_block_names_a_point_outside_the_domain():
+    # DomainError, a ValueError, for a bad entry; a wrong shape stays a plain ValueError
+    for model in (ring_model(2, 1.0), ring_model(5, 1.0), rectangle_model(1.0, 0.5)):
+        good = np.full(model.n_params, 0.3)
+        for bad, closed in ((np.nan, True), (np.inf, True), (-np.inf, True), (-0.5, True),
+                            (0.0, False)):
+            point = good.copy()
+            point[-1] = bad
+            for values in (point, [good, point]):
+                with pytest.raises(DomainError) as exc:
+                    model.check_block(values, closed)
+                assert isinstance(exc.value, ValueError)
+        for shape in ((model.n_params + 1,), (2, model.n_params + 1), (0, model.n_params)):
+            with pytest.raises(ValueError) as exc:
+                model.check_block(np.full(shape, 0.3))
+            assert not isinstance(exc.value, DomainError)
+
+
 def test_drho_domain_guard():
     model = ring_model(2, 1.0)
     with pytest.raises(ValueError):
-        drho(model, [1e-9], 0)
+        drho(model, [1e-9])
     with pytest.raises(ValueError):
-        drho(model, [-0.5], 0)
-    with pytest.raises(ValueError):
-        drho(model, [0.3], 1)
+        drho(model, [-0.5])
 
 
 def test_sld_diagonal_case():
@@ -227,8 +261,7 @@ def test_qfim_meets_the_sld_trace():
     for model, point in sld_trace_cases(0, 500):
         f, ref = qfim(model, point), sld_qfim(model, point)
         rho = model.rho(point)
-        scale = max(np.linalg.norm(sld(rho, drho(model, point, mu)), 2) ** 2
-                    for mu in range(model.n_params))
+        scale = max(np.linalg.norm(sld(rho, d), 2) ** 2 for d in drho(model, point))
         assert np.max(np.abs(f - ref)) <= 1e-13 * scale
         assert np.array_equal(f, f.T)
 
@@ -257,10 +290,10 @@ def test_qfim_with_the_exact_drho_is_mostly_nearer_spectral_than_the_sld_trace(m
     # with the exact derivative in place of the central difference, both
     # routes read the spectral QFIM up to rounding; the eigenbasis sum is at
     # least as near it in 249 of these 300 cases
-    def exact(model, values, mu):
+    def exact(model, values):
         (vals,) = model.check_block(values, closed=False)
-        tangents = model.points * np.eye(model.n_params)[mu] if model.n_params == 2 else model.points
-        return exact_drho(model.points * vals, tangents, model.momenta)
+        tangents = [model.points * axis for axis in np.eye(2)] if model.n_params == 2 else [model.points]
+        return np.stack([exact_drho(model.points * vals, t, model.momenta) for t in tangents])
 
     monkeypatch.setattr(estimation, "drho", exact)
     nearer = 0
@@ -355,9 +388,10 @@ def test_constructors_attach_closed_form_and_box():
         assert model.closed_form.shape == (model.n_params, model.n_params)
         with pytest.raises(ValueError, match="read-only"):
             model.closed_form[0, 0] = 1.0
-    assert pair.box == ((1e-3, np.pi / 4.0 - 1e-3),)
+    # the margin delta = 1e-3 is delta / p, in the units of the period
+    assert pair.box == ((5e-4, (np.pi / 2.0 - 1e-3) / 2.0),)
     assert ring7.box == ((1e-3, np.pi - 1e-3),)
-    assert rect.box == ((1e-3, np.pi / 2.0 - 1e-3), (1e-3, np.pi - 1e-3))
+    assert rect.box == ((1e-3, np.pi / 2.0 - 1e-3), (2e-3, 2.0 * (np.pi / 2.0 - 1e-3)))
     hand = ModelFamily(("r",), AbelianGroup((2,)), make_ring(2, 1.0), make_ring(2, 1.0))
     assert hand.closed_form is None and hand.box is None
 
@@ -482,7 +516,7 @@ def test_model_validation():
         with pytest.raises(ValueError, match="outside open interval"):
             qfim(m, zero)
         with pytest.raises(ValueError, match="outside open interval"):
-            drho(m, zero, 0)
+            drho(m, zero)
     with pytest.raises(ValueError):
         ring_model(2, -1.0)
     # a non-integral n used to reach the family check as "(3, 3) sources x psf
@@ -692,7 +726,7 @@ def test_point_functions_refuse_a_block_of_points():
     model = ring_model(4, 1.0)
     assert np.array_equal(qfim(model, [[0.3]]), qfim(model, [0.3]))
     basis = model.qft_basis
-    for call in (model.rho, lambda v: drho(model, v, 0), lambda v: qfim(model, v),
+    for call in (model.rho, lambda v: drho(model, v), lambda v: qfim(model, v),
                  lambda v: classical_fi(model, v, basis), lambda v: orbit_states(model, v)):
         with pytest.raises(ValueError, match="too many values to unpack"):
             call([[0.3], [0.4]])

@@ -478,3 +478,32 @@ def test_golden_section_keeps_left_part_on_ties():
     assert a == 0.0 and 0.0 < b <= 1e-6
     a, b = _golden_section(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-9)
     assert a <= 0.3 <= b and b - a <= 1e-9
+
+
+def test_golden_section_stops_where_rounding_leaves_no_interior_point():
+    # near 1e9 the float spacing, 1.2e-7, exceeds tol, so the bracket never
+    # reaches tol: the search must stop once no float lies inside it
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) > 200:
+            raise RuntimeError("golden section does not terminate")
+        return (x - (1e9 + 0.3)) ** 2
+
+    a, b = _golden_section(f, 1e9, 1e9 + 1.0, 1e-8)
+    assert a <= 1e9 + 0.3 <= b and b - a <= 4 * np.spacing(1e9)
+    assert len(calls) < 60
+
+
+def test_study_depends_on_p_r_alone():
+    # the model depends on p r only: at r = 1e9, where the golden section's
+    # absolute tol lies below the float spacing, a pair study at p r = 0.1
+    # ends and reads the MSE/CRB of the unit-scale study
+    ratios = []
+    for p, r in ((1.0, 0.1), (1e-10, 1e9)):
+        model = ring_model(2, p)
+        cfg = StudyConfig(model=model, truth=r, photon_counts=(1000,), trials=200, seed=3,
+                          bounds=model.box[0], basis=model.qft_basis)
+        ratios.append(crb_study(cfg).blocks[0].ratio)
+    assert ratios[1] == pytest.approx(ratios[0], rel=1e-6)
